@@ -1,10 +1,10 @@
 """Micro-benchmark + perf-regression harness for the hot-path kernels.
 
-Times the library's four hot paths — matching, contraction, engine
-payload delivery and one embed smoothing iteration — on generated
-graphs, reports per-kernel medians, and persists them (plus the
-old-vs-new speedup ratios the optimisation work is accountable for) to
-``BENCH_kernels.json``.
+Times the library's hot paths — matching, contraction, engine payload
+delivery, one embed smoothing iteration and the β field at the
+production lattice side — on generated graphs, reports per-kernel
+medians, and persists them (plus the old-vs-new speedup ratios the
+optimisation work is accountable for) to ``BENCH_kernels.json``.
 
 Two ways to run it:
 
@@ -56,8 +56,11 @@ from repro.embed.box import Box  # noqa: E402
 from repro.embed.fdl import force_directed_layout, random_positions  # noqa: E402
 from repro.embed.lattice import (  # noqa: E402
     LatticeWorkspace,
+    beta_force_field,
+    lattice_stats,
     repulsive_forces_lattice,
 )
+from repro.embed.multilevel import lattice_side_for  # noqa: E402
 from repro.embed.quadtree import BHWorkspace, repulsive_forces_bh  # noqa: E402
 from repro.geometric.kway import kway_geometric_assign  # noqa: E402
 from repro.graph.generators import grid2d  # noqa: E402
@@ -81,6 +84,7 @@ TIMED_KERNELS = (
     "engine/procs-roundtrip",
     "embed/dist-accumulate",
     "embed/smooth-iter",
+    "embed/beta-field",
     "embed/bh-build",
     "io/read-metis",
 )
@@ -275,6 +279,15 @@ def run_benchmarks(quick: bool = False, repeats: int = 5,
             repulsion=lattice_kernel,
         ),
     )
+
+    # ---- β field at the production lattice side ------------------------
+    # multilevel_embedding smooths the finest level on a
+    # lattice_side_for(n) lattice (s = 56 at 102k vertices); random
+    # positions occupy every cell, so the empty-cell compaction does not
+    # help and this is the kernel's dense worst case
+    stats = lattice_stats(pos0, g.vwgt, box, lattice_side_for(g.num_vertices))
+    record("embed/beta-field",
+           lambda: beta_force_field(stats, workspace=lat_ws))
 
     # ---- Barnes-Hut evaluation (build + traversal) --------------------
     bh_ws = BHWorkspace()

@@ -25,15 +25,19 @@ Unlike Barnes–Hut there is no adaptivity: the lattice is *fixed*, which
 is what makes the distributed version communication-friendly — one
 (s², 3)-word reduction per iteration block instead of a tree walk.
 
-Performance notes (DESIGN §11): the β pairwise field is evaluated on a
-*transposed* cell-pair matrix — summed-over cell ``j`` on axis 0 — so
-the reduction runs sequentially over ``j`` with contiguous inner
-vectors, which reproduces NumPy's strided ``(B, B, 2).sum(axis=1)``
-summation order bit for bit while being ~6x faster; all cell-pair and
-per-vertex temporaries live in a reusable :class:`LatticeWorkspace`,
-making a steady-state smoothing call allocation-free; and ``cell_ids``
-is computed once per call and shared between the β statistics and the
-per-vertex inheritance (the pre-refactor kernel computed it twice).
+Performance notes (DESIGN §11): the β pairwise field is evaluated
+only among the non-empty cells, in cache-sized blocks of the
+summed-over cell ``j`` laid out on axis 0; row 0 of each block carries
+the running sums, so the reduction runs sequentially over ``j`` with
+contiguous inner vectors and reproduces NumPy's strided
+``(B, B, 2).sum(axis=1)`` summation order bit for bit in O(rows·B)
+scratch instead of four ``(B, B)`` matrices.  All cell-pair and
+per-vertex temporaries live in a reusable :class:`LatticeWorkspace`
+(per-vertex gathers go through ``np.take(..., out=)``), so a
+steady-state smoothing call allocates nothing of size n or B²; and
+``cell_ids`` is computed once per call and shared between the β
+statistics and the per-vertex inheritance (the pre-refactor kernel
+computed it twice).
 """
 
 from __future__ import annotations
@@ -75,50 +79,60 @@ class LatticeStats:
             raise EmbeddingError("inconsistent lattice statistics shapes")
 
 
+#: elements in one cell-pair block; the four block buffers (~1 MiB)
+#: stay cache-resident while the summed-over cell walks them
+_BLOCK_ELEMS = 1 << 15
+
+
 class LatticeWorkspace:
     """Reusable scratch buffers for :func:`repulsive_forces_lattice`.
 
-    Holds the ``(B, B)`` cell-pair matrices of the β field (``B = s²``)
-    and the per-vertex force scratch.  Buffers grow on demand and are
-    kept when the request shrinks (uncoarsening walks levels from small
-    to large, so one workspace serves the whole walk); views of the
-    right size are sliced out per call.  Reusing warm buffers is most
-    of the win over the allocating kernel — fresh multi-MB temporaries
-    page-fault on first touch every iteration.
+    Holds the β field's cell-pair *block* buffers — ``(rows + 1) × |nz|``
+    elements each for ``|nz|`` non-empty cells and ``rows = max(1,
+    _BLOCK_ELEMS // |nz|)``, so about ``_BLOCK_ELEMS + B`` elements
+    however large ``B = s²`` grows — the compact per-cell rows, the
+    ``(B, 2)`` field and the per-vertex force scratch.  Buffers grow on
+    demand and are kept when the request shrinks (uncoarsening walks
+    levels from small to large, so one workspace serves the whole walk);
+    views of the right size are sliced out per call.  Reusing warm
+    buffers is most of the win over the allocating kernel — fresh
+    multi-MB temporaries page-fault on first touch every iteration.
     """
 
-    __slots__ = ("_pair_cap", "_n_cap", "_pair", "_vert", "_field", "_out", "_cm")
+    __slots__ = ("_blk_cap", "_b_cap", "_n_cap", "_blk", "_cell", "_field",
+                 "_vert", "_out")
 
     def __init__(self) -> None:
-        self._pair_cap = 0
+        self._blk_cap = 0
+        self._b_cap = 0
         self._n_cap = 0
-        self._pair = None
-        self._vert = None
+        self._blk = None
+        self._cell = None
         self._field = None
+        self._vert = None
         self._out = None
-        self._cm = None
 
-    #: cell-pair matrices: tx, ty, r2, w (one extra slot doubles as scratch)
-    _N_PAIR = 4
-    #: per-vertex float scratch rows: dx, dy, r2, t
-    _N_VERT = 4
+    #: cell-pair block buffers: tx, ty (row 0 carries the running sums), r2, w
+    _N_BLOCK = 4
+    #: compact per-cell rows: φx, φy, C K² μ, Σx, Σy
+    _N_CELL = 5
+    #: per-vertex float scratch rows: dx, dy, r2, t, m_other
+    _N_VERT = 5
 
-    def pair_buffers(self, b: int):
-        """``_N_PAIR`` matrices of shape ``(b, b)``."""
-        if b > self._pair_cap:
-            self._pair = np.empty((self._N_PAIR, b, b))
+    def block_buffers(self, elems: int):
+        """``_N_BLOCK`` flat rows of ``elems`` elements, reshaped per block."""
+        if elems > self._blk_cap:
+            self._blk = np.empty((self._N_BLOCK, elems))
+            self._blk_cap = elems
+        return tuple(self._blk[i, :elems] for i in range(self._N_BLOCK))
+
+    def cell_buffers(self, b: int):
+        """``_N_CELL`` rows of length ``b`` plus the ``(b, 2)`` field."""
+        if b > self._b_cap:
+            self._cell = np.empty((self._N_CELL, b))
             self._field = np.empty((b, 2))
-            self._cm = np.empty(b)
-            self._pair_cap = b
-        return tuple(self._pair[i, :b, :b] for i in range(self._N_PAIR))
-
-    def field_buffer(self, b: int) -> np.ndarray:
-        self.pair_buffers(b)
-        return self._field[:b]
-
-    def cm_buffer(self, b: int) -> np.ndarray:
-        self.pair_buffers(b)
-        return self._cm[:b]
+            self._b_cap = b
+        return tuple(self._cell[i, :b] for i in range(self._N_CELL)), self._field[:b]
 
     def vertex_buffers(self, n: int):
         """``_N_VERT`` float rows of length ``n`` plus the ``(n, 2)`` output."""
@@ -169,38 +183,56 @@ def beta_force_field(
     ``field[cid]`` is  Σ_{other cells} C K² μ_other (φ_cid − φ_other) /
     ‖φ_cid − φ_other‖²; multiply by a mass to get a force.
 
-    The pair matrices are laid out transposed — the summed-over cell on
-    axis 0 — so the final reduction is a sequential axis-0 sum with
-    contiguous inner vectors: the exact summation order of the original
-    ``(B, B, 2).sum(axis=1)`` (NumPy reduces a non-innermost axis
-    sequentially), hence bit-identical results, at a fraction of the
-    memory traffic.
+    Only the ``|nz|`` non-empty cells take part: an empty cell's field
+    is zero, and its term in another cell's sum is ``±0``, which leaves
+    that sum unchanged.  The summed-over cell ``j`` is walked in blocks
+    of ``rows`` pair rows laid out transposed (``j`` on axis 0); row 0 of
+    the ``tx``/``ty`` block carries the running sums, so each block's
+    sequential axis-0 sum continues the exact summation order of the
+    original ``(B, B, 2).sum(axis=1)`` — bit-identical results in
+    O(rows·|nz|) scratch (DESIGN §11).
     """
-    com, mass = stats.com, stats.mass
+    mass = stats.mass
     b = mass.shape[0]
     ws = workspace if workspace is not None else LatticeWorkspace()
-    tx, ty, r2, w = ws.pair_buffers(b)
-    field = ws.field_buffer(b)
-    cm = ws.cm_buffer(b)
-    comx = np.ascontiguousarray(com[:, 0])
-    comy = np.ascontiguousarray(com[:, 1])
-    # tx[j, i] = φx_i − φx_j  (axis 0 indexes the summed-over cell j)
-    np.subtract(comx[None, :], comx[:, None], out=tx)
-    np.subtract(comy[None, :], comy[:, None], out=ty)
-    np.multiply(tx, tx, out=r2)
-    np.multiply(ty, ty, out=w)
-    np.add(r2, w, out=r2)
-    np.add(r2, _EPS2, out=r2)
-    np.fill_diagonal(r2, np.inf)
-    # w[j, i] = C K² μ_j / r2 — same scalar folding as the reference
-    np.multiply(c * k * k, mass, out=cm)
-    np.divide(cm[:, None], r2, out=w)
-    np.multiply(tx, w, out=tx)
-    tx.sum(axis=0, out=field[:, 0])
-    np.multiply(ty, w, out=ty)
-    ty.sum(axis=0, out=field[:, 1])
-    # empty cells produce garbage positions; zero both their row and effect
-    field[mass == 0] = 0.0
+    (cx, cy, cm, sx, sy), field = ws.cell_buffers(b)
+    nz = np.flatnonzero(mass)
+    m = nz.size
+    cx, cy, cm, sx, sy = cx[:m], cy[:m], cm[:m], sx[:m], sy[:m]
+    np.take(stats.com[:, 0], nz, out=cx, mode="clip")
+    np.take(stats.com[:, 1], nz, out=cy, mode="clip")
+    # cm[j] = C K² μ_j — same scalar folding as the reference
+    np.take(mass, nz, out=cm, mode="clip")
+    np.multiply(c * k * k, cm, out=cm)
+    rows = max(1, min(m, _BLOCK_ELEMS // max(m, 1)))
+    tx_buf, ty_buf, r2_buf, w_buf = ws.block_buffers((rows + 1) * m)
+    for j0 in range(0, m, rows):
+        r = min(rows, m - j0)
+        tx = tx_buf[:(r + 1) * m].reshape(r + 1, m)
+        ty = ty_buf[:(r + 1) * m].reshape(r + 1, m)
+        r2 = r2_buf[:r * m].reshape(r, m)
+        w = w_buf[:r * m].reshape(r, m)
+        dx, dy = tx[1:], ty[1:]
+        # dx[jj, i] = φx_i − φx_j for the block's cells j = j0 + jj
+        np.subtract(cx[None, :], cx[j0:j0 + r, None], out=dx)
+        np.subtract(cy[None, :], cy[j0:j0 + r, None], out=dy)
+        np.multiply(dx, dx, out=r2)
+        np.multiply(dy, dy, out=w)
+        np.add(r2, w, out=r2)
+        np.add(r2, _EPS2, out=r2)
+        r2_buf[j0:r * m:m + 1] = np.inf  # the diagonal j == i
+        np.divide(cm[j0:j0 + r, None], r2, out=w)
+        np.multiply(dx, w, out=dx)
+        np.multiply(dy, w, out=dy)
+        # the first block has no carried sums yet: start at its row 1
+        top = 0 if j0 else 1
+        tx[top:].sum(axis=0, out=sx)
+        ty[top:].sum(axis=0, out=sy)
+        tx[0] = sx
+        ty[0] = sy
+    field.fill(0.0)
+    field[nz, 0] = sx
+    field[nz, 1] = sy
     return field
 
 
@@ -256,24 +288,31 @@ def repulsive_forces_lattice(
         raise EmbeddingError(f"stats built for s={stats.s}, requested s={s}")
 
     field = beta_force_field(stats, c, k, workspace=ws)
-    (dx, dy, r2, t), out = ws.vertex_buffers(n)
+    (dx, dy, r2, t, m_other), out = ws.vertex_buffers(n)
+    # per-cell → per-vertex gathers go through np.take into workspace
+    # rows; cell_ids clamps, so cid is always in range, and mode="clip"
+    # spares the buffered copy of ``out`` that mode="raise" makes
     # inherited β force: field[cid] * mass, column-wise gathers
-    np.multiply(field[:, 0][cid], masses, out=out[:, 0])
-    np.multiply(field[:, 1][cid], masses, out=out[:, 1])
+    np.take(field[:, 0], cid, out=dx, mode="clip")
+    np.multiply(dx, masses, out=out[:, 0])
+    np.take(field[:, 1], cid, out=dy, mode="clip")
+    np.multiply(dy, masses, out=out[:, 1])
 
     # own-cell term, fused into the same pass over the vertex arrays:
     # repulsion from the cell's *other* mass at its φ
-    comx = np.ascontiguousarray(stats.com[:, 0])
-    comy = np.ascontiguousarray(stats.com[:, 1])
-    np.subtract(pos[:, 0], comx[cid], out=dx)
-    np.subtract(pos[:, 1], comy[cid], out=dy)
+    np.take(stats.com[:, 0], cid, out=dx, mode="clip")
+    np.subtract(pos[:, 0], dx, out=dx)
+    np.take(stats.com[:, 1], cid, out=dy, mode="clip")
+    np.subtract(pos[:, 1], dy, out=dy)
     np.multiply(dx, dx, out=r2)
     np.multiply(dy, dy, out=t)
     np.add(r2, t, out=r2)
     np.add(r2, _EPS2, out=r2)
     # coefficient (C K² μ_i (μ_cell − μ_i)) / r2, reference fold order
     np.multiply(c * k * k, masses, out=t)
-    m_other = np.maximum(stats.mass[cid] - masses, 0.0)
+    np.take(stats.mass, cid, out=m_other, mode="clip")
+    np.subtract(m_other, masses, out=m_other)
+    np.maximum(m_other, 0.0, out=m_other)
     np.multiply(t, m_other, out=t)
     np.divide(t, r2, out=t)
     np.multiply(dx, t, out=dx)

@@ -15,6 +15,7 @@ reports.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -43,7 +44,8 @@ class SuiteEntry:
         if scale <= 0:
             raise GraphError("scale must be positive")
         if seed is None:
-            seed = derive_seed(DEFAULT_SEED, hash(self.name) & 0xFFFF)
+            # a stable digest: ``hash(str)`` is salted per process
+            seed = derive_seed(DEFAULT_SEED, zlib.crc32(self.name.encode()) & 0xFFFF)
         g = self.builder(scale, seed)
         return GeneratedGraph(g.graph, g.coords, self.name)
 

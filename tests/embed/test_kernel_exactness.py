@@ -1,7 +1,7 @@
 """Bit-exactness of the optimised embedding kernels.
 
 Every hot-path kernel rewritten for the million-vertex push (workspace
-reuse, bincount scatters, transposed field sums, precomputed BH
+reuse, bincount scatters, blocked field sums, precomputed BH
 interaction offsets) must produce output *bit-identical* to the
 implementation it replaced — the pre-refactor bodies are kept as
 ``_reference`` functions for exactly this comparison.  Each kernel is
@@ -17,6 +17,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro.embed import lattice
 from repro.embed.box import Box
 from repro.embed.fdl import (
     _force_directed_layout_reference,
@@ -92,8 +93,24 @@ class TestAttractiveExactness:
             assert np.array_equal(got, ref)
 
 
+def _bits_equal(a, b) -> bool:
+    """Bitwise equality: unlike ``array_equal`` it tells −0.0 from +0.0."""
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.int64), b.view(np.int64)
+    )
+
+
+def _corner(pos):
+    """Squeeze every point into one corner of its original box, so most
+    lattice cells over that box are empty."""
+    lo = pos.min(axis=0)
+    return lo + (pos - lo) * 0.1
+
+
+# s = 40 (B = 1,600): the larger graphs occupy hundreds of cells, so the
+# field spans several blocks and the last one is partial
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[n for n, _ in GRAPHS])
-@pytest.mark.parametrize("s", [3, 8, 17])
+@pytest.mark.parametrize("s", [3, 8, 17, 40])
 class TestLatticeExactness:
     def test_forces_match_reference(self, name, g, s):
         pos, masses = _pos_masses(g)
@@ -107,7 +124,7 @@ class TestLatticeExactness:
             ref = _repulsive_forces_lattice_reference(
                 pos, masses, 0.2, 1.1, box=box, s=s
             )
-            assert np.array_equal(got, ref)
+            assert _bits_equal(got, ref)
 
     def test_field_matches_reference(self, name, g, s):
         pos, masses = _pos_masses(g)
@@ -116,7 +133,50 @@ class TestLatticeExactness:
         ws = LatticeWorkspace()
         got = beta_force_field(stats, 0.2, 1.1, workspace=ws)
         ref = _beta_force_field_reference(stats, 0.2, 1.1)
-        assert np.array_equal(got, ref)
+        assert _bits_equal(got, ref)
+
+    def test_sparse_corner_matches_reference(self, name, g, s):
+        pos, masses = _pos_masses(g)
+        box = Box.of_points(pos).expanded(1.05)
+        pos = _corner(pos)
+        stats = lattice_stats(pos, masses, box, s)
+        got = beta_force_field(stats, 0.2, 1.1)
+        assert _bits_equal(got, _beta_force_field_reference(stats, 0.2, 1.1))
+        got = repulsive_forces_lattice(pos, masses, 0.2, 1.1, box=box, s=s)
+        ref = _repulsive_forces_lattice_reference(
+            pos, masses, 0.2, 1.1, box=box, s=s
+        )
+        assert _bits_equal(got, ref)
+
+    def test_workspace_shrinks_from_large_lattice(self, name, g, s):
+        # grown at s = 64 (B = 4,096), then reused at the smaller s
+        pos, masses = _pos_masses(g)
+        box = Box.of_points(pos).expanded(1.05)
+        ws = LatticeWorkspace()
+        for side in (64, s):
+            got = repulsive_forces_lattice(
+                pos, masses, 0.2, 1.1, box=box, s=side, workspace=ws
+            )
+            ref = _repulsive_forces_lattice_reference(
+                pos, masses, 0.2, 1.1, box=box, s=side
+            )
+            assert _bits_equal(got, ref)
+
+
+@pytest.mark.parametrize("block_elems", [1, 7, 1000])
+def test_field_block_boundaries(monkeypatch, block_elems):
+    """Tiny blocks walk many block boundaries, full and partial."""
+    monkeypatch.setattr(lattice, "_BLOCK_ELEMS", block_elems)
+    g = random_delaunay(700, seed=11).graph
+    ws = LatticeWorkspace()
+    for seed, s in ((0, 17), (1, 40), (2, 9)):
+        pos, masses = _pos_masses(g, seed)
+        box = Box.of_points(pos).expanded(1.05)
+        if seed == 1:
+            pos = _corner(pos)
+        stats = lattice_stats(pos, masses, box, s)
+        got = beta_force_field(stats, 0.2, 1.1, workspace=ws)
+        assert _bits_equal(got, _beta_force_field_reference(stats, 0.2, 1.1))
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[n for n, _ in GRAPHS])

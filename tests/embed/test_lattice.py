@@ -1,5 +1,7 @@
 """Unit tests for the fixed-lattice repulsion approximation (Eq. 1-2)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.embed.box import Box
 from repro.embed.forces import repulsive_forces_exact
 from repro.embed.lattice import (
     LatticeStats,
+    LatticeWorkspace,
     beta_force_field,
     lattice_stats,
     repulsive_forces_lattice,
@@ -117,3 +120,22 @@ class TestRepulsiveForcesLattice:
         out = repulsive_forces_lattice(pos, s=1, c=1.0)
         assert out[0][0] < 0 < out[1][0]
         np.testing.assert_allclose(out[0], -out[1])
+
+
+class TestLatticeMemory:
+    def test_fine_lattice_scratch_is_bounded(self):
+        # s = 64 (B = 4,096): four dense (B, B) pair matrices would be
+        # 512 MiB; the blocked field needs O(rows·B) scratch plus the
+        # per-vertex rows
+        rng = np.random.default_rng(6)
+        pos = rng.random((20_000, 2))
+        masses = np.ones(20_000)
+        box = Box.of_points(pos)
+        tracemalloc.start()
+        try:
+            repulsive_forces_lattice(pos, masses, box=box, s=64,
+                                     workspace=LatticeWorkspace())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

@@ -1,5 +1,11 @@
 """Tests for the nine-graph evaluation suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.errors import GraphError
@@ -30,6 +36,27 @@ class TestSuite:
         a = suite.build("delaunay_n20", scale=0.05)
         b = suite.build("delaunay_n20", scale=0.05)
         assert a.graph == b.graph
+
+    def test_unseeded_build_is_stable_across_processes(self, tmp_path):
+        # str hashes are salted per process (PYTHONHASHSEED); the
+        # default seed must not depend on them
+        code = (
+            "import sys, numpy as np; from repro.graph import suite; "
+            "g = suite.build('delaunay_n20', scale=0.05).graph; "
+            "np.savez(sys.argv[1], indptr=g.indptr, indices=g.indices)"
+        )
+        src = str(Path(suite.__file__).resolve().parents[2])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        arrays = []
+        for hashseed in ("1", "2"):
+            out = tmp_path / f"g{hashseed}.npz"
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
+            subprocess.run([sys.executable, "-c", code, str(out)],
+                           env=env, check=True)
+            arrays.append(np.load(out))
+        a, b = arrays
+        assert np.array_equal(a["indptr"], b["indptr"])
+        assert np.array_equal(a["indices"], b["indices"])
 
     @pytest.mark.parametrize("name", suite.suite_names())
     def test_every_graph_builds_small(self, name):
