@@ -325,6 +325,10 @@ def _run_recovering(
 
     def finish(out: PartitionResult, rec: Dict[str, Any],
                aspec: MethodSpec) -> PartitionResult:
+        nonlocal last_exc
+        # the failed attempt's traceback pins its frames (and their
+        # buffers) in a cycle through this closure: drop it on success
+        last_exc = None
         rec["status"] = "ok"
         rec["cut"] = int(out.cut_size)
         rec["imbalance"] = float(out.imbalance)

@@ -34,7 +34,8 @@ Semantics notes
   (same source, tag and communicator) has been posted.  Messages between
   a (src, dst, tag) pair are delivered FIFO.
 * A collective completes when *every* rank of its communicator has
-  posted the *same* collective; posting mismatched collectives raises
+  posted the *same* collective (kind, root and reduction op, checked
+  by :mod:`repro.parallel.ops`); posting mismatched collectives raises
   :class:`~repro.errors.CommError`, and a state where no rank can
   advance raises :class:`~repro.errors.DeadlockError` naming the parked
   operations — both invaluable when debugging distributed algorithms.
@@ -72,8 +73,7 @@ from __future__ import annotations
 import inspect
 import os
 import warnings
-from collections import deque
-from dataclasses import dataclass
+from collections import defaultdict, deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,186 +87,33 @@ from ..errors import (
     RankFailure,
 )
 from ..rng import SeedLike, spawn_streams
-from .faults import FaultEvent, FaultPlan, corrupt_payload
+from .faults import FaultEvent, FaultPlan
 from .machine import MachineModel, QDR_CLUSTER
-from .trace import CommStats, DEFAULT_PHASE, PhaseBreakdown, SpmdResult
+from .ops import (
+    _COLLECTIVES,
+    _ROOTED,
+    _Group,
+    _Op,
+    _copy_payload,
+    _op_words,
+    _readonly_payload,
+    apply_message_fault,
+    check_run,
+    collective_results,
+    expect_op,
+    match_collective,
+    op_desc,
+    parked_entry,
+    payload_words,
+    plan_split,
+    resolve_peer,
+)
+from .trace import COLLECTIVE_KINDS, CommStats, DEFAULT_PHASE, PhaseBreakdown, SpmdResult
 
 __all__ = ["Comm", "run_spmd", "payload_words"]
 
-
-# ----------------------------------------------------------------------
-# payload utilities
-# ----------------------------------------------------------------------
-
-def payload_words(obj: Any) -> float:
-    """Estimate the size of a payload in 8-byte words.
-
-    Used by the cost model when the caller does not pass ``words=``.
-    NumPy arrays are exact; containers are summed recursively; scalars
-    count as one word.
-    """
-    if obj is None:
-        return 0.0
-    if isinstance(obj, np.ndarray):
-        return max(1.0, obj.nbytes / 8.0)
-    if isinstance(obj, (int, float, complex, bool, np.generic)):
-        return 1.0
-    if isinstance(obj, (bytes, str)):
-        return max(1.0, len(obj) / 8.0)
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return 1.0 + sum(payload_words(x) for x in obj)
-    if isinstance(obj, dict):
-        return 1.0 + sum(payload_words(k) + payload_words(v) for k, v in obj.items())
-    d = getattr(obj, "__dict__", None)
-    if d is not None:
-        return 1.0 + payload_words(d)
-    return 4.0
-
-
-def _copy_payload(obj: Any) -> Any:
-    """Defensive copy of a message payload (arrays and containers)."""
-    if isinstance(obj, np.ndarray):
-        return obj.copy()
-    if isinstance(obj, list):
-        return [_copy_payload(x) for x in obj]
-    if isinstance(obj, tuple):
-        return tuple(_copy_payload(x) for x in obj)
-    if isinstance(obj, dict):
-        return {k: _copy_payload(v) for k, v in obj.items()}
-    return obj
-
-
-def _readonly_payload(obj: Any) -> Any:
-    """Zero-copy delivery: arrays become read-only views of the sender's
-    buffer (containers are rebuilt so the structure is private, the
-    array data is not)."""
-    if isinstance(obj, np.ndarray):
-        view = obj.view()
-        view.flags.writeable = False
-        return view
-    if isinstance(obj, list):
-        return [_readonly_payload(x) for x in obj]
-    if isinstance(obj, tuple):
-        return tuple(_readonly_payload(x) for x in obj)
-    if isinstance(obj, dict):
-        return {k: _readonly_payload(v) for k, v in obj.items()}
-    return obj
-
-
-_COPY_MODES = ("readonly", "defensive")
-
 #: execution backends run_spmd can dispatch to
 _BACKENDS = ("sim", "procs")
-
-
-_REDUCERS: Dict[str, Callable[[Any, Any], Any]] = {
-    "sum": lambda a, b: a + b,
-    "prod": lambda a, b: a * b,
-    "min": lambda a, b: (np.minimum(a, b) if isinstance(a, np.ndarray)
-                         or isinstance(b, np.ndarray) else min(a, b)),
-    "max": lambda a, b: (np.maximum(a, b) if isinstance(a, np.ndarray)
-                         or isinstance(b, np.ndarray) else max(a, b)),
-}
-
-#: one-shot ufunc per named op for the stacked-array fast path
-_ARRAY_REDUCERS = {"sum": np.sum, "prod": np.prod, "min": np.min, "max": np.max}
-
-
-def _reduce_values(values: Sequence[Any], op) -> Any:
-    """Combine per-rank contributions into one reduction result.
-
-    Named ops on array payloads take a vectorised fast path: the
-    contributions are stacked and reduced with a single ufunc call
-    instead of a pairwise Python fold.  Shape-mismatched array
-    contributions (including scalars mixed with arrays) raise
-    :class:`CommError` — silently broadcasting them is never what a
-    distributed reduction means.
-    """
-    if callable(op):
-        fn = op
-        acc = _copy_payload(values[0])
-        for v in values[1:]:
-            acc = fn(acc, v)
-        return acc
-    try:
-        fn = _REDUCERS[op]
-    except KeyError:
-        raise CommError(f"unknown reduction op {op!r}") from None
-    if any(isinstance(v, np.ndarray) for v in values):
-        shapes = {v.shape if isinstance(v, np.ndarray) else () for v in values}
-        if len(shapes) != 1:
-            raise CommError(
-                f"{op} reduction over mismatched payload shapes {sorted(shapes)}; "
-                "all ranks must contribute arrays of one shape"
-            )
-        return _ARRAY_REDUCERS[op](np.stack(values), axis=0)
-    if len(values) == 1:
-        return _copy_payload(values[0])
-    acc = values[0]
-    for v in values[1:]:
-        acc = fn(acc, v)
-    return acc
-
-
-# ----------------------------------------------------------------------
-# requests
-# ----------------------------------------------------------------------
-
-_COLLECTIVES = {
-    "barrier", "bcast", "reduce", "allreduce", "gather", "allgather",
-    "scatter", "alltoall", "scan", "split", "exchange",
-}
-
-
-@dataclass
-class _Op:
-    """A communication request yielded by a rank program."""
-
-    kind: str
-    cid: int
-    value: Any = None
-    root: int = 0
-    op: Any = "sum"
-    tag: int = 0
-    source: int = -1
-    dest: int = -1
-    color: Any = None
-    key: int = 0
-    words: Optional[float] = None
-    #: per-message copy override for sends (None = engine copy_mode)
-    copy: Optional[bool] = None
-    #: memoised payload_words(value) — computed at most once per op
-    wcache: Optional[float] = None
-    #: sanitizer checksum of the payload at post time (sanitize mode)
-    cksum: Optional[int] = None
-
-
-def _op_words(op: "_Op") -> float:
-    """Payload size of an op in words, computed once and cached.
-
-    Collectives consult the size twice (ledger accounting and cost
-    model); caching keeps the recursive container walk off the hot path.
-    """
-    if op.words is not None:
-        return op.words
-    if op.wcache is None:
-        op.wcache = payload_words(op.value)
-    return op.wcache
-
-
-@dataclass
-class _Group:
-    """A communicator: an ordered list of participating global ranks."""
-
-    cid: int
-    members: Tuple[int, ...]  # global rank ids, position = local rank
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def local(self, grank: int) -> int:
-        return self.members.index(grank)
 
 
 class Comm:
@@ -422,11 +269,7 @@ class Comm:
 # ----------------------------------------------------------------------
 
 #: Comm methods wrapped by the sanitizer's undriven-generator tracking
-_TRACKED_METHODS = (
-    "send", "recv", "sendrecv", "barrier", "bcast", "reduce", "allreduce",
-    "gather", "allgather", "scatter", "alltoall", "scan", "exchange",
-    "split",
-)
+_TRACKED_METHODS = ("send", "recv", "sendrecv") + COLLECTIVE_KINDS
 
 
 class _SanitizedComm(Comm):
@@ -479,10 +322,6 @@ class _Engine:
                  faults: Optional[FaultPlan] = None,
                  max_steps: Optional[int] = None,
                  max_sim_seconds: Optional[float] = None) -> None:
-        if copy_mode not in _COPY_MODES:
-            raise CommError(
-                f"unknown copy_mode {copy_mode!r}; expected one of {_COPY_MODES}"
-            )
         self.machine = machine
         self.copy_mode = copy_mode
         self.sanitizer: Optional[Sanitizer] = Sanitizer(nranks) if sanitize else None
@@ -505,13 +344,14 @@ class _Engine:
         self.phase = [DEFAULT_PHASE] * nranks
         self.phase_acc: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self.rngs = spawn_streams(seed, nranks)
-        self.mailbox: Dict[Tuple[int, int, int, int], deque] = {}
-        self.groups: Dict[int, _Group] = {}
-        self._next_cid = 0
+        self.mailbox: Dict[Tuple[int, int, int, Any], deque] = {}
+        self.groups: Dict[Any, _Group] = {}
+        #: collectives completed per communicator (names split children)
+        self.coll_seq: Dict[Any, int] = {}
+        #: global send ordinal (the simulator's message-fault site)
         self.messages = 0
-        self.collectives = 0
-        self.words_sent = 0.0
-        self.stats: Dict[str, CommStats] = {}
+        self.stats: Dict[str, CommStats] = defaultdict(
+            lambda: CommStats.zeros(nranks))
 
     # -- accounting ----------------------------------------------------------
     def _phase_arrays(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -540,11 +380,7 @@ class _Engine:
 
     def stats_for(self, grank: int) -> CommStats:
         """Comm counters of the phase ``grank`` is currently in."""
-        name = self.phase[grank]
-        s = self.stats.get(name)
-        if s is None:
-            s = self.stats[name] = CommStats.zeros(self.nranks)
-        return s
+        return self.stats[self.phase[grank]]
 
     def deliver(self, obj: Any, copy: Optional[bool] = None) -> Any:
         """Prepare a payload for handing to a receiving rank.
@@ -555,19 +391,9 @@ class _Engine:
         defensive = (self.copy_mode == "defensive") if copy is None else copy
         return _copy_payload(obj) if defensive else _readonly_payload(obj)
 
-    def new_group(self, members: Sequence[int]) -> _Group:
-        g = _Group(self._next_cid, tuple(members))
-        self.groups[g.cid] = g
-        self._next_cid += 1
-        return g
-
     def make_comm(self, group: _Group, grank: int) -> Comm:
         cls = Comm if self.sanitizer is None else _SanitizedComm
         return cls(self, group, grank)
-
-
-def _is_generator_function(fn) -> bool:
-    return inspect.isgeneratorfunction(fn)
 
 
 def _env_sanitize() -> bool:
@@ -655,14 +481,13 @@ def run_spmd(
             max_steps=max_steps, max_sim_seconds=max_sim_seconds,
             op_timeout=op_timeout, stall_timeout=stall_timeout, **kwargs,
         )
-    if nranks < 1:
-        raise CommError(f"nranks must be >= 1, got {nranks}")
+    check_run(nranks, copy_mode)
     if sanitize is None:
         sanitize = _env_sanitize()
     eng = _Engine(nranks, machine, seed, copy_mode=copy_mode,
                   sanitize=sanitize, faults=faults, max_steps=max_steps,
                   max_sim_seconds=max_sim_seconds)
-    world = eng.new_group(range(nranks))
+    world = eng.groups[0] = _Group(0, tuple(range(nranks)))
     states: List[_RankState] = []
     for r in range(nranks):
         comm = eng.make_comm(world, r)
@@ -715,17 +540,16 @@ def run_spmd(
         name: PhaseBreakdown(comp, comm)
         for name, (comp, comm) in eng.phase_acc.items()
     }
+    comm_stats = CommStats.aggregate(eng.stats, nranks)
     return SpmdResult(
         values=[st.result for st in states],
         clocks=eng.clocks,
         comp_time=eng.comp_time,
         comm_time=eng.comm_time,
         phases=phases,
-        messages=eng.messages,
-        collectives=eng.collectives,
-        words_sent=eng.words_sent,
-        comm_stats=CommStats.aggregate(eng.stats, nranks),
+        comm_stats=comm_stats,
         faults=list(eng.fault_events),
+        **comm_stats.run_totals(),
     )
 
 
@@ -762,7 +586,10 @@ def _check_undelivered(eng: _Engine) -> None:
         f"{len(q)} message(s) rank {src} -> rank {dst} "
         f"(tag={tag}, comm={cid}, "
         f"{sum(entry[1] for entry in q):.0f} words)"
-        for (src, dst, tag, cid), q in sorted(eng.mailbox.items())
+        # split children are named by path, the world by 0: order cids
+        # as text
+        for (src, dst, tag, cid), q in sorted(
+            eng.mailbox.items(), key=lambda kv: (*kv[0][:3], str(kv[0][3])))
         if q
     ]
     if not leftovers:
@@ -788,8 +615,7 @@ def _check_ledgers(eng: _Engine) -> None:
 
 def _sanitize_collective(eng: _Engine, kind: str, parked: List[_RankState]) -> None:
     """Verify posted-payload checksums and book the collective ledger."""
-    root = parked[0].op.root if kind in ("bcast", "reduce", "gather", "scatter") \
-        else None
+    root = parked[0].op.root if kind in _ROOTED else None
     for s in parked:
         if s.op.cksum is not None and payload_checksum(s.op.value) != s.op.cksum:
             raise CommError(
@@ -833,11 +659,7 @@ def _step(eng: _Engine, states: List[_RankState], st: _RankState) -> None:
             st.result = stop.value
             _check_undriven(eng, st.grank)
             return
-        if not isinstance(op, _Op):
-            raise CommError(
-                f"rank {st.grank} yielded {op!r}; rank programs must only "
-                "yield via 'yield from comm.<op>(...)'"
-            )
+        expect_op(st.grank, op)
         if eng.max_steps is not None:
             eng.steps += 1
             if eng.steps > eng.max_steps:
@@ -868,10 +690,7 @@ def _step(eng: _Engine, states: List[_RankState], st: _RankState) -> None:
 
 
 def _do_send(eng: _Engine, grank: int, op: _Op) -> None:
-    group = eng.groups[op.cid]
-    if not (0 <= op.dest < group.size):
-        raise CommError(f"send dest {op.dest} out of range for comm size {group.size}")
-    gdst = group.members[op.dest]
+    gdst = resolve_peer(eng.groups[op.cid], op.dest, "send dest")
     words = _op_words(op)
     t_post = float(eng.clocks[grank])
     # sender pays the injection overhead; transfer overlaps
@@ -890,57 +709,23 @@ def _do_send(eng: _Engine, grank: int, op: _Op) -> None:
         eng.send_counts[grank] = local_index + 1
         fault = eng.faults.message_fault(eng.messages, sender=grank,
                                          sender_index=local_index)
-    key = (grank, gdst, op.tag, op.cid)
+    q = eng.mailbox.setdefault((grank, gdst, op.tag, op.cid), deque())
     if fault is None:
-        eng.mailbox.setdefault(key, deque()).append(
-            (arrival, words, eng.deliver(op.value, op.copy), cksum)
-        )
-    else:
-        _fault_send(eng, grank, gdst, op, key, fault, arrival, words, cksum)
-    eng.messages += 1
-    eng.words_sent += words
-    stats = eng.stats_for(grank)
-    stats.sends[grank] += 1
-    stats.words_sent[grank] += words
-
-
-def _fault_send(eng: _Engine, grank: int, gdst: int, op: _Op, key,
-                fault: Tuple[str, float], arrival: float, words: float,
-                cksum: Optional[int]) -> None:
-    """Apply one message fault to a posted send (slow path)."""
-    kind, delay = fault
-    msg_index = eng.messages
-    detail = ""
-    if kind == "drop":
-        pass  # the message is simply never enqueued
-    elif kind == "duplicate":
-        payload = eng.deliver(op.value, op.copy)
-        q = eng.mailbox.setdefault(key, deque())
-        q.append((arrival, words, payload, cksum))
         q.append((arrival, words, eng.deliver(op.value, op.copy), cksum))
-    elif kind == "delay":
-        arrival += delay
-        detail = f"delayed by {delay:.6g}s"
-        eng.mailbox.setdefault(key, deque()).append(
-            (arrival, words, eng.deliver(op.value, op.copy), cksum)
-        )
-    elif kind == "corrupt":
-        # salt with the sender-local ordinal: the procs backend perturbs
-        # the same element of the same logical message
-        payload, detail = corrupt_payload(eng.deliver(op.value, op.copy),
-                                          eng.send_counts[grank] - 1)
-        # cksum (taken at post time) is deliberately kept: under
-        # sanitize the mismatch is caught at delivery
-        eng.mailbox.setdefault(key, deque()).append(
-            (arrival, words, payload, cksum)
-        )
-    else:  # pragma: no cover - guarded by MessageFault.__post_init__
-        raise CommError(f"unhandled message-fault kind {kind!r}")
-    eng.fault_events.append(FaultEvent(
-        kind=kind, time=float(eng.clocks[grank]), rank=grank, dest=gdst,
-        tag=op.tag, msg_index=msg_index, phase=eng.phase[grank],
-        detail=detail,
-    ))
+    else:
+        # cksum (taken at post time) is kept on every copy: under
+        # sanitize a corrupted payload is caught at delivery
+        def post(payload: Any, delay: float) -> None:
+            q.append((arrival + delay, words, eng.deliver(payload, op.copy),
+                      cksum))
+
+        eng.fault_events.append(apply_message_fault(
+            fault, op.value, local_index, post,
+            time=float(eng.clocks[grank]), rank=grank, dest=gdst,
+            tag=op.tag, msg_index=eng.messages, phase=eng.phase[grank],
+        ))
+    eng.messages += 1
+    eng.stats_for(grank).book_send(grank, words)
 
 
 def _complete_recvs(eng: _Engine, states: List[_RankState], ready: deque) -> bool:
@@ -948,12 +733,7 @@ def _complete_recvs(eng: _Engine, states: List[_RankState], ready: deque) -> boo
     for st in states:
         if st.status != _PARKED or st.op is None or st.op.kind != "recv":
             continue
-        group = eng.groups[st.op.cid]
-        if not (0 <= st.op.source < group.size):
-            raise CommError(
-                f"recv source {st.op.source} out of range for comm size {group.size}"
-            )
-        gsrc = group.members[st.op.source]
+        gsrc = resolve_peer(eng.groups[st.op.cid], st.op.source, "recv source")
         key = (gsrc, st.grank, st.op.tag, st.op.cid)
         q = eng.mailbox.get(key)
         if not q:
@@ -979,14 +759,10 @@ def _complete_recvs(eng: _Engine, states: List[_RankState], ready: deque) -> boo
                 "sender's memory — send a copy (obj.copy() or copy=True) "
                 "or delay the mutation until after the matching receive"
             )
-        stats = eng.stats_for(st.grank)
-        stats.recvs[st.grank] += 1
-        stats.words_received[st.grank] += words
         # idle time: the receiver sat parked before the sender even
         # posted; the transfer itself is the modelled message cost
         wait = arrival - float(eng.clocks[st.grank]) - eng.machine.message_cost(words)
-        if wait > 0:
-            stats.wait_time[st.grank] += wait
+        eng.stats_for(st.grank).book_recv(st.grank, words, wait)
         eng.advance_to(st.grank, arrival)
         st.send_value = payload
         st.op = None
@@ -998,7 +774,7 @@ def _complete_recvs(eng: _Engine, states: List[_RankState], ready: deque) -> boo
 
 def _complete_collectives(eng: _Engine, states: List[_RankState], ready: deque) -> bool:
     # group parked collective ops by communicator
-    by_cid: Dict[int, List[_RankState]] = {}
+    by_cid: Dict[Any, List[_RankState]] = {}
     for st in states:
         if st.status == _PARKED and st.op is not None and st.op.kind in _COLLECTIVES:
             by_cid.setdefault(st.op.cid, []).append(st)
@@ -1026,23 +802,16 @@ def _complete_collectives(eng: _Engine, states: List[_RankState], ready: deque) 
             # a member is missing: either still running (fine) or done (deadlock later)
             continue
         parked.sort(key=lambda s: group.members.index(s.grank))
-        kinds = {s.op.kind for s in parked}
-        if len(kinds) != 1:
-            msg = (
-                f"mismatched collectives on comm {cid}: "
-                + ", ".join(f"rank {group.local(s.grank)}:{s.op.kind}" for s in parked)
+        try:
+            kind = match_collective(cid, [s.op for s in parked])
+        except CommError as exc:
+            if eng.sanitizer is None:
+                raise
+            history = "\n".join(
+                "  " + eng.sanitizer.ledger_tail(s.grank) for s in parked
             )
-            if eng.sanitizer is not None:
-                history = "\n".join(
-                    "  " + eng.sanitizer.ledger_tail(s.grank) for s in parked
-                )
-                msg += "\nrecent collectives before the mismatch:\n" + history
-            raise CommError(msg)
-        kind = kinds.pop()
-        if kind in ("bcast", "reduce", "gather", "scatter"):
-            roots = {s.op.root for s in parked}
-            if len(roots) != 1:
-                raise CommError(f"mismatched roots in {kind} on comm {cid}: {roots}")
+            raise CommError(f"{exc}\nrecent collectives before the "
+                            f"mismatch:\n{history}") from None
         if eng.sanitizer is not None:
             _sanitize_collective(eng, kind, parked)
         _count_collective(eng, kind, parked)
@@ -1052,151 +821,77 @@ def _complete_collectives(eng: _Engine, states: List[_RankState], ready: deque) 
             st.status = _READY
             ready.append(st)
         progress = True
-        eng.collectives += 1
     return progress
 
 
 def _count_collective(eng: _Engine, kind: str, parked: List[_RankState]) -> None:
     """Book one collective into the comm ledger (before clocks move).
 
-    Every member rank's per-phase ``collectives[kind]`` counter bumps by
-    one, its contributed payload is added to ``collective_words``, and
-    the skew it absorbed waiting for the slowest member is booked as
-    wait time.  The operation itself is counted once (``collective_ops``)
-    in the phase of the communicator's first member.
+    Every member books its participation, its contributed payload and
+    the skew it absorbed waiting for the slowest member; the operation
+    itself is counted once, in the phase of the communicator's first
+    member.
     """
     t0 = max(float(eng.clocks[s.grank]) for s in parked)
     for s in parked:
         g = s.grank
-        stats = eng.stats_for(g)
-        stats._coll_array(kind)[g] += 1
-        stats.collective_words[g] += _op_words(s.op)
-        wait = t0 - float(eng.clocks[g])
-        if wait > 0:
-            stats.wait_time[g] += wait
-    first = eng.stats_for(parked[0].grank)
-    first.collective_ops[kind] = first.collective_ops.get(kind, 0) + 1
+        eng.stats_for(g).book_collective(g, kind, _op_words(s.op),
+                                         t0 - float(eng.clocks[g]))
+    eng.stats_for(parked[0].grank).book_collective_op(kind)
+
+
+def _collective_words(kind: str, ops: List[_Op]) -> float:
+    """Per-rank payload size the Hockney model charges a collective."""
+    p = len(ops)
+    if kind == "barrier":
+        return 0.0
+    if kind == "split":
+        return 1.0
+    if kind == "bcast":
+        return _op_words(ops[ops[0].root])
+    if kind == "scatter":
+        rop = ops[ops[0].root]
+        return (max(payload_words(v) for v in rop.value)
+                if rop.words is None else rop.words / p)
+    if kind == "alltoall":
+        return max(
+            max(payload_words(v) for v in o.value) if o.words is None else o.words / p
+            for o in ops
+        )
+    return max(_op_words(o) for o in ops)
 
 
 def _run_collective(eng: _Engine, group: _Group, kind: str, parked: List[_RankState]) -> None:
     p = group.size
     ops = [st.op for st in parked]
-    granks = [st.grank for st in parked]
-    t0 = max(float(eng.clocks[g]) for g in granks)
-
-    # ---- results + payload size ----
-    if kind == "barrier":
-        words = 0.0
-        results = [None] * p
-    elif kind == "bcast":
-        rop = ops[ops[0].root]
-        words = _op_words(rop)
-        # zero-copy mode: every rank gets a fresh container skeleton over
-        # read-only views of the root's arrays; defensive: deep copies
-        results = [eng.deliver(rop.value) for _ in range(p)]
-    elif kind == "reduce":
-        words = max(_op_words(o) for o in ops)
-        red = _reduce_values([o.value for o in ops], ops[0].op)
-        results = [red if i == ops[0].root else None for i in range(p)]
-    elif kind == "allreduce":
-        words = max(_op_words(o) for o in ops)
-        red = _reduce_values([o.value for o in ops], ops[0].op)
-        results = [eng.deliver(red) for _ in range(p)]
-    elif kind == "scan":
-        words = max(_op_words(o) for o in ops)
-        results = []
-        acc = None
-        for o in ops:
-            acc = _copy_payload(o.value) if acc is None else _reduce_values([acc, o.value], o.op)
-            results.append(eng.deliver(acc))
-    elif kind == "gather":
-        words = max(_op_words(o) for o in ops)
-        gathered = [eng.deliver(o.value) for o in ops]
-        results = [gathered if i == ops[0].root else None for i in range(p)]
-    elif kind == "allgather":
-        words = max(_op_words(o) for o in ops)
-        if eng.copy_mode == "readonly":
-            # deliver each contribution once; ranks get private list
-            # skeletons over the shared read-only array views
-            items = [eng.deliver(o.value) for o in ops]
-            results = [list(items) for _ in range(p)]
-        else:
-            gathered = [o.value for o in ops]
-            results = [_copy_payload(gathered) for _ in range(p)]
-    elif kind == "scatter":
-        rop = ops[ops[0].root]
-        vals = rop.value
-        if vals is None or len(vals) != p:
-            raise CommError(
-                f"scatter root must supply exactly {p} values, got "
-                f"{None if vals is None else len(vals)}"
-            )
-        words = (
-            max(payload_words(v) for v in vals)
-            if rop.words is None else rop.words / p
-        )
-        results = [eng.deliver(v) for v in vals]
-    elif kind == "alltoall":
-        for o in ops:
-            if o.value is None or len(o.value) != p:
-                raise CommError(f"alltoall requires {p} values per rank")
-        words = max(
-            max(payload_words(v) for v in o.value) if o.words is None else o.words / p
-            for o in ops
-        )
-        results = [
-            [eng.deliver(ops[src].value[dst]) for src in range(p)]
-            for dst in range(p)
-        ]
-    elif kind == "exchange":
-        # per-rank payload dicts {dst_local_rank: payload}
-        inboxes: List[Dict[int, Any]] = [dict() for _ in range(p)]
-        out_words = np.zeros(p)
-        for i, o in enumerate(ops):
+    t0 = max(float(eng.clocks[st.grank]) for st in parked)
+    seq = eng.coll_seq.get(group.cid, 0)
+    eng.coll_seq[group.cid] = seq + 1
+    if kind == "split":
+        results: List[Any] = []
+        for st, child in zip(parked, plan_split(group, seq, ops)):
+            if child is None:
+                results.append(None)
+                continue
+            g = eng.groups.setdefault(child[0], _Group(*child))
+            results.append(eng.make_comm(g, st.grank))
+    else:
+        results = collective_results(kind, ops, eng.deliver)
+    if kind == "exchange":
+        for st, o, inbox in zip(parked, ops, results):
             msgs = o.value or {}
-            if not isinstance(msgs, dict):
-                raise CommError("exchange expects a dict {neighbor_rank: payload}")
-            for dst, payload in msgs.items():
-                if not (0 <= dst < p):
-                    raise CommError(f"exchange neighbour {dst} out of range")
-                if dst == i:
-                    raise CommError("exchange to self is not allowed")
-                inboxes[dst][i] = eng.deliver(payload)
-            out_words[i] = (
-                o.words if o.words is not None
-                else sum(payload_words(v) for v in msgs.values())
-            )
-        in_words = np.array(
-            [sum(payload_words(v) for v in box.values()) for box in inboxes]
-        )
-        nnbrs = np.array([len(o.value or {}) for o in ops])
-        for i, st in enumerate(parked):
-            cost = eng.machine.exchange_cost(int(nnbrs[i]), float(out_words[i]),
-                                             float(in_words[i]))
+            out_words = (o.words if o.words is not None
+                         else sum(payload_words(v) for v in msgs.values()))
+            in_words = sum(payload_words(v) for v in inbox.values())
+            cost = eng.machine.exchange_cost(len(msgs), float(out_words),
+                                             float(in_words))
             eng.advance_to(st.grank, t0 + cost)
-            st.send_value = inboxes[group.local(st.grank)]
+            st.send_value = inbox
         return
-    elif kind == "split":
-        by_color: Dict[Any, List[Tuple[int, int, int]]] = {}
-        for i, o in enumerate(ops):
-            if o.color is not None:
-                by_color.setdefault(o.color, []).append((o.key, i, granks[i]))
-        words = 1.0
-        new_comms: Dict[int, Comm] = {}
-        for color, lst in sorted(by_color.items(), key=lambda kv: repr(kv[0])):
-            lst.sort()
-            g = eng.new_group([grank for _, _, grank in lst])
-            for _, i, grank in lst:
-                new_comms[i] = eng.make_comm(g, grank)
-        results = [new_comms.get(i) for i in range(p)]
-    else:  # pragma: no cover - guarded by _COLLECTIVES
-        raise CommError(f"unhandled collective {kind}")
-
-    cost = eng.machine.collective_cost(kind, p, words)
-    t_done = t0 + cost
-    for st in parked:
+    t_done = t0 + eng.machine.collective_cost(kind, p, _collective_words(kind, ops))
+    for st, result in zip(parked, results):
         eng.advance_to(st.grank, t_done)
-        st.send_value = results[group.local(st.grank)]
+        st.send_value = result
 
 
 def _raise_deadlock(eng: _Engine, states: List[_RankState]) -> None:
@@ -1211,21 +906,9 @@ def _raise_deadlock(eng: _Engine, states: List[_RankState]) -> None:
     for st in states:
         if st.status in (_DONE, _DEAD):
             continue
-        op = st.op
         phase = eng.phase[st.grank]
-        if op is None:
-            desc = "running"
-            entry = {"rank": st.grank, "kind": "running", "peer": None,
-                     "tag": None, "comm": None, "phase": phase}
-        elif op.kind == "recv":
-            desc = f"recv(comm={op.cid}, source={op.source}, tag={op.tag})"
-            entry = {"rank": st.grank, "kind": "recv", "peer": op.source,
-                     "tag": op.tag, "comm": op.cid, "phase": phase}
-        else:
-            desc = f"{op.kind}(comm={op.cid})"
-            entry = {"rank": st.grank, "kind": op.kind, "peer": None,
-                     "tag": None, "comm": op.cid, "phase": phase}
-        parked.append(entry)
+        parked.append(parked_entry(st.grank, st.op, phase))
+        desc = "running" if st.op is None else op_desc(st.op)
         lines.append(f"  rank {st.grank}: waiting on {desc} "
                      f"[phase {phase!r}]")
     if eng.dead:

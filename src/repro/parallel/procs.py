@@ -13,20 +13,13 @@ identical communication ledgers (asserted by
 
 How parity is achieved
 ----------------------
-* **Same op stream.**  Workers reuse the engine's :class:`Comm` and
-  ``_Op`` classes verbatim; the per-process driver interprets the ops a
-  rank yields exactly as the simulator's scheduler does.
-* **Same reduction/collective semantics.**  Each collective is
-  coordinated by the communicator's first member (local rank 0), which
-  validates mismatched kinds/roots with the simulator's error messages
-  and computes results with the engine's own ``_reduce_values`` /
-  ``_copy_payload`` in local-rank order — bit-identical folds.
-* **Same seeding.**  Every worker derives the full per-rank stream list
-  with :func:`~repro.rng.spawn_streams` from the one engine seed, so
-  ``comm.rng`` is the stream the simulator would have handed it.
-* **Same ledger.**  Each member books its own per-phase CommStats
-  exactly as the simulator does (``collective_ops`` counted once, in
-  the coordinator's phase); the parent merges the per-rank columns.
+Workers drive the engine's :class:`Comm` and every rule of what an op
+means — matching, collective results, split naming, fault application,
+ledger booking — comes from :mod:`repro.parallel.ops`, the core the
+simulator uses too.  Each collective is computed by the communicator's
+first member (local rank 0) in local-rank order; every worker derives
+its ``comm.rng`` with :func:`~repro.rng.spawn_streams` from the one
+seed; the parent merges the per-rank ledger columns.
 
 What differs (and is documented in DESIGN §"Execution backends"):
 clocks are *measured wall seconds* (not Hockney-model estimates), so
@@ -80,7 +73,7 @@ import re
 import time
 import traceback
 import warnings
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -97,18 +90,26 @@ from ..errors import (
 )
 from ..graph.distributed import Shared
 from ..rng import SeedLike, spawn_streams
-from .engine import (
+from .engine import _env_sanitize
+from .faults import FaultEvent, FaultPlan
+from .machine import MachineModel, QDR_CLUSTER
+from .ops import (
     _COLLECTIVES,
-    _COPY_MODES,
     _Group,
     _Op,
     _copy_payload,
-    _env_sanitize,
     _op_words,
-    _reduce_values,
+    apply_message_fault,
+    check_run,
+    collective_results,
+    expect_op,
+    match_collective,
+    op_desc,
+    op_label,
+    parked_entry,
+    plan_split,
+    resolve_peer,
 )
-from .faults import FaultEvent, FaultPlan, corrupt_payload
-from .machine import MachineModel, QDR_CLUSTER
 from .trace import CommStats, DEFAULT_PHASE, PhaseBreakdown, SpmdResult
 
 __all__ = ["run_spmd_procs", "procs_available", "DEFAULT_OP_TIMEOUT",
@@ -306,8 +307,19 @@ def _drain_segments(obj: Any) -> None:
 #: park-kind encoding for the heartbeat channel (fixed order)
 _PARK_KINDS: Tuple[str, ...] = ("recv",) + tuple(sorted(_COLLECTIVES))
 
-#: bytes reserved per rank for the heartbeat's phase label
+#: bytes reserved per rank for the heartbeat's phase label and comm id
 _PHASE_BYTES = 24
+_COMM_BYTES = 32
+
+
+def _put_text(arr, rank: int, width: int, text: str) -> None:
+    raw = text.encode("utf-8", "replace")[:width]
+    arr[rank * width:(rank + 1) * width] = raw.ljust(width, b"\x00")
+
+
+def _get_text(arr, rank: int, width: int) -> str:
+    raw = bytes(arr[rank * width:(rank + 1) * width])
+    return raw.rstrip(b"\x00").decode("utf-8", "replace")
 
 
 class _Heartbeat:
@@ -335,22 +347,17 @@ class _Heartbeat:
         self.peer = RawArray("i", [-1] * nranks)
         self.tag = RawArray("i", [-1] * nranks)
         self.phase = RawArray("c", _PHASE_BYTES * nranks)
+        self.comm = RawArray("c", _COMM_BYTES * nranks)
 
     # -- worker-side writers --------------------------------------------
     def blocked(self, rank: int, parked: Dict[str, Any]) -> None:
-        try:
-            ki = _PARK_KINDS.index(parked.get("kind"))
-        except ValueError:
-            ki = -1
-        self.kind[rank] = ki
+        self.kind[rank] = _PARK_KINDS.index(parked["kind"])
         peer = parked.get("peer")
         tag = parked.get("tag")
         self.peer[rank] = -1 if peer is None else int(peer)
         self.tag[rank] = -1 if tag is None else int(tag)
-        raw = str(parked.get("phase", "")).encode("utf-8",
-                                                  "replace")[:_PHASE_BYTES]
-        base = rank * _PHASE_BYTES
-        self.phase[base:base + _PHASE_BYTES] = raw.ljust(_PHASE_BYTES, b"\x00")
+        _put_text(self.phase, rank, _PHASE_BYTES, str(parked.get("phase", "")))
+        _put_text(self.comm, rank, _COMM_BYTES, str(parked["comm"]))
         self.since[rank] = time.monotonic()
         self.state[rank] = self._BLOCKED
 
@@ -370,15 +377,15 @@ class _Heartbeat:
         ki = self.kind[rank]
         peer = self.peer[rank]
         tag = self.tag[rank]
-        base = rank * _PHASE_BYTES
-        raw = bytes(self.phase[base:base + _PHASE_BYTES])
+        # the world communicator is 0, split children are path strings
+        cid = _get_text(self.comm, rank, _COMM_BYTES)
         return {
             "rank": rank,
             "kind": _PARK_KINDS[ki] if 0 <= ki < len(_PARK_KINDS) else "?",
             "peer": None if peer < 0 else int(peer),
             "tag": None if tag < 0 else int(tag),
-            "comm": None,
-            "phase": raw.rstrip(b"\x00").decode("utf-8", "replace"),
+            "comm": int(cid) if cid.isdigit() else cid or None,
+            "phase": _get_text(self.phase, rank, _PHASE_BYTES),
         }
 
 
@@ -475,7 +482,6 @@ class _WorkerSide:
                  faults: Optional[FaultPlan] = None,
                  hb: Optional[_Heartbeat] = None) -> None:
         self.grank = grank
-        self.nranks = nranks
         self.machine = machine
         self.rngs = spawn_streams(seed, nranks)
         self.router = router
@@ -489,15 +495,13 @@ class _WorkerSide:
         self.comm_time = 0.0
         self.phase = DEFAULT_PHASE
         self.phase_acc: Dict[str, List[float]] = {}
-        self.stats: Dict[str, CommStats] = {}
+        self.stats: Dict[str, CommStats] = defaultdict(
+            lambda: CommStats.zeros(nranks))
         self.groups: Dict[Any, _Group] = {}
         self.coll_seq: Dict[Any, int] = {}
-        self.messages = 0
-        self.collectives = 0
-        self.words_sent = 0.0
         self._mark = time.perf_counter()
 
-    # -- Comm-facing surface (mirrors _Engine) --------------------------
+    # -- Comm-facing surface -------------------------------------------
     def charge(self, grank: int, work: float) -> None:
         pass  # real time is measured, not modelled
 
@@ -534,20 +538,10 @@ class _WorkerSide:
     def mark_comm(self) -> None:
         self._book(1)
 
-    def stats_for(self, grank: int) -> CommStats:
-        s = self.stats.get(self.phase)
-        if s is None:
-            s = self.stats[self.phase] = CommStats.zeros(self.nranks)
-        return s
-
     def make_comm(self, group: _Group, grank: int):
         from .engine import Comm
 
         return Comm(self, group, grank)
-
-    def parked_ctx(self, kind: str, peer=None, tag=None, cid=None) -> Dict[str, Any]:
-        return {"rank": self.grank, "kind": kind, "peer": peer,
-                "tag": tag, "comm": cid, "phase": self.phase}
 
 
 def _execute_op(side: _WorkerSide, op: _Op) -> Any:
@@ -555,13 +549,17 @@ def _execute_op(side: _WorkerSide, op: _Op) -> Any:
     group = side.groups[op.cid]
     me = side.grank
     if op.kind == "send":
-        if not (0 <= op.dest < group.size):
-            raise CommError(
-                f"send dest {op.dest} out of range for comm size {group.size}"
-            )
-        gdst = group.members[op.dest]
+        gdst = resolve_peer(group, op.dest, "send dest")
         words = _op_words(op)
         key = ("p", me, op.tag, op.cid)
+
+        def post(payload: Any, delay: float) -> None:
+            # a delayed message carries a wall-clock not-before time
+            # the receiver honours
+            side.router.post(gdst, key, words,
+                             _encode_payload(payload, side.seg),
+                             due=time.monotonic() + delay if delay else 0.0)
+
         fault = None
         if side.faults is not None:
             local_index = side.send_count
@@ -569,219 +567,73 @@ def _execute_op(side: _WorkerSide, op: _Op) -> Any:
             fault = side.faults.message_fault(None, sender=me,
                                               sender_index=local_index)
         if fault is None:
-            side.router.post(gdst, key, words,
-                             _encode_payload(op.value, side.seg))
+            post(op.value, 0.0)
         else:
-            _fault_post(side, gdst, op, key, words, fault, local_index)
-        side.messages += 1
-        side.words_sent += words
-        stats = side.stats_for(me)
-        stats.sends[me] += 1
-        stats.words_sent[me] += words
+            # real processes have no global send order: the event's
+            # msg_index is the sender-local ordinal
+            side.fault_events.append(apply_message_fault(
+                fault, op.value, local_index, post,
+                time=float(side.clocks[me]), rank=me, dest=gdst, tag=op.tag,
+                msg_index=local_index, phase=side.phase,
+            ))
+        side.stats[side.phase].book_send(me, words)
         return None
     if op.kind == "recv":
-        if not (0 <= op.source < group.size):
-            raise CommError(
-                f"recv source {op.source} out of range for comm size "
-                f"{group.size}"
-            )
-        gsrc = group.members[op.source]
-        desc = f"recv(comm={op.cid}, source={op.source}, tag={op.tag})"
+        gsrc = resolve_peer(group, op.source, "recv source")
         words, encoded = side.router.fetch(
-            ("p", gsrc, op.tag, op.cid), desc,
-            side.parked_ctx("recv", peer=op.source, tag=op.tag, cid=op.cid),
+            ("p", gsrc, op.tag, op.cid), op_desc(op),
+            parked_entry(me, op, side.phase),
         )
-        stats = side.stats_for(me)
-        stats.recvs[me] += 1
-        stats.words_received[me] += words
+        side.stats[side.phase].book_recv(me, words)
         return _decode_payload(encoded)
     if op.kind in _COLLECTIVES:
         return _collective(side, group, op)
     raise CommError(f"unhandled op kind {op.kind!r}")  # pragma: no cover
 
 
-def _fault_post(side: _WorkerSide, gdst: int, op: _Op, key: Tuple,
-                words: float, fault: Tuple[str, float],
-                local_index: int) -> None:
-    """Apply one message fault to a posted send (slow path).
-
-    Mirrors the simulator's ``_fault_send``: drop never posts, duplicate
-    posts two independent encodings, delay stamps a wall-clock not-before
-    time honoured by the receiver, corrupt perturbs the same element the
-    simulator would (salted by the sender-local ordinal).  The event's
-    ``msg_index`` is the sender-local ordinal — real processes have no
-    global send order.
-    """
-    kind, delay = fault
-    detail = ""
-    if kind == "drop":
-        pass  # the message is simply never posted
-    elif kind == "duplicate":
-        side.router.post(gdst, key, words,
-                         _encode_payload(op.value, side.seg))
-        side.router.post(gdst, key, words,
-                         _encode_payload(op.value, side.seg))
-    elif kind == "delay":
-        detail = f"delayed by {delay:.6g}s"
-        side.router.post(gdst, key, words,
-                         _encode_payload(op.value, side.seg),
-                         due=time.monotonic() + delay)
-    elif kind == "corrupt":
-        payload, detail = corrupt_payload(op.value, local_index)
-        side.router.post(gdst, key, words,
-                         _encode_payload(payload, side.seg))
-    else:  # pragma: no cover - guarded by MessageFault.__post_init__
-        raise CommError(f"unhandled message-fault kind {kind!r}")
-    side.fault_events.append(FaultEvent(
-        kind=kind, time=float(side.clocks[side.grank]), rank=side.grank,
-        dest=gdst, tag=op.tag, msg_index=local_index, phase=side.phase,
-        detail=detail,
-    ))
-
-
 def _collective(side: _WorkerSide, group: _Group, op: _Op) -> Any:
-    """One collective step, coordinated by the group's first member.
+    """One collective step, computed by the group's first member.
 
-    Ledger parity with the simulator's ``_count_collective``: every
-    member books its participation and contributed words in its own
-    phase; the completed operation is counted once, in the
-    coordinator's (local rank 0's) phase.
+    Members ship their requests to the coordinator (callable reduction
+    ops as a picklable label; the coordinator folds with its own), which
+    matches and computes the results with :mod:`repro.parallel.ops` and
+    posts each member its share.
     """
     cid = group.cid
     seq = side.coll_seq.get(cid, 0)
     side.coll_seq[cid] = seq + 1
     me = side.grank
-    p = group.size
-    stats = side.stats_for(me)
-    stats._coll_array(op.kind)[me] += 1
-    stats.collective_words[me] += _op_words(op)
+    side.stats[side.phase].book_collective(me, op.kind, _op_words(op))
     coord = group.members[0]
-    desc = f"{op.kind}(comm={cid})"
-    parked = side.parked_ctx(op.kind, cid=cid)
+    desc, parked = op_desc(op), parked_entry(me, op, side.phase)
     if me != coord:
-        contrib = (op.kind, op.root, op.color, op.key, op.op,
+        contrib = (op.kind, op.root, op.color, op.key, op_label(op.op),
                    _encode_payload(op.value, side.seg))
         side.router.post(coord, ("cc", me, seq, cid), 0.0, contrib)
         _, encoded = side.router.fetch(("cr", cid, seq), desc, parked)
         result = _decode_payload(encoded)
-        return _finish_collective(side, group, op, result)
-
-    # ---- coordinator path ----
-    ops: List[_Op] = [op]
-    for i in range(1, p):
-        _, contrib = side.router.fetch(("cc", group.members[i], seq, cid),
-                                       desc, parked)
-        kind, root, color, key, redop, encoded = contrib
-        ops.append(_Op(kind, cid, value=_decode_payload(encoded), root=root,
-                       op=redop, color=color, key=key))
-    kinds = {o.kind for o in ops}
-    if len(kinds) != 1:
-        raise CommError(
-            f"mismatched collectives on comm {cid}: "
-            + ", ".join(f"rank {i}:{o.kind}" for i, o in enumerate(ops))
-        )
-    kind = kinds.pop()
-    if kind in ("bcast", "reduce", "gather", "scatter"):
-        roots = {o.root for o in ops}
-        if len(roots) != 1:
-            raise CommError(f"mismatched roots in {kind} on comm {cid}: {roots}")
-    results = _collective_results(side, group, kind, ops)
-    side.collectives += 1
-    stats = side.stats_for(me)
-    stats.collective_ops[kind] = stats.collective_ops.get(kind, 0) + 1
-    for i in range(1, p):
-        side.router.post(group.members[i], ("cr", cid, seq), 0.0,
-                         _encode_payload(results[i], side.seg))
-    return _finish_collective(side, group, op, _copy_payload(results[0]))
-
-
-def _finish_collective(side: _WorkerSide, group: _Group, op: _Op,
-                       result: Any) -> Any:
-    """Post-process a collective result on the receiving member."""
-    if op.kind == "split":
-        if result is None:
-            return None
-        child_cid, members = result
-        child = _Group(child_cid, tuple(members))
-        side.groups[child_cid] = child
-        return side.make_comm(child, side.grank)
+    else:
+        ops: List[_Op] = [op]
+        for member in group.members[1:]:
+            _, contrib = side.router.fetch(("cc", member, seq, cid), desc, parked)
+            kind, root, color, key, redop, encoded = contrib
+            ops.append(_Op(kind, cid, value=_decode_payload(encoded), root=root,
+                           op=redop, color=color, key=key))
+        kind = match_collective(cid, ops)
+        if kind == "split":
+            results = plan_split(group, seq, ops)
+        else:
+            # identity delivery: the shm codec copies every payload it posts
+            results = collective_results(kind, ops, lambda v: v)
+        side.stats[side.phase].book_collective_op(kind)
+        for member, res in zip(group.members[1:], results[1:]):
+            side.router.post(member, ("cr", cid, seq), 0.0,
+                             _encode_payload(res, side.seg))
+        result = _copy_payload(results[0])
+    if op.kind == "split" and result is not None:
+        child = side.groups[result[0]] = _Group(*result)
+        return side.make_comm(child, me)
     return result
-
-
-def _collective_results(side: _WorkerSide, group: _Group, kind: str,
-                        ops: List[_Op]) -> List[Any]:
-    """Per-local-rank results, mirroring the simulator's
-    ``_run_collective`` value semantics exactly (delivery copies are the
-    codec's job; folds reuse the engine's own helpers)."""
-    p = group.size
-    if kind == "barrier":
-        return [None] * p
-    if kind == "bcast":
-        rval = ops[ops[0].root].value
-        return [rval] * p
-    if kind == "reduce":
-        red = _reduce_values([o.value for o in ops], ops[0].op)
-        return [red if i == ops[0].root else None for i in range(p)]
-    if kind == "allreduce":
-        red = _reduce_values([o.value for o in ops], ops[0].op)
-        return [red] * p
-    if kind == "scan":
-        results: List[Any] = []
-        acc = None
-        for o in ops:
-            acc = _copy_payload(o.value) if acc is None \
-                else _reduce_values([acc, o.value], o.op)
-            results.append(_copy_payload(acc))
-        return results
-    if kind == "gather":
-        gathered = [o.value for o in ops]
-        return [gathered if i == ops[0].root else None for i in range(p)]
-    if kind == "allgather":
-        items = [o.value for o in ops]
-        return [list(items) for _ in range(p)]
-    if kind == "scatter":
-        vals = ops[ops[0].root].value
-        if vals is None or len(vals) != p:
-            raise CommError(
-                f"scatter root must supply exactly {p} values, got "
-                f"{None if vals is None else len(vals)}"
-            )
-        return list(vals)
-    if kind == "alltoall":
-        for o in ops:
-            if o.value is None or len(o.value) != p:
-                raise CommError(f"alltoall requires {p} values per rank")
-        return [[ops[src].value[dst] for src in range(p)] for dst in range(p)]
-    if kind == "exchange":
-        inboxes: List[Dict[int, Any]] = [dict() for _ in range(p)]
-        for i, o in enumerate(ops):
-            msgs = o.value or {}
-            if not isinstance(msgs, dict):
-                raise CommError("exchange expects a dict {neighbor_rank: payload}")
-            for dst, payload in msgs.items():
-                if not (0 <= dst < p):
-                    raise CommError(f"exchange neighbour {dst} out of range")
-                if dst == i:
-                    raise CommError("exchange to self is not allowed")
-                inboxes[dst][i] = payload
-        return inboxes
-    if kind == "split":
-        granks = list(group.members)
-        by_color: Dict[Any, List[Tuple[int, int, int]]] = {}
-        for i, o in enumerate(ops):
-            if o.color is not None:
-                by_color.setdefault(o.color, []).append((o.key, i, granks[i]))
-        seq = side.coll_seq[group.cid] - 1  # the seq of this split op
-        results: List[Any] = [None] * p
-        for ci, (color, lst) in enumerate(
-                sorted(by_color.items(), key=lambda kv: repr(kv[0]))):
-            lst.sort()
-            child_cid = f"{group.cid}/{seq}.{ci}"
-            members = tuple(grank for _, _, grank in lst)
-            for _, i, _ in lst:
-                results[i] = (child_cid, members)
-        return results
-    raise CommError(f"unhandled collective {kind}")  # pragma: no cover
 
 
 def _drive(side: _WorkerSide, gen, plan: Optional[FaultPlan],
@@ -797,11 +649,7 @@ def _drive(side: _WorkerSide, gen, plan: Optional[FaultPlan],
             side.mark_comp()
             return stop.value
         side.mark_comp()
-        if not isinstance(op, _Op):
-            raise CommError(
-                f"rank {side.grank} yielded {op!r}; rank programs must only "
-                "yield via 'yield from comm.<op>(...)'"
-            )
+        expect_op(side.grank, op)
         if max_steps is not None and op_index + 1 > max_steps:
             raise BudgetExceededError(
                 f"rank {side.grank} posted more than max_steps={max_steps} "
@@ -848,9 +696,6 @@ def _worker_entry(rank: int, nranks: int, fn, args, kwargs,
             "comm": side.comm_time,
             "phase_acc": dict(side.phase_acc),
             "stats": {name: s.to_dict() for name, s in side.stats.items()},
-            "messages": side.messages,
-            "collectives": side.collectives,
-            "words_sent": side.words_sent,
             "faults": [ev.to_dict() for ev in side.fault_events],
         }, seg)
         results_q.put(("done", rank, payload))
@@ -876,12 +721,7 @@ def _worker_entry(rank: int, nranks: int, fn, args, kwargs,
 def _validate(nranks: int, copy_mode: str, sanitize: Optional[bool],
               faults: Optional[FaultPlan],
               max_sim_seconds: Optional[float]) -> None:
-    if nranks < 1:
-        raise CommError(f"nranks must be >= 1, got {nranks}")
-    if copy_mode not in _COPY_MODES:
-        raise CommError(
-            f"unknown copy_mode {copy_mode!r}; expected one of {_COPY_MODES}"
-        )
+    check_run(nranks, copy_mode)
     if sanitize:
         raise ConfigError(
             "sanitize=True is simulated-only: the dynamic sanitizer "
@@ -1148,51 +988,26 @@ def run_spmd_procs(
         report["leaked"] = _sweep_segments(prefix)
 
     # ---- assemble the cross-rank result -------------------------------
-    clocks = np.zeros(nranks)
-    comp_time = np.zeros(nranks)
-    comm_time = np.zeros(nranks)
-    values: List[Any] = [None] * nranks
-    pids: List[int] = [0] * nranks
-    phases: Dict[str, PhaseBreakdown] = {}
-    stats: Dict[str, CommStats] = {}
-    messages = 0
-    collectives = 0
-    words_sent = 0.0
-    fault_events: List[FaultEvent] = []
-    for r in range(nranks):
-        rec = done[r]
-        values[r] = rec["value"]
-        pids[r] = rec["pid"]
-        clocks[r] = rec["clock"]
-        comp_time[r] = rec["comp"]
-        comm_time[r] = rec["comm"]
-        messages += rec["messages"]
-        collectives += rec["collectives"]
-        words_sent += rec["words_sent"]
-        for d in rec.get("faults", ()):
-            fault_events.append(FaultEvent(**d))
+    recs = [done[r] for r in range(nranks)]
+    phases: Dict[str, PhaseBreakdown] = defaultdict(
+        lambda: PhaseBreakdown.zeros(nranks))
+    stats: Dict[str, CommStats] = defaultdict(lambda: CommStats.zeros(nranks))
+    for r, rec in enumerate(recs):
         for name, (comp, comm) in rec["phase_acc"].items():
-            ph = phases.get(name)
-            if ph is None:
-                ph = phases[name] = PhaseBreakdown.zeros(nranks)
-            ph.comp[r] += comp
-            ph.comm[r] += comm
+            phases[name].comp[r] += comp
+            phases[name].comm[r] += comm
         for name, d in rec["stats"].items():
-            s = stats.get(name)
-            if s is None:
-                s = stats[name] = CommStats.zeros(nranks)
-            s.add(CommStats.from_dict(d))
+            stats[name].add(CommStats.from_dict(d))
+    comm_stats = CommStats.aggregate(stats, nranks)
     return SpmdResult(
-        values=values,
-        clocks=clocks,
-        comp_time=comp_time,
-        comm_time=comm_time,
-        phases=phases,
-        messages=messages,
-        collectives=collectives,
-        words_sent=words_sent,
-        comm_stats=CommStats.aggregate(stats, nranks),
-        faults=fault_events,
+        values=[rec["value"] for rec in recs],
+        clocks=np.array([rec["clock"] for rec in recs], dtype=np.float64),
+        comp_time=np.array([rec["comp"] for rec in recs], dtype=np.float64),
+        comm_time=np.array([rec["comm"] for rec in recs], dtype=np.float64),
+        phases=dict(phases),
+        comm_stats=comm_stats,
+        faults=[FaultEvent(**d) for rec in recs for d in rec["faults"]],
         backend="procs",
-        pids=pids,
+        pids=[rec["pid"] for rec in recs],
+        **comm_stats.run_totals(),
     )

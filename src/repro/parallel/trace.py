@@ -184,6 +184,29 @@ class CommStats:
         return arr
 
     # -- mutation (engine-facing) -----------------------------------------
+    # ``wait`` is idle time beyond the modelled cost of the op itself
+    def book_send(self, rank: int, words: float) -> None:
+        self.sends[rank] += 1
+        self.words_sent[rank] += words
+
+    def book_recv(self, rank: int, words: float, wait: float = 0.0) -> None:
+        self.recvs[rank] += 1
+        self.words_received[rank] += words
+        if wait > 0:
+            self.wait_time[rank] += wait
+
+    def book_collective(self, rank: int, kind: str, words: float,
+                        wait: float = 0.0) -> None:
+        """``rank``'s participation in one collective."""
+        self._coll_array(kind)[rank] += 1
+        self.collective_words[rank] += words
+        if wait > 0:
+            self.wait_time[rank] += wait
+
+    def book_collective_op(self, kind: str) -> None:
+        """One completed collective, booked once per operation."""
+        self.collective_ops[kind] = self.collective_ops.get(kind, 0) + 1
+
     def add(self, other: "CommStats") -> None:
         """Accumulate ``other`` into this record (in place)."""
         self.sends += other.sends
@@ -220,6 +243,12 @@ class CommStats:
     def total_messages(self) -> int:
         """Point-to-point messages posted, over all ranks."""
         return int(self.sends.sum())
+
+    def run_totals(self) -> Dict[str, Any]:
+        """The run-level counters of :class:`SpmdResult`."""
+        return {"messages": self.total_messages,
+                "collectives": sum(self.collective_ops.values()),
+                "words_sent": float(self.words_sent.sum())}
 
     @property
     def total_words(self) -> float:
