@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.bench import BENCH_SEED, MACHINE, bench_graph, format_table
 from repro.core.config import ScalaPartConfig
-from repro.core.parallel import scalapart_parallel
+from repro.core.parallel import run_parallel
 
 GRAPH = "delaunay_n20"
 P = 64
@@ -25,7 +25,8 @@ def run_sweep():
     rows = []
     for b in BLOCKS:
         cfg = ScalaPartConfig(block_size=b)
-        res = scalapart_parallel(g, P, cfg, seed=BENCH_SEED, machine=MACHINE)
+        res = run_parallel("ScalaPart", g, P, config=cfg, seed=BENCH_SEED,
+                           machine=MACHINE)
         stats = res.extras["comm_stats"]
         embed = stats.phase("embed")
         iters = max(1, res.extras.get("smooth_iterations", 1))

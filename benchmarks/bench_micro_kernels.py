@@ -78,7 +78,6 @@ TIMED_KERNELS = (
     "coarsen/contract",
     "kway/geom-assign",
     "csr/dedupe-merge",
-    "engine/delivery-defensive",
     "engine/delivery-readonly",
     "engine/reduce-array",
     "engine/procs-roundtrip",
@@ -109,9 +108,8 @@ def _median_time(fn, repeats: int) -> float:
 def _delivery_program(payload_len: int, rounds: int):
     """Rank program: ring sendrecv of an array payload, ``rounds`` times.
 
-    With ``copy_mode="defensive"`` every delivery deep-copies the array;
-    with ``"readonly"`` the same program moves read-only views — the
-    difference is pure payload-copy cost.
+    The engine moves read-only views of the array, so the time is the
+    per-message engine cost, not a payload copy.
     """
 
     def prog(comm):
@@ -236,13 +234,9 @@ def run_benchmarks(quick: bool = False, repeats: int = 5,
     n_payload = 4_000 if quick else 1_000_000
     rounds = 4 if quick else 8
     prog = _delivery_program(n_payload, rounds)
-    t_def = record(
-        "engine/delivery-defensive",
-        lambda: run_spmd(prog, 2, machine=ZERO_COST, copy_mode="defensive"),
-    )
-    t_ro = record(
+    record(
         "engine/delivery-readonly",
-        lambda: run_spmd(prog, 2, machine=ZERO_COST, copy_mode="readonly"),
+        lambda: run_spmd(prog, 2, machine=ZERO_COST),
     )
     rprog = _reduce_program(n_payload // 8, rounds)
     record("engine/reduce-array",
@@ -342,7 +336,6 @@ def run_benchmarks(quick: bool = False, repeats: int = 5,
 
     results["speedups"] = {
         "heavy_edge_matching": t_hem / t_vec if t_vec > 0 else float("inf"),
-        "payload_delivery": t_def / t_ro if t_ro > 0 else float("inf"),
         "dedupe_merge": t_ma / t_mb if t_mb > 0 else float("inf"),
         "dist_accumulate": t_aa / t_ab if t_ab > 0 else float("inf"),
     }

@@ -11,12 +11,7 @@ Run:  python examples/strong_scaling_study.py [n_vertices]
 
 import sys
 
-from repro.core import ComplexityModel, ScalaPartConfig
-from repro.core.parallel import (
-    parmetis_parallel,
-    scalapart_parallel,
-    scotch_parallel,
-)
+from repro.core import ComplexityModel, ScalaPartConfig, run_parallel
 from repro.graph.generators import random_delaunay
 
 n = int(sys.argv[1]) if len(sys.argv) > 1 else 6000
@@ -32,9 +27,9 @@ print("-" * len(header))
 
 base = None
 for p in (1, 4, 16, 64, 256, 1024):
-    sp = scalapart_parallel(graph, p, cfg, seed=4)
-    pm = parmetis_parallel(graph, p, seed=4)
-    sc = scotch_parallel(graph, p, seed=4)
+    sp = run_parallel("ScalaPart", graph, p, config=cfg, seed=4)
+    pm = run_parallel("ParMetis-like", graph, p, seed=4)
+    sc = run_parallel("Pt-Scotch-like", graph, p, seed=4)
     if base is None:
         base = sp.seconds
     comm = sp.extras["comm_fraction"]

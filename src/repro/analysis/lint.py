@@ -3,7 +3,7 @@
 The paper's algorithms live or die on disciplined SPMD communication:
 every rank must post the same collectives in the same order, senders
 must not mutate buffers they have already posted (the zero-copy
-``copy_mode="readonly"`` delivery contract), and all randomness must
+read-only delivery contract), and all randomness must
 flow through seeded per-rank streams so runs are reproducible.  The
 checks below are the *static* half of the correctness analyzer — the
 dynamic half is the engine's sanitizer mode
@@ -29,7 +29,7 @@ SP103   global RNG state (``np.random.*`` module-level functions,
         stdlib ``random.*``) instead of seeded :mod:`repro.rng` streams
         — breaks run-to-run determinism and rank independence
 SP104   a local variable mutated after being passed to ``comm.send`` /
-        ``comm.sendrecv`` — under ``copy_mode="readonly"`` the receiver
+        ``comm.sendrecv`` — delivery is zero-copy, so the receiver
         aliases the sender's memory until delivery
 SP105   iteration over a ``set`` inside a communicating rank program —
         set order is hash-dependent, so payload order can differ
@@ -132,8 +132,8 @@ RULES: Dict[str, Rule] = {
         Rule(
             "SP104",
             "buffer mutated after being posted to a send",
-            "send a copy (obj.copy() or copy=True), or delay the "
-            "mutation until after the matching receive",
+            "send `obj.copy()`, or delay the mutation until after the "
+            "matching receive",
         ),
         Rule(
             "SP105",
@@ -176,9 +176,9 @@ RULES: Dict[str, Rule] = {
         Rule(
             "SP111",
             "posted payload aliases a buffer mutated before delivery",
-            "send a copy, or delay the mutation past the phase boundary — "
-            "under copy_mode='readonly' the receiver aliases the sender's "
-            "memory, views included",
+            "send `obj.copy()`, or delay the mutation past the phase "
+            "boundary — the receiver aliases the sender's memory, views "
+            "included",
         ),
         Rule(
             "SP112",
@@ -891,8 +891,8 @@ class _FileLint:
         self._add(
             node, "SP104",
             f"'{name}' mutated after being posted to '{op}' on line "
-            f"{line} — the receiver aliases this memory under "
-            "copy_mode='readonly'",
+            f"{line} — the receiver aliases this memory; send "
+            "`obj.copy()`",
         )
 
     def _sp104_target(self, target, stmt, sent, aug: bool = False) -> None:

@@ -967,7 +967,7 @@ class _AliasScan:
                  getattr(node, "col_offset", 0) + 1, "SP111",
                  f"'{name}' aliases the payload posted to '{op}' on line "
                  f"{line} — mutating it before the phase boundary "
-                 "corrupts the message under copy_mode='readonly'")
+                 "corrupts the message; send `obj.copy()`")
         del posted[root]
 
 

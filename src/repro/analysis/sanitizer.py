@@ -5,8 +5,9 @@ Runtime half of the correctness analyzer (the static half is
 
 * checksums every posted payload and raises
   :class:`~repro.errors.CommError` if the sender (or anyone aliasing
-  its memory) mutates the buffer before delivery — the bug class the
-  zero-copy ``copy_mode="readonly"`` contract makes possible;
+  its memory) mutates the buffer before delivery — the bug class
+  zero-copy read-only delivery makes possible (the fix is to send
+  ``obj.copy()``);
 * records a per-rank ledger of completed collectives and cross-checks
   the per-communicator op sequences on exit (and enriches the engine's
   mismatched-collective error with each rank's recent history);

@@ -18,15 +18,7 @@ from .kway import (
     partition_kway,
 )
 from .methods import METHOD_REGISTRY, MethodSpec, get_method, register_method
-from .parallel import (
-    dist_scalapart,
-    parmetis_parallel,
-    rcb_parallel,
-    run_parallel,
-    scalapart_parallel,
-    scotch_parallel,
-    sp_pg7_nl_parallel,
-)
+from .parallel import run_parallel
 from .recursive import (
     KWayResult,
     kway_cut,
@@ -73,13 +65,7 @@ __all__ = [
     "resolve_costs",
     "scalapart",
     "sp_pg7_nl",
-    "dist_scalapart",
     "run_parallel",
-    "parmetis_parallel",
-    "rcb_parallel",
-    "scalapart_parallel",
-    "scotch_parallel",
-    "sp_pg7_nl_parallel",
     "METHOD_REGISTRY",
     "MethodSpec",
     "get_method",

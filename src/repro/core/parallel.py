@@ -5,11 +5,7 @@ and packages the outcome as a
 :class:`~repro.results.PartitionResult` whose ``seconds`` is the
 *simulated* execution time — the quantity the paper's Figures 3–6/9
 plot — and whose ``stage_seconds`` carries the per-phase breakdown.
-The five historical ``*_parallel`` wrappers remain as thin aliases.
-
-:func:`dist_scalapart` is the rank program combining the three shared
-pipeline stages of paper §3 (phases are labelled so Figures 7–8 can be
-regenerated from the trace).
+It is the only way to launch a distributed run.
 
 Fault recovery
 --------------
@@ -22,7 +18,7 @@ DeadlockError`, :class:`~repro.errors.BudgetExceededError`, any other
 ladder:
 
 1. **retry** — re-run at full ``P`` with a re-salted seed and the
-   simulated budgets scaled by ``backoff**attempt``;
+   ``max_steps`` budget scaled by ``backoff**attempt``;
 2. **shrink** — halve the rank count (``P/2``, ``P/4``, … down to
    ``min_ranks``), the Holtgrewe-style repartition-on-fewer-PEs path;
 3. **fallback** — descend the registry ladder
@@ -41,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -60,16 +56,7 @@ from .methods import MethodSpec, get_method, recovery_ladder
 from .stages import as_coords
 from ..results import PartitionResult
 
-__all__ = [
-    "RetryPolicy",
-    "run_parallel",
-    "dist_scalapart",
-    "scalapart_parallel",
-    "sp_pg7_nl_parallel",
-    "parmetis_parallel",
-    "scotch_parallel",
-    "rcb_parallel",
-]
+__all__ = ["RetryPolicy", "run_parallel"]
 
 #: seed-salting namespace for recovery attempts (epoch 0 keeps the
 #: caller's seed; attempt k reruns with derive_seed(seed, salt, k))
@@ -83,8 +70,8 @@ _JITTER_SALT = 0x117E4
 class RetryPolicy:
     """How :func:`run_parallel` degrades when an engine run fails.
 
-    ``retries`` re-runs at full ``P`` (re-salted seed, budgets scaled by
-    ``backoff`` per attempt) come first; then, if ``shrink``, the rank
+    ``retries`` re-runs at full ``P`` (re-salted seed, ``max_steps``
+    scaled by ``backoff`` per attempt) come first; then, if ``shrink``, the rank
     count is halved down to ``min_ranks``; then, if ``fallback``, the
     registry's :func:`~repro.core.methods.recovery_ladder` is descended.
     ``validate_imbalance`` is the balance bound applied to recovered
@@ -115,21 +102,6 @@ class RetryPolicy:
         u = derive_seed(seed, _JITTER_SALT, epoch) / float(2 ** 63)
         return self.base_delay * self.backoff ** (epoch - 1) \
             * (1.0 + self.jitter * u)
-
-
-def dist_scalapart(
-    comm,
-    graph: CSRGraph,
-    config: Optional[ScalaPartConfig] = None,
-    seed: SeedLike = None,
-):
-    """Rank program: full distributed ScalaPart (coarsen→embed→partition).
-
-    Kept for API compatibility; delegates to the registry's rank
-    program, which composes the shared stage objects.
-    """
-    prog = get_method("ScalaPart").distributed
-    return (yield from prog(comm, graph, config=config, seed=seed))
 
 
 def _package(
@@ -198,93 +170,11 @@ def _package(
     return out
 
 
-def _engine_attempt(
-    spec: MethodSpec,
-    graph: CSRGraph,
-    nranks: int,
-    *,
-    coords,
-    config,
-    seed,
-    machine,
-    copy_mode,
-    sanitize,
-    max_imbalance,
-    faults,
-    max_steps,
-    max_sim_seconds,
-    backend="sim",
-    op_timeout=None,
-    k=2,
-    cost_model=None,
-    checkpoint: Optional[CheckpointContext] = None,
-) -> PartitionResult:
-    """One engine run of ``spec`` on ``nranks`` ranks, packaged+validated.
-
-    With a :class:`~repro.parallel.checkpoint.CheckpointContext`, the
-    attempt first probes the store for the last durable stage: a
-    verified embed artifact swaps the run to ``spec.resume_method`` fed
-    the persisted coordinates (skipping re-coarsening + re-embedding),
-    while an unusable artifact is ignored — recorded in
-    ``extras["checkpoint"]["ignored"]`` — and the full pipeline runs,
-    persisting its own embed stage for the next attempt.
-    """
-    target = (max_imbalance if max_imbalance is not None
-              else spec.default_max_imbalance)
-
-    run_spec = spec
-    run_coords = coords
-    resumed_from = None
-    if (checkpoint is not None and coords is None
-            and checkpoint.can_resume(spec)):
-        artifact = checkpoint.load_stage(spec.checkpoint_stages[-1])
-        if artifact is not None:
-            run_spec = get_method(spec.resume_method)
-            run_coords = artifact
-            resumed_from = artifact.stage
-    save_ctx = checkpoint if (checkpoint is not None and resumed_from is None
-                              and checkpoint.can_save(spec)) else None
-
-    def prog(comm):
-        kw = {}
-        if run_spec.kway:
-            kw.update(k=k, cost_model=cost_model)
-        if save_ctx is not None:
-            kw["checkpoint"] = save_ctx
-        return (yield from run_spec.distributed(
-            comm, graph, coords=run_coords, config=config, seed=seed,
-            max_imbalance=target, **kw,
-        ))
-
-    engine_seed = 0 if run_spec.seed_salt is None \
-        else derive_seed(seed, run_spec.seed_salt)
-    res = run_spmd(prog, nranks, machine=machine, seed=engine_seed,
-                   copy_mode=copy_mode, sanitize=sanitize, faults=faults,
-                   max_steps=max_steps, max_sim_seconds=max_sim_seconds,
-                   backend=backend, op_timeout=op_timeout)
-    costs = resolve_costs(graph, cost_model) if spec.kway else None
-    out = _package(graph, res, spec.name, max_imbalance=spec.balance_bound,
-                   k=k, costs=costs, is_kway=spec.kway)
-    if checkpoint is not None:
-        out.extras["checkpoint"] = {
-            "resumed_from": resumed_from,
-            "store": str(checkpoint.policy.store.root),
-            "ignored": list(checkpoint.ignored),
-        }
-    return out
-
-
 def _layout_coords(graph: CSRGraph, seed: SeedLike):
     """Deterministic fallback coordinates for coordinate-based methods."""
     from ..embed.multilevel import hu_layout
 
     return hu_layout(graph, seed=seed)
-
-
-def _scaled(budget: Optional[float], scale: float):
-    if budget is None:
-        return None
-    return type(budget)(budget * scale)
 
 
 def _first_line(exc: BaseException) -> str:
@@ -293,27 +183,21 @@ def _first_line(exc: BaseException) -> str:
 
 def _run_recovering(
     spec: MethodSpec,
-    graph: CSRGraph,
     nranks: int,
-    *,
-    coords,
-    config,
-    seed,
-    machine,
-    copy_mode,
-    sanitize,
-    max_imbalance,
+    seed: SeedLike,
     faults: Optional[FaultPlan],
     retry: RetryPolicy,
-    max_steps,
-    max_sim_seconds,
-    backend="sim",
-    op_timeout=None,
-    k=2,
-    cost_model=None,
-    checkpoint: Optional[CheckpointContext] = None,
+    k: int,
+    engine: Callable[..., PartitionResult],
+    sequential: Callable[..., PartitionResult],
 ) -> PartitionResult:
-    """Descend the recovery ladder until an attempt yields a valid cut."""
+    """Descend the recovery ladder until an attempt yields a valid cut.
+
+    ``engine(spec, nranks, seed, plan, scale)`` and
+    ``sequential(spec, seed)`` close over the run settings that stay
+    fixed for the whole ladder; this function picks only what varies per
+    attempt: method, rank count, seed, fault epoch and budget scale.
+    """
     attempts: List[Dict[str, Any]] = []
     epoch = 0
     last_exc: Optional[BaseException] = None
@@ -359,15 +243,7 @@ def _run_recovering(
         if delay > 0.0:
             time.sleep(delay)
         try:
-            out = _engine_attempt(
-                aspec, graph, p, coords=coords, config=config, seed=aseed,
-                machine=machine, copy_mode=copy_mode, sanitize=sanitize,
-                max_imbalance=max_imbalance, faults=plan,
-                max_steps=_scaled(max_steps, scale),
-                max_sim_seconds=_scaled(max_sim_seconds, scale),
-                backend=backend, op_timeout=op_timeout,
-                k=k, cost_model=cost_model, checkpoint=checkpoint,
-            )
+            out = engine(aspec, p, aseed, plan, scale)
             ck = out.extras.get("checkpoint")
             if ck is not None and ck.get("resumed_from"):
                 rec["resumed_from"] = ck["resumed_from"]
@@ -391,27 +267,7 @@ def _run_recovering(
         if delay > 0.0:
             time.sleep(delay)
         try:
-            scoords = None
-            if aspec.needs_coords:
-                scoords = (coords if coords is not None
-                           else _layout_coords(graph, aseed))
-            if k != 2:
-                # k-way fallback: any bisection method reaches K parts
-                # via recursive bisection + the shared k-way refinement
-                from .kway import partition_kway
-
-                out = partition_kway(
-                    graph, k, aspec, coords=scoords,
-                    config=config if aspec.accepts_config else None,
-                    seed=aseed, cost_model=cost_model,
-                    max_imbalance=(max_imbalance if max_imbalance is not None
-                                   else 0.05),
-                )
-            else:
-                kwargs: Dict[str, Any] = {"seed": aseed}
-                if aspec.accepts_config:
-                    kwargs["config"] = config
-                out = aspec.sequential(graph, scoords, **kwargs)
+            out = sequential(aspec, aseed)
             out.validate(bound_for(aspec))
         except ReproError as exc:
             rec["status"] = "failed"
@@ -473,13 +329,10 @@ def run_parallel(
     config: Optional[ScalaPartConfig] = None,
     seed: SeedLike = None,
     machine: MachineModel = QDR_CLUSTER,
-    copy_mode: str = "readonly",
-    sanitize: Optional[bool] = None,
     max_imbalance: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
     retry: Optional[RetryPolicy] = None,
     max_steps: Optional[int] = None,
-    max_sim_seconds: Optional[float] = None,
     backend: str = "sim",
     op_timeout: Optional[float] = None,
     k: int = 2,
@@ -495,15 +348,13 @@ def run_parallel(
     run.  ``max_imbalance`` overrides the refinement target handed to
     the rank program (``spec.default_max_imbalance`` otherwise); the
     packaged result is validated against the spec's declared
-    ``balance_bound``.  ``copy_mode`` is the engine's payload-delivery
-    mode (see :func:`~repro.parallel.engine.run_spmd`); results are
-    identical under both settings, ``"readonly"`` is the zero-copy fast
-    path.  ``sanitize`` is forwarded to the engine's dynamic sanitizer
-    (``None`` defers to the ``REPRO_SANITIZE`` environment variable).
+    ``balance_bound``.  Payloads are delivered zero-copy and the dynamic
+    sanitizer follows the ``REPRO_SANITIZE`` environment variable (see
+    :func:`~repro.parallel.engine.run_spmd`).
 
     ``faults`` injects a deterministic
     :class:`~repro.parallel.faults.FaultPlan` into the engine;
-    ``max_steps``/``max_sim_seconds`` bound the run (see
+    ``max_steps`` bounds the run (see
     :func:`~repro.parallel.engine.run_spmd`).  Without a ``retry``
     policy the resulting typed errors propagate to the caller; with one,
     the recovery ladder documented in the module docstring is descended
@@ -531,9 +382,10 @@ def run_parallel(
     restarted process benefits too — probes the store first and, on a
     strictly verified hit, resumes downstream of the artifact via the
     spec's ``resume_method`` instead of re-coarsening and re-embedding.
-    Any key mismatch or corrupt payload demotes to a full recompute.
-    The outcome is reported in ``extras["checkpoint"]`` (and mirrored
-    as ``extras["recovery"]["resumed_from"]`` when a retry policy is
+    Any key mismatch or corrupt payload demotes to a full recompute and
+    is recorded in ``extras["checkpoint"]["ignored"]``.  The outcome is
+    reported in ``extras["checkpoint"]`` (and mirrored as
+    ``extras["recovery"]["resumed_from"]`` when a retry policy is
     active).
     """
     spec = method if isinstance(method, MethodSpec) else get_method(method)
@@ -561,94 +413,79 @@ def run_parallel(
     if policy is not None:
         ctx = CheckpointContext.for_run(policy, graph, spec, config, seed,
                                         k=k, cost_model=cost_model)
+
+    def engine(aspec: MethodSpec, p: int, aseed: SeedLike,
+               plan: Optional[FaultPlan], scale: float) -> PartitionResult:
+        # with a checkpoint, probe the store for the last durable stage
+        # first: a verified embed artifact swaps the run to the spec's
+        # resume_method fed the persisted coordinates, while a full run
+        # persists its own embed stage for the next attempt
+        target = (max_imbalance if max_imbalance is not None
+                  else aspec.default_max_imbalance)
+        run_spec, run_coords, resumed_from = aspec, coords, None
+        if ctx is not None and coords is None and ctx.can_resume(aspec):
+            artifact = ctx.load_stage(aspec.checkpoint_stages[-1])
+            if artifact is not None:
+                run_spec = get_method(aspec.resume_method)
+                run_coords = artifact
+                resumed_from = artifact.stage
+        save_ctx = ctx if (ctx is not None and resumed_from is None
+                           and ctx.can_save(aspec)) else None
+
+        def prog(comm):
+            kw = {}
+            if run_spec.kway:
+                kw.update(k=k, cost_model=cost_model)
+            if save_ctx is not None:
+                kw["checkpoint"] = save_ctx
+            return (yield from run_spec.distributed(
+                comm, graph, coords=run_coords, config=config, seed=aseed,
+                max_imbalance=target, **kw,
+            ))
+
+        engine_seed = 0 if run_spec.seed_salt is None \
+            else derive_seed(aseed, run_spec.seed_salt)
+        steps = None if max_steps is None \
+            else type(max_steps)(max_steps * scale)
+        res = run_spmd(prog, p, machine=machine, seed=engine_seed,
+                       faults=plan, max_steps=steps, backend=backend,
+                       op_timeout=op_timeout)
+        costs = resolve_costs(graph, cost_model) if aspec.kway else None
+        out = _package(graph, res, aspec.name,
+                       max_imbalance=aspec.balance_bound,
+                       k=k, costs=costs, is_kway=aspec.kway)
+        if ctx is not None:
+            out.extras["checkpoint"] = {
+                "resumed_from": resumed_from,
+                "store": str(ctx.policy.store.root),
+                "ignored": list(ctx.ignored),
+            }
+        return out
+
     if retry is None:
-        return _engine_attempt(
-            spec, graph, nranks, coords=coords, config=config, seed=seed,
-            machine=machine, copy_mode=copy_mode, sanitize=sanitize,
-            max_imbalance=max_imbalance, faults=faults,
-            max_steps=max_steps, max_sim_seconds=max_sim_seconds,
-            backend=backend, op_timeout=op_timeout,
-            k=k, cost_model=cost_model, checkpoint=ctx,
-        )
-    return _run_recovering(
-        spec, graph, nranks, coords=coords, config=config, seed=seed,
-        machine=machine, copy_mode=copy_mode, sanitize=sanitize,
-        max_imbalance=max_imbalance, faults=faults, retry=retry,
-        max_steps=max_steps, max_sim_seconds=max_sim_seconds,
-        backend=backend, op_timeout=op_timeout,
-        k=k, cost_model=cost_model, checkpoint=ctx,
-    )
+        return engine(spec, nranks, seed, faults, 1.0)
 
+    def sequential(aspec: MethodSpec, aseed: SeedLike) -> PartitionResult:
+        scoords = None
+        if aspec.needs_coords:
+            scoords = (coords if coords is not None
+                       else _layout_coords(graph, aseed))
+        if k != 2:
+            # k-way fallback: any bisection method reaches K parts via
+            # recursive bisection + the shared k-way refinement
+            from .kway import partition_kway
 
-# ----------------------------------------------------------------------
-# historical wrappers (thin aliases over run_parallel)
-# ----------------------------------------------------------------------
+            return partition_kway(
+                graph, k, aspec, coords=scoords,
+                config=config if aspec.accepts_config else None,
+                seed=aseed, cost_model=cost_model,
+                max_imbalance=(max_imbalance if max_imbalance is not None
+                               else 0.05),
+            )
+        kwargs: Dict[str, Any] = {"seed": aseed}
+        if aspec.accepts_config:
+            kwargs["config"] = config
+        return aspec.sequential(graph, scoords, **kwargs)
 
-def scalapart_parallel(
-    graph: CSRGraph,
-    nranks: int,
-    config: Optional[ScalaPartConfig] = None,
-    seed: SeedLike = None,
-    machine: MachineModel = QDR_CLUSTER,
-    copy_mode: str = "readonly",
-    backend: str = "sim",
-) -> PartitionResult:
-    """Run distributed ScalaPart on ``nranks`` virtual ranks."""
-    return run_parallel("ScalaPart", graph, nranks, config=config, seed=seed,
-                        machine=machine, copy_mode=copy_mode, backend=backend)
-
-
-def sp_pg7_nl_parallel(
-    graph: CSRGraph,
-    coords,
-    nranks: int,
-    config: Optional[ScalaPartConfig] = None,
-    seed: SeedLike = None,
-    machine: MachineModel = QDR_CLUSTER,
-    copy_mode: str = "readonly",
-) -> PartitionResult:
-    """Run the partition-only component (SP-PG7-NL) on given coordinates
-    — the paper's Figure 4 comparison against RCB."""
-    return run_parallel("SP-PG7-NL", graph, nranks, coords=coords,
-                        config=config, seed=seed, machine=machine,
-                        copy_mode=copy_mode)
-
-
-def parmetis_parallel(
-    graph: CSRGraph,
-    nranks: int,
-    seed: SeedLike = None,
-    machine: MachineModel = QDR_CLUSTER,
-    max_imbalance: float = 0.05,
-    copy_mode: str = "readonly",
-) -> PartitionResult:
-    """Run the distributed ParMetis analogue."""
-    return run_parallel("ParMetis-like", graph, nranks, seed=seed,
-                        machine=machine, max_imbalance=max_imbalance,
-                        copy_mode=copy_mode)
-
-
-def scotch_parallel(
-    graph: CSRGraph,
-    nranks: int,
-    seed: SeedLike = None,
-    machine: MachineModel = QDR_CLUSTER,
-    max_imbalance: float = 0.05,
-    copy_mode: str = "readonly",
-) -> PartitionResult:
-    """Run the distributed Pt-Scotch analogue."""
-    return run_parallel("Pt-Scotch-like", graph, nranks, seed=seed,
-                        machine=machine, max_imbalance=max_imbalance,
-                        copy_mode=copy_mode)
-
-
-def rcb_parallel(
-    graph: CSRGraph,
-    coords,
-    nranks: int,
-    machine: MachineModel = QDR_CLUSTER,
-    copy_mode: str = "readonly",
-) -> PartitionResult:
-    """Run distributed RCB on given coordinates."""
-    return run_parallel("RCB", graph, nranks, coords=coords,
-                        machine=machine, copy_mode=copy_mode)
+    return _run_recovering(spec, nranks, seed, faults, retry, k,
+                           engine, sequential)

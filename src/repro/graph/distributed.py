@@ -12,8 +12,8 @@ this library is therefore:
   buffers) is genuinely rank-local and sized O(n/P);
 * immutable structures (the CSR arrays of the current level's graph,
   ownership maps) are passed by *reference* through collectives wrapped
-  in :class:`Shared`, which the engine's defensive copier deliberately
-  passes through.  Mutating the payload of a ``Shared`` is a bug.
+  in :class:`Shared`, which the engine's payload delivery and reduction
+  copies deliberately pass through.  Mutating the payload of a ``Shared`` is a bug.
 
 Communication *costs* are always charged for the honest distributed
 payload (the arrays a real implementation would move), either because

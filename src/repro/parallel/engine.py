@@ -39,17 +39,14 @@ Semantics notes
   :class:`~repro.errors.CommError`, and a state where no rank can
   advance raises :class:`~repro.errors.DeadlockError` naming the parked
   operations — both invaluable when debugging distributed algorithms.
-* Payload delivery has two modes (``run_spmd(..., copy_mode=...)``).
-  The default ``"readonly"`` fast path delivers NumPy arrays as
-  *read-only views* (``flags.writeable = False``) — zero-copy, so halo
+* Payloads are delivered zero-copy: NumPy arrays arrive as *read-only
+  views* (``flags.writeable = False``) of the sender's buffer, so halo
   exchanges, allgathers and β-refreshes cost O(1) per array instead of
   a full copy.  Receivers that need to mutate call ``.copy()``
   explicitly (attempting in-place mutation raises ``ValueError``), and
-  senders must not mutate a payload after posting it — the same
+  senders must not mutate a payload after posting it — a sender that
+  needs to keep writing sends ``obj.copy()``.  This is the same
   contract as the :class:`~repro.graph.distributed.Shared` idiom.
-  ``copy_mode="defensive"`` restores deep-copy-on-delivery semantics
-  (received data never aliases sender memory), and a per-message
-  ``comm.send(..., copy=True/False)`` overrides the engine mode.
 * ``run_spmd(..., sanitize=True)`` (or ``REPRO_SANITIZE=1`` in the
   environment) enables the dynamic sanitizer
   (:mod:`repro.analysis.sanitizer`): posted payloads are checksummed
@@ -94,7 +91,6 @@ from .ops import (
     _ROOTED,
     _Group,
     _Op,
-    _copy_payload,
     _op_words,
     _readonly_payload,
     apply_message_fault,
@@ -181,17 +177,10 @@ class Comm:
         return float(self._engine.clocks[self._grank])
 
     # -- point to point ----------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0, words: Optional[float] = None,
-             copy: Optional[bool] = None):
-        """Buffered send to local rank ``dest`` (never blocks).
-
-        ``copy`` overrides the engine's delivery mode for this message:
-        ``True`` forces a defensive deep copy, ``False`` forces the
-        zero-copy read-only fast path, ``None`` (default) follows
-        ``run_spmd``'s ``copy_mode``.
-        """
+    def send(self, obj: Any, dest: int, tag: int = 0, words: Optional[float] = None):
+        """Buffered send to local rank ``dest`` (never blocks)."""
         yield _Op("send", self._group.cid, value=obj, dest=dest, tag=tag,
-                  words=words, copy=copy)
+                  words=words)
 
     def recv(self, source: int, tag: int = 0):
         """Blocking receive from local rank ``source``."""
@@ -199,10 +188,10 @@ class Comm:
         return result
 
     def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0,
-                 words: Optional[float] = None, copy: Optional[bool] = None):
+                 words: Optional[float] = None):
         """Exchange: send ``obj`` to ``dest`` and receive from ``source``."""
         yield _Op("send", self._group.cid, value=obj, dest=dest, tag=tag,
-                  words=words, copy=copy)
+                  words=words)
         result = yield _Op("recv", self._group.cid, source=source, tag=tag)
         return result
 
@@ -318,12 +307,11 @@ class _RankState:
 
 class _Engine:
     def __init__(self, nranks: int, machine: MachineModel, seed: SeedLike,
-                 copy_mode: str = "readonly", sanitize: bool = False,
+                 sanitize: bool = False,
                  faults: Optional[FaultPlan] = None,
                  max_steps: Optional[int] = None,
                  max_sim_seconds: Optional[float] = None) -> None:
         self.machine = machine
-        self.copy_mode = copy_mode
         self.sanitizer: Optional[Sanitizer] = Sanitizer(nranks) if sanitize else None
         # fault injection + budgets: all None on the no-fault fast path,
         # so the hot loop pays only `is not None` checks
@@ -382,15 +370,6 @@ class _Engine:
         """Comm counters of the phase ``grank`` is currently in."""
         return self.stats[self.phase[grank]]
 
-    def deliver(self, obj: Any, copy: Optional[bool] = None) -> Any:
-        """Prepare a payload for handing to a receiving rank.
-
-        ``copy=None`` follows the engine's ``copy_mode``; ``True``/
-        ``False`` force the defensive copy / zero-copy path per message.
-        """
-        defensive = (self.copy_mode == "defensive") if copy is None else copy
-        return _copy_payload(obj) if defensive else _readonly_payload(obj)
-
     def make_comm(self, group: _Group, grank: int) -> Comm:
         cls = Comm if self.sanitizer is None else _SanitizedComm
         return cls(self, group, grank)
@@ -409,7 +388,6 @@ def run_spmd(
     *args: Any,
     machine: MachineModel = QDR_CLUSTER,
     seed: SeedLike = None,
-    copy_mode: str = "readonly",
     sanitize: Optional[bool] = None,
     faults: Optional[FaultPlan] = None,
     max_steps: Optional[int] = None,
@@ -426,12 +404,8 @@ def run_spmd(
     :class:`~repro.parallel.trace.SpmdResult` with per-rank return
     values and the simulated timing accounts.
 
-    ``copy_mode`` selects payload-delivery semantics: ``"readonly"``
-    (default) delivers NumPy payloads as zero-copy read-only views,
-    ``"defensive"`` deep-copies every delivery (see the module
-    docstring's semantics notes).  The two modes are functionally
-    equivalent for rank programs that follow the no-mutation contract —
-    the determinism suite asserts identical results under both.
+    NumPy payloads are delivered as zero-copy read-only views (see the
+    module docstring's semantics notes).
 
     ``sanitize`` enables the dynamic sanitizer (payload checksums, the
     collective ledger, undriven-generator and undelivered-message
@@ -477,16 +451,15 @@ def run_spmd(
         # explicit sanitize=True is an error on the procs backend
         return run_spmd_procs(
             fn, nranks, *args, machine=machine, seed=seed,
-            copy_mode=copy_mode, sanitize=sanitize, faults=faults,
+            sanitize=sanitize, faults=faults,
             max_steps=max_steps, max_sim_seconds=max_sim_seconds,
             op_timeout=op_timeout, stall_timeout=stall_timeout, **kwargs,
         )
-    check_run(nranks, copy_mode)
+    check_run(nranks)
     if sanitize is None:
         sanitize = _env_sanitize()
-    eng = _Engine(nranks, machine, seed, copy_mode=copy_mode,
-                  sanitize=sanitize, faults=faults, max_steps=max_steps,
-                  max_sim_seconds=max_sim_seconds)
+    eng = _Engine(nranks, machine, seed, sanitize=sanitize, faults=faults,
+                  max_steps=max_steps, max_sim_seconds=max_sim_seconds)
     world = eng.groups[0] = _Group(0, tuple(range(nranks)))
     states: List[_RankState] = []
     for r in range(nranks):
@@ -620,10 +593,9 @@ def _sanitize_collective(eng: _Engine, kind: str, parked: List[_RankState]) -> N
         if s.op.cksum is not None and payload_checksum(s.op.value) != s.op.cksum:
             raise CommError(
                 f"sanitizer: rank {s.grank} had its {kind} payload mutated "
-                "between posting the collective and its completion; under "
-                "copy_mode='readonly' other ranks may alias this memory — "
-                "post a copy or delay the mutation until the collective "
-                "completes"
+                "between posting the collective and its completion; other "
+                "ranks alias this memory — post `obj.copy()` or delay the "
+                "mutation until the collective completes"
             )
         eng.sanitizer.record_collective(s.grank, s.op.cid, kind, root)
 
@@ -711,12 +683,12 @@ def _do_send(eng: _Engine, grank: int, op: _Op) -> None:
                                          sender_index=local_index)
     q = eng.mailbox.setdefault((grank, gdst, op.tag, op.cid), deque())
     if fault is None:
-        q.append((arrival, words, eng.deliver(op.value, op.copy), cksum))
+        q.append((arrival, words, _readonly_payload(op.value), cksum))
     else:
         # cksum (taken at post time) is kept on every copy: under
         # sanitize a corrupted payload is caught at delivery
         def post(payload: Any, delay: float) -> None:
-            q.append((arrival + delay, words, eng.deliver(payload, op.copy),
+            q.append((arrival + delay, words, _readonly_payload(payload),
                       cksum))
 
         eng.fault_events.append(apply_message_fault(
@@ -755,9 +727,9 @@ def _complete_recvs(eng: _Engine, states: List[_RankState], ready: deque) -> boo
             raise CommError(
                 f"sanitizer: rank {gsrc} mutated a buffer it had posted to "
                 f"send(tag={st.op.tag}) before rank {st.grank} received it; "
-                "under copy_mode='readonly' the receiver aliases the "
-                "sender's memory — send a copy (obj.copy() or copy=True) "
-                "or delay the mutation until after the matching receive"
+                "the receiver aliases the sender's memory — send "
+                "`obj.copy()` or delay the mutation until after the "
+                "matching receive"
             )
         # idle time: the receiver sat parked before the sender even
         # posted; the transfer itself is the modelled message cost
@@ -876,7 +848,7 @@ def _run_collective(eng: _Engine, group: _Group, kind: str, parked: List[_RankSt
             g = eng.groups.setdefault(child[0], _Group(*child))
             results.append(eng.make_comm(g, st.grank))
     else:
-        results = collective_results(kind, ops, eng.deliver)
+        results = collective_results(kind, ops, _readonly_payload)
     if kind == "exchange":
         for st, o, inbox in zip(parked, ops, results):
             msgs = o.value or {}

@@ -78,17 +78,10 @@ def _readonly_payload(obj: Any) -> Any:
     return obj
 
 
-_COPY_MODES = ("readonly", "defensive")
-
-
-def check_run(nranks: int, copy_mode: str) -> None:
-    """Reject a rank count or copy mode no backend can run."""
+def check_run(nranks: int) -> None:
+    """Reject a rank count no backend can run."""
     if nranks < 1:
         raise CommError(f"nranks must be >= 1, got {nranks}")
-    if copy_mode not in _COPY_MODES:
-        raise CommError(
-            f"unknown copy_mode {copy_mode!r}; expected one of {_COPY_MODES}"
-        )
 
 
 _REDUCERS: Dict[str, Callable[[Any, Any], Any]] = {
@@ -172,8 +165,6 @@ class _Op:
     color: Any = None
     key: int = 0
     words: Optional[float] = None
-    #: per-message copy override for sends (None = engine copy_mode)
-    copy: Optional[bool] = None
     #: memoised payload_words(value) — computed at most once per op
     wcache: Optional[float] = None
     #: sanitizer checksum of the payload at post time (sanitize mode)
@@ -276,8 +267,8 @@ def collective_results(kind: str, ops: Sequence[_Op],
     ``split`` (see :func:`plan_split`).
 
     ``ops`` are in local-rank order.  ``deliver`` prepares each payload
-    handed to a receiving rank: the simulator's ``copy_mode`` delivery,
-    or the identity where the transport copies anyway.  Reductions fold
+    handed to a receiving rank: the simulator's zero-copy read-only
+    view, or the identity where the transport copies anyway.  Reductions fold
     with local rank 0's op, in local-rank order, so every backend
     computes bit-identical values.
     """

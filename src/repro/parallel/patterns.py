@@ -1,9 +1,9 @@
 """Reusable SPMD communication patterns.
 
 These are generator helpers to be ``yield from``-ed inside rank
-programs.  They exist for one reason: the engine defensively copies
-payloads per receiving rank, so a naive ``allgather`` of P slices
-creates P² array copies — 10⁶ objects at P=1024.  The helpers below
+programs.  They exist for one reason: the engine rebuilds payloads per
+receiving rank (a read-only view per array), so a naive ``allgather`` of
+P slices creates P² array objects — 10⁶ at P=1024.  The helpers below
 assemble at a root and redistribute one :class:`~repro.graph.distributed.Shared`
 reference instead, while charging *exactly* the collective cost the
 textbook algorithm would incur (see each function's accounting note).

@@ -23,9 +23,9 @@ seed; the parent merges the per-rank ledger columns.
 
 What differs (and is documented in DESIGN §"Execution backends"):
 clocks are *measured wall seconds* (not Hockney-model estimates), so
-clock-dependent outputs are excluded from parity; ``copy_mode`` always
-behaves defensively (process isolation copies every payload);
-``sanitize=True`` and ``max_sim_seconds`` are simulated-only and raise
+clock-dependent outputs are excluded from parity; received payloads
+never alias the sender's memory (process isolation copies every
+payload); ``sanitize=True`` and ``max_sim_seconds`` are simulated-only and raise
 :class:`~repro.errors.ConfigError`; ``max_steps`` is enforced per rank
 rather than globally.
 
@@ -718,10 +718,10 @@ def _worker_entry(rank: int, nranks: int, fn, args, kwargs,
 # parent side
 # ----------------------------------------------------------------------
 
-def _validate(nranks: int, copy_mode: str, sanitize: Optional[bool],
+def _validate(nranks: int, sanitize: Optional[bool],
               faults: Optional[FaultPlan],
               max_sim_seconds: Optional[float]) -> None:
-    check_run(nranks, copy_mode)
+    check_run(nranks)
     if sanitize:
         raise ConfigError(
             "sanitize=True is simulated-only: the dynamic sanitizer "
@@ -838,7 +838,6 @@ def run_spmd_procs(
     *args: Any,
     machine: MachineModel = QDR_CLUSTER,
     seed: SeedLike = None,
-    copy_mode: str = "readonly",
     sanitize: Optional[bool] = None,
     faults: Optional[FaultPlan] = None,
     max_steps: Optional[int] = None,
@@ -863,7 +862,7 @@ def run_spmd_procs(
     """
     import multiprocessing as mp
 
-    _validate(nranks, copy_mode, sanitize, faults, max_sim_seconds)
+    _validate(nranks, sanitize, faults, max_sim_seconds)
     if sanitize is None and _env_sanitize():
         _warn_env_sanitize_ignored()
     if op_timeout is None:

@@ -40,24 +40,24 @@ class TestAgreementWithSimulator:
     def test_partition_comm_shape_matches_vm(self):
         """The VM's SP-PG7-NL communication should grow ~log P, like the
         3(ts + tw c log P) closed form — i.e. slowly."""
-        from repro.core.parallel import sp_pg7_nl_parallel
+        from repro.core.parallel import run_parallel
         from repro.graph.generators import random_delaunay
 
         g, pts = random_delaunay(2000, seed=0)
-        t64 = sp_pg7_nl_parallel(g, pts, 64, seed=1).seconds
-        t1024 = sp_pg7_nl_parallel(g, pts, 1024, seed=1).seconds
+        t64 = run_parallel("SP-PG7-NL", g, 64, coords=pts, seed=1).seconds
+        t1024 = run_parallel("SP-PG7-NL", g, 1024, coords=pts, seed=1).seconds
         # 16x more ranks must cost far less than 4x more time
         assert t1024 < 4 * t64
 
     def test_embedding_comm_grows_with_p_in_vm(self):
-        from repro.core.parallel import scalapart_parallel
+        from repro.core.parallel import run_parallel
         from repro.core import ScalaPartConfig
         from repro.graph.generators import random_delaunay
 
         g = random_delaunay(3000, seed=1).graph
         cfg = ScalaPartConfig(coarsest_iters=60, smooth_iters=8)
-        r16 = scalapart_parallel(g, 16, cfg, seed=2)
-        r256 = scalapart_parallel(g, 256, cfg, seed=2)
+        r16 = run_parallel("ScalaPart", g, 16, config=cfg, seed=2)
+        r256 = run_parallel("ScalaPart", g, 256, config=cfg, seed=2)
         comm16 = r16.stage_seconds["embed"] * r16.extras["phase_comm"]["embed"]
         comm256 = r256.stage_seconds["embed"] * r256.extras["phase_comm"]["embed"]
         assert comm256 > comm16

@@ -22,11 +22,6 @@ from repro.core.methods import (
     methods_table,
     register_method,
 )
-from repro.core.parallel import (
-    parmetis_parallel,
-    rcb_parallel,
-    scalapart_parallel,
-)
 from repro.core.recursive import recursive_bisection
 from repro.core.stages import EmbeddingArtifact, GeometricArtifact, as_coords
 from repro.errors import ConfigError, GeometryError, PartitionError
@@ -130,20 +125,20 @@ class TestDispatchParity:
 
     def test_parallel_scalapart(self, small):
         g, _ = small
-        a = scalapart_parallel(g, 4, FAST, seed=3)
+        a = run_parallel(get_method("ScalaPart"), g, 4, config=FAST, seed=3)
         b = run_parallel("ScalaPart", g, 4, config=FAST, seed=3)
         assert a.bisection.side.tobytes() == b.bisection.side.tobytes()
         assert a.seconds == b.seconds
 
     def test_parallel_parmetis(self, small):
         g, _ = small
-        a = parmetis_parallel(g, 4, seed=4)
+        a = run_parallel("ParMetis-like", g, 4, seed=4, max_imbalance=0.05)
         b = run_parallel("parmetis", g, 4, seed=4)
         assert a.bisection.side.tobytes() == b.bisection.side.tobytes()
 
     def test_parallel_rcb_ignores_seed(self, small):
         g, pts = small
-        a = rcb_parallel(g, pts, 4)
+        a = run_parallel("RCB", g, 4, coords=pts)
         b = run_parallel("rcb", g, 4, coords=pts, seed=999)
         assert a.bisection.side.tobytes() == b.bisection.side.tobytes()
         assert a.seconds == b.seconds

@@ -1,7 +1,7 @@
 """Tests for the shared pipeline stages.
 
-Both drivers (sequential ``scalapart`` and the SPMD ``dist_scalapart``)
-are thin compositions of the same three Stage objects; these tests run
+Both drivers (sequential ``scalapart`` and the registered SPMD rank
+program of ScalaPart) are thin compositions of the same three Stage objects; these tests run
 the stages by hand and check the composition reproduces the drivers
 bit-for-bit, which is what makes the stages safe to mix and match
 (e.g. embed once, partition many ways).

@@ -68,16 +68,6 @@ class TestCollectives:
 
         assert run0(prog, 4) == [1, 1, 1, 1]
 
-    def test_bcast_copies_arrays_defensive(self):
-        def prog(comm):
-            arr = np.zeros(3) if comm.rank == 0 else None
-            out = yield from comm.bcast(arr, root=0)
-            out += comm.rank  # must not alias other ranks' copies
-            return float(out.sum())
-
-        res = run_spmd(prog, 3, machine=ZERO_COST, copy_mode="defensive")
-        assert res.values == [0.0, 3.0, 6.0]
-
     def test_reduce_sum_at_root(self):
         def prog(comm):
             out = yield from comm.reduce(comm.rank + 1, op="sum", root=2)
@@ -216,22 +206,6 @@ class TestPointToPoint:
             return (hi, lo)
 
         assert run0(prog, 2)[1] == ("high", "low")
-
-    def test_recv_copies_payload_defensive(self):
-        def prog(comm):
-            if comm.rank == 0:
-                arr = np.ones(4)
-                yield from comm.send(arr, dest=1)
-                # both arms barrier exactly once: schedules agree
-                yield from comm.barrier()  # repro: lint-ok[SP102]
-                return arr.sum()
-            got = yield from comm.recv(source=0)
-            got *= 100
-            yield from comm.barrier()
-            return got.sum()
-
-        vals = run_spmd(prog, 2, machine=ZERO_COST, copy_mode="defensive").values
-        assert vals == [4.0, 400.0]
 
     def test_deadlock_detected(self):
         def prog(comm):
@@ -574,15 +548,8 @@ class TestCommStats:
 
 
 class TestCopyModes:
-    """Zero-copy (``readonly``) vs deep-copy (``defensive``) delivery."""
-
-    def test_invalid_copy_mode_rejected(self):
-        def prog(comm):
-            return comm.rank
-            yield  # pragma: no cover
-
-        with pytest.raises(CommError, match="copy_mode"):
-            run_spmd(prog, 2, machine=ZERO_COST, copy_mode="fast")
+    """Zero-copy read-only delivery, and the sender-side copy that
+    replaces it where a sender must keep writing."""
 
     def test_readonly_send_delivers_readonly_view(self):
         def prog(comm):
@@ -596,7 +563,7 @@ class TestCopyModes:
                 got[0] = 99.0
             return float(got.sum())
 
-        vals = run0(prog, 2, copy_mode="readonly")
+        vals = run0(prog, 2)
         assert vals == [True, 6.0]
 
     def test_readonly_bcast_and_allgather_arrays_are_readonly(self):
@@ -611,7 +578,7 @@ class TestCopyModes:
             gathered.append(None)
             return float(got[0]) + sum(float(g[0]) for g in gathered[:-1])
 
-        vals = run0(prog, 3, copy_mode="readonly")
+        vals = run0(prog, 3)
         assert vals == [3.0, 3.0, 3.0]
 
     def test_readonly_exchange_arrays_are_readonly(self):
@@ -622,7 +589,7 @@ class TestCopyModes:
             assert not got[left].flags.writeable
             return float(got[left][0])
 
-        assert run0(prog, 3, copy_mode="readonly") == [2.0, 0.0, 1.0]
+        assert run0(prog, 3) == [2.0, 0.0, 1.0]
 
     def test_readonly_delivery_shares_sender_memory(self):
         def prog(comm):
@@ -633,38 +600,23 @@ class TestCopyModes:
             got = yield from comm.recv(source=0)
             return got.base is not None  # a view, not a copy
 
-        assert run0(prog, 2, copy_mode="readonly")[1] is True
+        assert run0(prog, 2)[1] is True
 
     def test_defensive_isolates_sender_memory(self):
         def prog(comm):
             if comm.rank == 0:
                 arr = np.arange(4.0)
-                yield from comm.send(arr, dest=1)
-                # mutate after post: legal in defensive mode (copy at post)
-                arr[:] = -1.0  # repro: lint-ok[SP104]
+                yield from comm.send(arr.copy(), dest=1)
+                # mutate after post: legal, the posted buffer is a copy
+                arr[:] = -1.0
                 yield from comm.barrier()  # repro: lint-ok[SP102] both arms barrier
                 return None
             got = yield from comm.recv(source=0)
             yield from comm.barrier()
-            got[0] = 42.0  # and the copy is writable
             return float(got.sum())
 
-        vals = run0(prog, 2, copy_mode="defensive")
-        assert vals[1] == 42.0 + 1.0 + 2.0 + 3.0
-
-    def test_send_copy_override_wins_over_mode(self):
-        def prog(comm):
-            if comm.rank == 0:
-                yield from comm.send(np.ones(3), dest=1, copy=True)
-                yield from comm.send(np.ones(3), dest=1, copy=False)
-                return None
-            a = yield from comm.recv(source=0)
-            b = yield from comm.recv(source=0)
-            return (a.flags.writeable, b.flags.writeable)
-
-        # per-send override beats the engine default in both directions
-        assert run0(prog, 2, copy_mode="readonly")[1] == (True, False)
-        assert run0(prog, 2, copy_mode="defensive")[1] == (True, False)
+        vals = run0(prog, 2)
+        assert vals[1] == 0.0 + 1.0 + 2.0 + 3.0
 
     def test_nested_containers_rebuilt_arrays_shared(self):
         def prog(comm):
@@ -679,19 +631,7 @@ class TestCopyModes:
             assert not got["xs"][0].flags.writeable
             return got["tag"]
 
-        assert run0(prog, 2, copy_mode="readonly")[1] == "t"
-
-    def test_results_identical_across_modes(self):
-        def prog(comm):
-            rng_val = float(comm.rng.random())
-            arr = np.full(4, float(comm.rank + 1))
-            red = yield from comm.allreduce(arr, op="sum")
-            gathered = yield from comm.allgather(comm.rank * 2)
-            return (rng_val, float(red.sum()), tuple(gathered))
-
-        a = run0(prog, 4, copy_mode="readonly")
-        b = run0(prog, 4, copy_mode="defensive")
-        assert a == b
+        assert run0(prog, 2)[1] == "t"
 
 
 class TestReduceShapeValidation:

@@ -5,7 +5,7 @@ The registered methods never call ``scan``, ``scatter``, ``alltoall`` or
 Here one small program posts every collective kind, tagged
 point-to-point messages and a nested ``split``; it must return the same
 values and book the same ledger on ``backend="sim"`` and
-``backend="procs"`` under both copy modes.  Malformed programs must fail
+``backend="procs"``.  Malformed programs must fail
 with the same exception type and the same first message line.
 """
 
@@ -27,13 +27,12 @@ pytestmark = pytest.mark.skipif(
 )
 
 P = 5
-RUNS = [("sim", "readonly"), ("sim", "defensive"),
-        ("procs", "readonly"), ("procs", "defensive")]
+BACKENDS = ["sim", "procs"]
 
 
-def _run(prog, nranks, backend, copy_mode="readonly"):
+def _run(prog, nranks, backend):
     return run_spmd(prog, nranks, machine=ZERO_COST, seed=3, backend=backend,
-                    copy_mode=copy_mode, op_timeout=30.0, stall_timeout=10.0)
+                    op_timeout=30.0, stall_timeout=10.0)
 
 
 def _canon(v):
@@ -93,9 +92,9 @@ def _every_op(comm):
 
 
 class TestEveryOp:
-    def test_values_and_ledgers_match_across_backends_and_copy_modes(self):
-        results = {run: _run(_every_op, P, *run) for run in RUNS}
-        ref = results[("sim", "readonly")]
+    def test_values_and_ledgers_match_across_backends(self):
+        results = {backend: _run(_every_op, P, backend) for backend in BACKENDS}
+        ref = results["sim"]
         ref_values = json.dumps(_canon(ref.values))
         ref_ledger = json.dumps(ledger_fingerprint(ref.comm_stats))
         assert ref.messages > 0 and ref.collectives > 0

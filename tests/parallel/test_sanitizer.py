@@ -95,10 +95,20 @@ class TestSendMutation:
         vals = run0(_mutating_sender, 2)
         assert vals[1] == -1.0
 
-    def test_defensive_mode_passes_sanitize(self):
-        # defensive copies at post time: mutation after post is legal
-        vals = run0(_mutating_sender, 2, copy_mode="defensive",
-                    sanitize=True)
+    def test_sending_a_copy_passes_sanitize(self):
+        # the fix the error message names: send a copy, then mutate
+        def copying_sender(comm):
+            if comm.rank == 0:
+                buf = np.arange(4, dtype=float)
+                yield from comm.send(buf.copy(), dest=1, tag=3)
+                buf[0] = -1.0
+                yield from comm.barrier()  # repro: lint-ok[SP102] both arms barrier
+                return None
+            yield from comm.barrier()
+            got = yield from comm.recv(source=0, tag=3)
+            return float(got[0])
+
+        vals = run0(copying_sender, 2, sanitize=True)
         assert vals[1] == 0.0
 
     def test_clean_program_unaffected(self):

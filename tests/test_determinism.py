@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.core.config import ScalaPartConfig
-from repro.core.parallel import scalapart_parallel
+from repro.core.parallel import run_parallel
 from repro.graph.generators import random_delaunay
 from repro.parallel import procs_available, trace_records
 
@@ -27,17 +27,16 @@ CFG = ScalaPartConfig(coarsest_iters=60, smooth_iters=6)
 BACKENDS = ["sim"] + (["procs"] if procs_available() else [])
 
 
-def _run(copy_mode="readonly", backend="sim"):
+def _run(backend="sim"):
     g = random_delaunay(500, seed=21).graph
-    return scalapart_parallel(g, P, CFG, seed=SEED, copy_mode=copy_mode,
-                              backend=backend)
+    return run_parallel("ScalaPart", g, P, config=CFG, seed=SEED,
+                        backend=backend)
 
 
 class TestScalaPartDeterminism:
-    @pytest.mark.parametrize("copy_mode", ["readonly", "defensive"])
-    def test_identical_partition_phases_and_counters(self, copy_mode):
-        a = _run(copy_mode)
-        b = _run(copy_mode)
+    def test_identical_partition_phases_and_counters(self):
+        a = _run()
+        b = _run()
 
         # partition vector: byte-identical
         assert a.bisection.side.tobytes() == b.bisection.side.tobytes()
@@ -62,18 +61,6 @@ class TestScalaPartDeterminism:
 
         # and therefore the serialised traces agree record-for-record
         assert list(trace_records(ta)) == list(trace_records(tb))
-
-    def test_copy_modes_agree(self):
-        """The zero-copy fast path must be observationally identical to
-        defensive deep-copying: same partition, clocks and ledger."""
-        a = _run("readonly")
-        b = _run("defensive")
-        assert a.bisection.side.tobytes() == b.bisection.side.tobytes()
-        ta, tb = a.extras["trace"], b.extras["trace"]
-        assert ta.clocks.tobytes() == tb.clocks.tobytes()
-        assert json.dumps(ta.comm_stats.to_dict()) == json.dumps(
-            tb.comm_stats.to_dict()
-        )
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_golden_partition_per_backend(self, backend):
@@ -100,8 +87,8 @@ class TestScalaPartDeterminism:
 
     def test_different_seed_changes_trace(self):
         g = random_delaunay(500, seed=21).graph
-        a = scalapart_parallel(g, P, CFG, seed=SEED)
-        b = scalapart_parallel(g, P, CFG, seed=SEED + 1)
+        a = run_parallel("ScalaPart", g, P, config=CFG, seed=SEED)
+        b = run_parallel("ScalaPart", g, P, config=CFG, seed=SEED + 1)
         assert a.extras["trace"].clocks.tobytes() != b.extras["trace"].clocks.tobytes()
 
 
@@ -114,7 +101,7 @@ class TestBlockSizeAblation:
         for b in (1, 2, 4, 8):
             cfg = ScalaPartConfig(block_size=b, coarsest_iters=60,
                                   smooth_iters=8)
-            res = scalapart_parallel(g, 16, cfg, seed=5)
+            res = run_parallel("ScalaPart", g, 16, config=cfg, seed=5)
             embed = res.extras["comm_stats"].phase("embed")
             iters = res.extras["smooth_iterations"]
             assert iters > 0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import parmetis_like, scotch_like
-from repro.core import ScalaPartConfig, scalapart, scalapart_parallel
+from repro.core import ScalaPartConfig, run_parallel, scalapart
 from repro.embed import hu_layout
 from repro.geometric import g7_nl
 from repro.graph import Bisection, read_metis, suite, write_metis
@@ -60,15 +60,15 @@ def test_sequential_and_parallel_sp_same_family():
     the same algorithm family: comparable cuts on a mesh."""
     gg = suite.build("delaunay_n20", scale=0.08)
     seq = scalapart(gg.graph, FAST, seed=5).cut_size
-    par = scalapart_parallel(gg.graph, 1, FAST, seed=5).cut_size
+    par = run_parallel("ScalaPart", gg.graph, 1, config=FAST, seed=5).cut_size
     assert par <= 3 * seq + 20
     assert seq <= 3 * par + 20
 
 
 def test_full_determinism_of_the_pipeline():
     gg = suite.build("G3_circuit", scale=0.06)
-    a = scalapart_parallel(gg.graph, 16, FAST, seed=6)
-    b = scalapart_parallel(gg.graph, 16, FAST, seed=6)
+    a = run_parallel("ScalaPart", gg.graph, 16, config=FAST, seed=6)
+    b = run_parallel("ScalaPart", gg.graph, 16, config=FAST, seed=6)
     assert np.array_equal(a.bisection.side, b.bisection.side)
     assert a.seconds == b.seconds
     assert a.stage_seconds == b.stage_seconds
