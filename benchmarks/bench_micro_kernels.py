@@ -1,9 +1,10 @@
 """Micro-benchmark + perf-regression harness for the hot-path kernels.
 
 Times the library's hot paths — matching, contraction, engine payload
-delivery, one embed smoothing iteration and the β field at the
-production lattice side — on generated graphs, reports per-kernel
-medians, and persists them (plus the old-vs-new speedup ratios the
+delivery, one embed smoothing iteration, the β field at the
+production lattice side, and Barnes–Hut at 100k points and at the
+production ~1k-point clustered shape — on generated graphs, reports
+per-kernel medians, and persists them (plus the old-vs-new speedup ratios the
 optimisation work is accountable for) to ``BENCH_kernels.json``.
 
 Two ways to run it:
@@ -61,7 +62,7 @@ from repro.embed.lattice import (  # noqa: E402
     repulsive_forces_lattice,
 )
 from repro.embed.multilevel import lattice_side_for  # noqa: E402
-from repro.embed.quadtree import BHWorkspace, repulsive_forces_bh  # noqa: E402
+from repro.embed.quadtree import repulsive_forces_bh  # noqa: E402
 from repro.geometric.kway import kway_geometric_assign  # noqa: E402
 from repro.graph.generators import grid2d  # noqa: E402
 from repro.graph.io import read_metis  # noqa: E402
@@ -85,6 +86,7 @@ TIMED_KERNELS = (
     "embed/smooth-iter",
     "embed/beta-field",
     "embed/bh-build",
+    "embed/bh-coarse",
     "io/read-metis",
 )
 
@@ -135,6 +137,20 @@ def _reduce_program(payload_len: int, rounds: int):
         return total
 
     return prog
+
+
+def clustered_layout(n: int = 1_000, seed: int = 11):
+    """A coarsest-level layout as the multilevel embedding produces it:
+    tight clumps of tens of points plus a sparse scatter, so most
+    finest-level Barnes–Hut cells are empty.  Returns ``(pos, masses)``
+    with integer vertex weights, as a coarse graph carries."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(5, 50, size=60)
+    sizes = sizes[np.cumsum(sizes) <= n - n // 8]
+    clumps = np.repeat(rng.random((sizes.size, 2)) * 40.0, sizes, axis=0)
+    clumps += rng.normal(scale=0.05, size=clumps.shape)
+    scatter = rng.random((n - clumps.shape[0], 2)) * 40.0
+    return np.vstack([clumps, scatter]), rng.integers(1, 9, size=n) * 1.0
 
 
 def write_metis_fast(g, path: Path) -> None:
@@ -284,11 +300,18 @@ def run_benchmarks(quick: bool = False, repeats: int = 5,
            lambda: beta_force_field(stats, workspace=lat_ws))
 
     # ---- Barnes-Hut evaluation (build + traversal) --------------------
-    bh_ws = BHWorkspace()
-    record(
-        "embed/bh-build",
-        lambda: repulsive_forces_bh(pos0, g.vwgt, workspace=bh_ws),
-    )
+    record("embed/bh-build", lambda: repulsive_forces_bh(pos0, g.vwgt))
+
+    # at the production shape: the coarsest level of every multilevel
+    # embedding above 600 vertices calls it ~150 times on ~1k clustered
+    # points; one sample is ten calls (~50 ms), well above timer noise
+    pos_c, mass_c = clustered_layout()
+
+    def bh_coarse():
+        for _ in range(10):
+            repulsive_forces_bh(pos_c, mass_c)
+
+    record("embed/bh-coarse", bh_coarse)
 
     # ---- streaming METIS reader ---------------------------------------
     import tempfile
@@ -320,11 +343,9 @@ def run_benchmarks(quick: bool = False, repeats: int = 5,
                 "median_s": _median_time(smooth_1m, rep_1m)}
             print(f"  {'embed/smooth-iter-1m':<28s} "
                   f"{results['kernels']['embed/smooth-iter-1m']['median_s'] * 1e3:10.2f} ms")
-            bh_ws1 = BHWorkspace()
             results["kernels"]["embed/bh-build-1m"] = {
                 "median_s": _median_time(
-                    lambda: repulsive_forces_bh(pos1, g1.vwgt, workspace=bh_ws1),
-                    rep_1m)}
+                    lambda: repulsive_forces_bh(pos1, g1.vwgt), rep_1m)}
             print(f"  {'embed/bh-build-1m':<28s} "
                   f"{results['kernels']['embed/bh-build-1m']['median_s'] * 1e3:10.2f} ms")
             gpath1 = Path(tmp) / "bench-1m.graph"

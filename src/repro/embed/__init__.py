@@ -22,7 +22,7 @@ from .multilevel import (
     lattice_side_for,
     multilevel_embedding,
 )
-from .quadtree import BHWorkspace, repulsive_forces_bh
+from .quadtree import repulsive_forces_bh
 from .quality import (
     EdgeLengthStats,
     crossing_proxy,
@@ -53,7 +53,6 @@ __all__ = [
     "hu_layout",
     "lattice_side_for",
     "multilevel_embedding",
-    "BHWorkspace",
     "repulsive_forces_bh",
     "EdgeLengthStats",
     "crossing_proxy",

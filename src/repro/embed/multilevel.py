@@ -35,7 +35,7 @@ from .box import Box
 from .fdl import LayoutResult, force_directed_layout, random_positions
 from .forces import DEFAULT_C
 from .lattice import LatticeWorkspace, repulsive_forces_lattice
-from .quadtree import BHWorkspace, repulsive_forces_bh
+from .quadtree import repulsive_forces_bh
 
 __all__ = ["EmbeddingResult", "multilevel_embedding", "hu_layout", "lattice_side_for"]
 
@@ -120,9 +120,9 @@ def multilevel_embedding(
     level_iters = [coarse_res.iterations]
 
     # -- uncoarsen: inherit (scaled), jitter, smooth --------------------
-    # One repulsion workspace shared across all levels: buffers grow to
+    # One lattice workspace shared across all levels: buffers grow to
     # the finest level's size once and are reused (DESIGN §11).
-    rep_ws = LatticeWorkspace() if repulsion == "lattice" else BHWorkspace()
+    lat_ws = LatticeWorkspace()
     for level in range(h.num_levels - 2, -1, -1):
         g = h.graphs[level]
         cmap = h.cmaps[level]
@@ -131,9 +131,9 @@ def multilevel_embedding(
         if repulsion == "lattice":
             s = lattice_side_for(g.num_vertices, lattice_per_cell)
             box = Box.of_points(pos).expanded(1.05)
-            kernel = partial(_lattice_kernel, box=box, s=s, ws=rep_ws)
+            kernel = partial(_lattice_kernel, box=box, s=s, ws=lat_ws)
         else:
-            kernel = partial(_bh_kernel, ws=rep_ws)
+            kernel = repulsive_forces_bh
         res = force_directed_layout(
             g,
             pos,
@@ -151,10 +151,6 @@ def multilevel_embedding(
 
 def _lattice_kernel(pos, masses, c, k, box, s, ws=None):
     return repulsive_forces_lattice(pos, masses, c, k, box=box, s=s, workspace=ws)
-
-
-def _bh_kernel(pos, masses, c, k, ws=None):
-    return repulsive_forces_bh(pos, masses, c, k, workspace=ws)
 
 
 def hu_layout(graph: CSRGraph, seed: SeedLike = None, smooth_iters: int = 30) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Bit-exactness of the optimised embedding kernels.
 
 Every hot-path kernel rewritten for the million-vertex push (workspace
-reuse, bincount scatters, blocked field sums, precomputed BH
-interaction offsets) must produce output *bit-identical* to the
+reuse, bincount scatters, blocked field sums, the flat point-blocked
+Barnes–Hut far field) must produce output *bit-identical* to the
 implementation it replaced — the pre-refactor bodies are kept as
-``_reference`` functions for exactly this comparison.  Each kernel is
-checked on several graph families, including degenerate ones (star hub,
-isolated vertices), and with a shared workspace reused across repeated
-calls (stale-buffer bugs only show up on the second call).
+``_reference`` functions (the Barnes–Hut one in :mod:`tests.oracles`)
+for exactly this comparison.  Each kernel is checked on several graph
+families, including degenerate ones (star hub, isolated vertices), and
+with a shared workspace reused across repeated calls (stale-buffer bugs
+only show up on the second call).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.embed import lattice
+from repro.embed import lattice, quadtree
 from repro.embed.box import Box
 from repro.embed.fdl import (
     _force_directed_layout_reference,
@@ -37,13 +38,10 @@ from repro.embed.lattice import (
     repulsive_forces_lattice,
 )
 from repro.embed.multilevel import _lattice_kernel
-from repro.embed.quadtree import (
-    BHWorkspace,
-    _repulsive_forces_bh_reference,
-    repulsive_forces_bh,
-)
+from repro.embed.quadtree import _EXACT_CUTOFF, repulsive_forces_bh
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid2d, random_delaunay, star_graph
+from tests.oracles.barnes_hut import repulsive_forces_bh_reference
 
 
 def _with_isolated(g: CSRGraph, extra: int = 5) -> CSRGraph:
@@ -182,12 +180,66 @@ def test_field_block_boundaries(monkeypatch, block_elems):
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[n for n, _ in GRAPHS])
 class TestBarnesHutExactness:
     def test_matches_reference(self, name, g):
-        ws = BHWorkspace()
         for seed in range(2):
             pos, masses = _pos_masses(g, seed)
-            got = repulsive_forces_bh(pos, masses, 0.2, 1.1, workspace=ws)
-            ref = _repulsive_forces_bh_reference(pos, masses, 0.2, 1.1)
-            assert np.array_equal(got, ref)
+            got = repulsive_forces_bh(pos, masses, 0.2, 1.1)
+            ref = repulsive_forces_bh_reference(pos, masses, 0.2, 1.1)
+            assert _bits_equal(got, ref)
+
+
+def _clustered(n=925, seed=0):
+    """The shape of a coarsest production layout: tight clumps of 5–50
+    points, each inside one finest cell, plus a sparse scatter, so most
+    finest-level cells are empty."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(5, 50, size=40)
+    sizes = sizes[np.cumsum(sizes) <= n - 100]
+    centres = rng.random((sizes.size, 2)) * 40.0
+    clumps = np.repeat(centres, sizes, axis=0)
+    clumps += rng.normal(scale=0.05, size=clumps.shape)
+    scatter = rng.random((n - clumps.shape[0], 2)) * 40.0
+    return np.vstack([clumps, scatter]), rng.integers(1, 9, size=n) * 1.0
+
+
+def _bh_cases():
+    rng = np.random.default_rng(7)
+    cases = {}
+    cases["clustered"] = _clustered()
+    cases["clustered-1k5"] = _clustered(1_500, seed=1)
+    n = _EXACT_CUTOFF + 1
+    cases["cutoff+1"] = (rng.random((n, 2)) * 11.0, 1.0 + rng.random(n))
+    pos, masses = rng.random((600, 2)) * 25.0, 1.0 + rng.random(600)
+    masses[rng.random(600) < 0.3] = 0.0
+    cases["zero-mass"] = (pos, masses)
+    pos = rng.random((400, 2)) * 20.0
+    cases["duplicates"] = (np.vstack([pos, pos[:150], pos[:50]]), np.ones(600))
+    cases["flat-y"] = (np.column_stack([rng.random(500) * 30.0, np.full(500, 2.5)]),
+                       1.0 + rng.random(500))
+    cases["flat-x"] = (np.column_stack([np.full(500, -4.0), rng.random(500)]),
+                       1.0 + rng.random(500))
+    return cases
+
+
+BH_CASES = _bh_cases()
+
+
+@pytest.mark.parametrize("case", sorted(BH_CASES))
+def test_bh_matches_oracle(case):
+    pos, masses = BH_CASES[case]
+    got = repulsive_forces_bh(pos, masses, 0.2, 1.1)
+    assert _bits_equal(got, repulsive_forces_bh_reference(pos, masses, 0.2, 1.1))
+
+
+@pytest.mark.parametrize("block_elems", [1, 500, 4_099])
+def test_bh_block_boundaries(monkeypatch, block_elems):
+    """Tiny budgets split the far field into many point blocks, down to
+    one point per block, with the last block overlapping the one before."""
+    monkeypatch.setattr(quadtree, "_BLOCK_ELEMS", block_elems)
+    for case in ("clustered", "zero-mass", "duplicates"):
+        pos, masses = BH_CASES[case]
+        got = repulsive_forces_bh(pos, masses, 0.2, 1.1)
+        ref = repulsive_forces_bh_reference(pos, masses, 0.2, 1.1)
+        assert _bits_equal(got, ref), case
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[n for n, _ in GRAPHS])

@@ -1,5 +1,7 @@
 """Unit tests for the Barnes-Hut (hierarchical grid) repulsion kernel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,38 @@ class TestSmallInputs:
     def test_empty_input(self):
         out = repulsive_forces_bh(np.zeros((0, 2)))
         assert out.shape == (0, 2)
+
+
+class TestInputErrors:
+    def test_masses_shape_mismatch_raises(self):
+        pos = np.random.default_rng(7).random((500, 2))
+        with pytest.raises(EmbeddingError, match="masses"):
+            repulsive_forces_bh(pos, np.ones(499))
+
+    def test_non_finite_positions_raise(self):
+        pos = np.random.default_rng(8).random((500, 2))
+        pos[123, 1] = np.nan
+        with pytest.raises(EmbeddingError, match="finite"):
+            repulsive_forces_bh(pos, np.ones(500))
+
+
+class TestMemory:
+    """One call's peak allocation stays bounded: the far field works in
+    cache-sized point blocks, so only the per-level cell tables and the
+    near field's pair lists scale with n."""
+
+    @pytest.mark.parametrize("n,limit_mib", [(1_500, 4), (100_000, 40)])
+    def test_peak_allocation(self, n, limit_mib):
+        rng = np.random.default_rng(9)
+        pos = rng.random((n, 2)) * np.sqrt(n)
+        masses = np.ones(n)
+        tracemalloc.start()
+        try:
+            repulsive_forces_bh(pos, masses)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
 
 
 class TestAccuracy:
