@@ -1,11 +1,11 @@
 """Micro-benchmark + perf-regression harness for the hot-path kernels.
 
-Times the library's hot paths — matching, contraction, engine payload
-delivery, one embed smoothing iteration, the β field at the
-production lattice side, and Barnes–Hut at 100k points and at the
-production ~1k-point clustered shape — on generated graphs, reports
-per-kernel medians, and persists them (plus the old-vs-new speedup ratios the
-optimisation work is accountable for) to ``BENCH_kernels.json``.
+Times the library's hot paths — matching, contraction, k-way
+assignment and refinement, engine payload delivery, one embed smoothing
+iteration, the β field at the production lattice side, and Barnes–Hut
+at 100k points and at the production ~1k-point clustered shape — on
+generated graphs, reports per-kernel medians, and persists them (plus
+the sequential ÷ vectorised matching speedup) to ``BENCH_kernels.json``.
 
 Two ways to run it:
 
@@ -65,8 +65,10 @@ from repro.embed.multilevel import lattice_side_for  # noqa: E402
 from repro.embed.quadtree import repulsive_forces_bh  # noqa: E402
 from repro.geometric.kway import kway_geometric_assign  # noqa: E402
 from repro.graph.generators import grid2d  # noqa: E402
+from repro.graph.partition import KWayPartition  # noqa: E402
 from repro.graph.io import read_metis  # noqa: E402
 from repro.parallel import ZERO_COST, procs_available, run_spmd  # noqa: E402
+from repro.refine.kway import kway_refine  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
 SCHEMA = 1
@@ -78,6 +80,7 @@ TIMED_KERNELS = (
     "matching/validate",
     "coarsen/contract",
     "kway/geom-assign",
+    "refine/kway-refine",
     "csr/dedupe-merge",
     "engine/delivery-readonly",
     "engine/reduce-array",
@@ -208,33 +211,27 @@ def run_benchmarks(quick: bool = False, repeats: int = 5,
     record("kway/geom-assign",
            lambda: kway_geometric_assign(g, mesh.coords, 8, seed=7))
 
-    # ---- scatter micro-checks (the np.add.at -> bincount satellites) --
-    # Same shapes as the two replaced call sites: csr.py's duplicate-
-    # edge weight merge (1-D) and parallel.py's distributed attractive
-    # accumulation (per-column 2-D).  The *-addat rows are the "before"
-    # side of the micro-check; the speedup lines below report the ratio.
+    # ---- k-way refinement (greedy sweeps + pairwise FM) ---------------
+    # the refinement kway-geometric runs on rank 0, fed the labels of
+    # the assignment row above
+    kway_parts, _ = kway_geometric_assign(g, mesh.coords, 8, seed=7)
+    kway_input = KWayPartition(g, kway_parts, 8)
+    record("refine/kway-refine", lambda: kway_refine(kway_input))
+
+    # ---- bincount scatters --------------------------------------------
+    # Same shapes as two call sites: csr.py's duplicate-edge weight
+    # merge (1-D) and parallel.py's distributed attractive accumulation
+    # (per-column 2-D).
     rng = np.random.default_rng(5)
     n_grp = g.num_vertices
     sc_idx = np.sort(rng.integers(0, n_grp, size=4 * n_grp))
     sc_w = rng.random(sc_idx.size)
     sc_f = rng.random((sc_idx.size, 2))
 
-    def merge_addat():
-        out = np.zeros(n_grp)
-        np.add.at(out, sc_idx, sc_w)
-        return out
-
     def merge_bincount():
         return np.bincount(sc_idx, weights=sc_w, minlength=n_grp)
 
-    t_ma = record("csr/dedupe-merge-addat", merge_addat)
-    t_mb = record("csr/dedupe-merge", merge_bincount)
-    assert np.array_equal(merge_addat(), merge_bincount())
-
-    def accum_addat():
-        out = np.zeros((n_grp, 2))
-        np.add.at(out, sc_idx, sc_f)
-        return out
+    record("csr/dedupe-merge", merge_bincount)
 
     def accum_bincount():
         out = np.empty((n_grp, 2))
@@ -242,9 +239,7 @@ def run_benchmarks(quick: bool = False, repeats: int = 5,
         out[:, 1] = np.bincount(sc_idx, weights=sc_f[:, 1], minlength=n_grp)
         return out
 
-    t_aa = record("embed/dist-accumulate-addat", accum_addat)
-    t_ab = record("embed/dist-accumulate", accum_bincount)
-    assert np.array_equal(accum_addat(), accum_bincount())
+    record("embed/dist-accumulate", accum_bincount)
 
     # ---- engine payload delivery -------------------------------------
     n_payload = 4_000 if quick else 1_000_000
@@ -357,8 +352,6 @@ def run_benchmarks(quick: bool = False, repeats: int = 5,
 
     results["speedups"] = {
         "heavy_edge_matching": t_hem / t_vec if t_vec > 0 else float("inf"),
-        "dedupe_merge": t_ma / t_mb if t_mb > 0 else float("inf"),
-        "dist_accumulate": t_aa / t_ab if t_ab > 0 else float("inf"),
     }
     for name, ratio in results["speedups"].items():
         print(f"  speedup {name:<20s} {ratio:6.2f}x")

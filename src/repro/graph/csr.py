@@ -244,20 +244,46 @@ class CSRGraph:
 
         Returns ``(sub, vertices)`` where vertex ``i`` of ``sub``
         corresponds to ``vertices[i]`` of ``self`` (the second element is
-        the sorted, de-duplicated id map).
+        the sorted, de-duplicated id map).  ``vertices`` must hold
+        integer ids; turn a boolean mask into ids with ``np.flatnonzero``.
+
+        Only the selected rows are read.  Their slots are relabelled, the
+        ``row < neighbour`` ones (each induced edge once, in CSR order)
+        are kept, then symmetrised and bucketed by source with the same
+        stable sort as :meth:`from_edges` — so the result is
+        byte-identical to rebuilding the induced edge list.
         """
-        vertices = np.unique(np.asarray(vertices, dtype=np.int64))
-        if vertices.size and (vertices[0] < 0 or vertices[-1] >= self.num_vertices):
+        vertices = np.asarray(vertices)
+        if vertices.size and not np.issubdtype(vertices.dtype, np.integer):
+            raise GraphError(
+                f"subgraph vertex ids must be integers, got dtype "
+                f"{vertices.dtype}; use np.flatnonzero(mask) for a mask"
+            )
+        vertices = vertices.astype(np.int64).ravel()
+        if vertices.size > 1 and not np.all(vertices[1:] > vertices[:-1]):
+            vertices = np.unique(vertices)
+        nb = vertices.size
+        if nb and (vertices[0] < 0 or vertices[-1] >= self.num_vertices):
             raise GraphError("subgraph vertex id out of range")
         inv = np.full(self.num_vertices, -1, dtype=np.int64)
-        inv[vertices] = np.arange(vertices.size)
-        edges, w = self.edge_list()
-        if edges.shape[0]:
-            keep = (inv[edges[:, 0]] >= 0) & (inv[edges[:, 1]] >= 0)
-            edges, w = inv[edges[keep]], w[keep]
-        sub = CSRGraph.from_edges(
-            vertices.size, edges, w, self.vwgt[vertices], dedupe=False
-        )
+        inv[vertices] = np.arange(nb)
+        # gather the selected rows' slots
+        starts = self.indptr[vertices]
+        counts = self.indptr[vertices + 1] - starts
+        ends = np.cumsum(counts)
+        slots = np.arange(int(ends[-1]) if nb else 0, dtype=np.int64)
+        slots += np.repeat(starts - (ends - counts), counts)
+        row = np.repeat(np.arange(nb, dtype=np.int64), counts)
+        col = inv[self.indices[slots]]
+        keep = row < col  # drops unselected neighbours (col = -1) too
+        lo, hi, w = row[keep], col[keep], self.ewgt[slots[keep]]
+        src = np.concatenate([lo, hi])
+        indptr = np.zeros(nb + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=nb), out=indptr[1:])
+        order = np.argsort(src, kind="stable")
+        sub = CSRGraph(indptr, np.concatenate([hi, lo])[order],
+                       np.concatenate([w, w])[order], self.vwgt[vertices],
+                       validate=False)
         return sub, vertices
 
     def permute(self, perm: np.ndarray) -> "CSRGraph":

@@ -17,7 +17,9 @@ This implementation is *boundary FM* with balance constraints:
   the balance constraint, then rolls back to it;
 * gains live in a lazy max-heap (stale entries are skipped on pop),
   which supports the float edge weights produced by contraction without
-  the integer-bucket restriction of the original FM.
+  the integer-bucket restriction of the original FM;
+* the pass starts from vectorised gains and boundary (one
+  ``edge_sources()``), then runs as a scalar loop over Python lists.
 
 ``movable`` restricts moves to a vertex subset — exactly what the strip
 refinement needs (only strip vertices may move; the rest of the graph
@@ -26,8 +28,9 @@ is frozen but still contributes to gains through its edges).
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 import numpy as np
@@ -77,6 +80,10 @@ def fm_refine(
     stall_limit:
         abandon a pass after this many consecutive non-improving moves
         (default ``max(64, n // 50)``); bounds pass cost on large graphs.
+
+    Raises :class:`PartitionError` for a ``movable`` mask of the wrong
+    shape, a negative or non-finite ``max_imbalance``, a negative
+    ``max_passes`` or a ``stall_limit`` below 1.
     """
     g = bisection.graph
     n = g.num_vertices
@@ -84,10 +91,16 @@ def fm_refine(
         movable = np.asarray(movable, dtype=bool)
         if movable.shape != (n,):
             raise PartitionError("movable mask must have one entry per vertex")
-    if max_imbalance < 0:
-        raise PartitionError("max_imbalance must be nonnegative")
+    if not (math.isfinite(max_imbalance) and max_imbalance >= 0):
+        raise PartitionError(
+            f"max_imbalance must be finite and >= 0, got {max_imbalance}"
+        )
+    if max_passes < 0:
+        raise PartitionError(f"max_passes must be >= 0, got {max_passes}")
     if stall_limit is None:
         stall_limit = max(64, n // 50)
+    elif stall_limit < 1:
+        raise PartitionError(f"stall_limit must be >= 1, got {stall_limit}")
 
     side = bisection.side.astype(np.int8).copy()
     indptr, indices, ewgt, vwgt = g.indptr, g.indices, g.ewgt, g.vwgt
@@ -119,9 +132,11 @@ def fm_refine(
     )
 
 
-def _gains(g: CSRGraph, side: np.ndarray) -> np.ndarray:
-    """ED − ID for every vertex (vectorised)."""
-    src = g.edge_sources()
+def _gains(g: CSRGraph, side: np.ndarray, src=None) -> np.ndarray:
+    """ED − ID for every vertex (vectorised); ``src`` is
+    ``g.edge_sources()`` when the caller already has it."""
+    if src is None:
+        src = g.edge_sources()
     ext = side[src] != side[g.indices]
     signed = np.where(ext, g.ewgt, -g.ewgt)
     return np.bincount(src, weights=signed, minlength=g.num_vertices)
@@ -133,27 +148,35 @@ def _fm_pass(
     """One FM pass; mutates ``side`` in place.
 
     Returns ``(improvement, accepted_moves)``.
+
+    Gain, side, stamp and lock live in Python lists for the pass and
+    the heap holds Python scalars: the pass is one scalar loop, and
+    indexing a list is several times cheaper than indexing a numpy
+    array.  Vertex weights and ``movable`` stay numpy, because they
+    are read once per pop or push, and converting all ``n`` of them
+    would cost more on a strip pass over a large graph.  The arithmetic
+    is the same IEEE double, and the heap pops in the same total order
+    on ``(-gain, v, stamp)``, so the moves are those of an array-backed
+    pass.  Only the kept prefix of moves is written back to ``side``.
     """
-    n = g.num_vertices
-    gain = _gains(g, side)
+    src = g.edge_sources()
+    gain = _gains(g, side, src).tolist()
+    sd = side.tolist()
     w1 = float(vwgt[side == 1].sum())
     w0 = total_w - w1
 
-    # candidate heap entries: (-gain, v); stale entries skipped via stamp
-    stamp = np.zeros(n, dtype=np.int64)
-    locked = np.zeros(n, dtype=bool)
-    heap: list = []
-
-    def push(v: int) -> None:
-        if movable is not None and not movable[v]:
-            return
-        heapq.heappush(heap, (-gain[v], v, int(stamp[v])))
-
+    # candidate heap entries: (-gain, v, stamp); stale entries are
+    # skipped via stamp.  All entries are distinct, so the pop order
+    # does not depend on how the heap was built.
+    n = g.num_vertices
+    stamp = [0] * n
+    locked = [False] * n
     # seed with current boundary vertices
-    src = g.edge_sources()
-    boundary = np.unique(src[side[src] != side[indices]])
-    for v in boundary:
-        push(int(v))
+    bnd = np.unique(src[side[src] != side[indices]])
+    if movable is not None:
+        bnd = bnd[movable[bnd]]
+    heap = [(-gain[v], v, 0) for v in bnd.tolist()]
+    heapify(heap)
 
     moves: list = []
     cum = 0.0
@@ -167,40 +190,40 @@ def _fm_pass(
     best_maxw = init_maxw
 
     while heap and since_best < stall_limit:
-        ng, v, st = heapq.heappop(heap)
+        ng, v, st = heappop(heap)
         if locked[v] or st != stamp[v]:
             continue
         gv = -ng
         # balance feasibility of moving v off its side
-        if side[v] == 0:
-            nw0, nw1 = w0 - vwgt[v], w1 + vwgt[v]
+        old = sd[v]
+        cv = float(vwgt[v])
+        if old == 0:
+            nw0, nw1 = w0 - cv, w1 + cv
         else:
-            nw0, nw1 = w0 + vwgt[v], w1 - vwgt[v]
+            nw0, nw1 = w0 + cv, w1 - cv
+        locked[v] = True
         if max(nw0, nw1) > w_limit and max(nw0, nw1) >= max(w0, w1):
             # move would worsen an already-tight balance; skip permanently
             # for this pass (vertex may reappear via gain updates)
-            locked[v] = True
             continue
         # apply tentative move
-        locked[v] = True
-        old = side[v]
-        side[v] = 1 - old
+        sd[v] = 1 - old
         w0, w1 = nw0, nw1
         cum += gv
         moves.append(v)
         # update neighbour gains
         beg, end = indptr[v], indptr[v + 1]
-        for idx in range(beg, end):
-            u = indices[idx]
+        for u, w in zip(indices[beg:end].tolist(), ewgt[beg:end].tolist()):
             if locked[u]:
                 continue
-            w = ewgt[idx]
-            if side[u] == old:
-                gain[u] += 2.0 * w
+            if sd[u] == old:
+                gu = gain[u] + 2.0 * w
             else:
-                gain[u] -= 2.0 * w
+                gu = gain[u] - 2.0 * w
+            gain[u] = gu
             stamp[u] += 1
-            push(int(u))
+            if movable is None or movable[u]:
+                heappush(heap, (-gu, u, stamp[u]))
         feasible = max(w0, w1) <= w_limit
         record = False
         if feasible:
@@ -218,8 +241,8 @@ def _fm_pass(
         else:
             since_best += 1
 
-    # roll back to the best prefix
-    for v in moves[best_idx:]:
-        side[v] = 1 - side[v]
+    # keep the best prefix (each vertex moves at most once per pass)
+    kept = np.asarray(moves[:best_idx], dtype=np.int64)
+    side[kept] = 1 - side[kept]
     improvement = max(best, init_maxw - best_maxw)
     return improvement, best_idx

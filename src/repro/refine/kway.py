@@ -36,6 +36,15 @@ limit mapped onto the pair.  A pair's result is accepted only if the
 leaving the pair, so its local improvement is checked against the true
 cut delta before committing.  Accepted labellings are monotone in the
 global cut, which keeps the phase deterministic and terminating.
+
+A pair is evaluated again only if one of its two parts changed since
+its last rejected try.  Its outcome depends on nothing else: the pair
+subgraph, the costs and the FM start are functions of the memberships
+of parts ``a`` and ``b``, and an edge from a moved vertex to a third
+part crosses both before and after the move, so the global cut delta
+is the pair-internal one.  Within the phase only pair commits change
+labels, so a per-part commit counter tells exactly when a rejected pair
+would be rejected again, and skipping it changes no result.
 """
 
 from __future__ import annotations
@@ -205,6 +214,8 @@ def _pairwise_fm(g, parts, costs, part_cost, k, limit, rounds,
     ties break on the pair indices).  A pair's refined labelling is
     committed only when the *global* cut delta — evaluated over the
     directed edges touching the moved vertices — is strictly negative.
+    A pair whose two parts are unchanged since its last rejected try is
+    skipped (see the module docstring for why that is exact).
     """
     from ..graph.csr import CSRGraph
     from ..graph.partition import Bisection
@@ -214,18 +225,29 @@ def _pairwise_fm(g, parts, costs, part_cost, k, limit, rounds,
     dst = g.indices
     ewgt = g.ewgt
     touch = np.zeros(g.num_vertices, dtype=bool)
+    # version[p] counts the commits that changed part p; tried[(a, b)]
+    # holds the versions at the pair's last evaluation, which a commit
+    # bumps, so only a rejected try can match again
+    version = [0] * k
+    tried: dict = {}
     moves = 0
     for _ in range(rounds):
         pa, pb = parts[src], parts[dst]
         crossing = pa != pb
-        shared = np.zeros((k, k))
-        np.add.at(shared, (pa[crossing], pb[crossing]), ewgt[crossing])
+        # bincount accumulates in slot order, like np.add.at
+        shared = np.bincount(pa[crossing] * k + pb[crossing],
+                             weights=ewgt[crossing],
+                             minlength=k * k).reshape(k, k)
         shared = shared + shared.T
         pairs = [(a, b) for a in range(k) for b in range(a + 1, k)
                  if shared[a, b] > 0]
         pairs.sort(key=lambda ab: (-shared[ab[0], ab[1]], ab))
         improved = False
         for a, b in pairs:
+            key = (version[a], version[b])
+            if tried.get((a, b)) == key:
+                continue  # same memberships, so the same rejected outcome
+            tried[(a, b)] = key
             ids = np.flatnonzero((parts == a) | (parts == b))
             if ids.size < 2:
                 continue
@@ -261,6 +283,8 @@ def _pairwise_fm(g, parts, costs, part_cost, k, limit, rounds,
                 part_cost[b] = float(pair_costs[new_side == 1].sum())
                 moves += int(changed.size)
                 improved = True
+                version[a] += 1
+                version[b] += 1
             else:
                 parts[sub_ids] = saved
         if not improved:

@@ -129,6 +129,18 @@ class TestDerived:
         sub, _ = g.subgraph(np.array([2, 3]))
         assert sub.vwgt.tolist() == [3.0, 4.0]
 
+    def test_subgraph_rejects_boolean_mask(self):
+        g = grid2d(4, 4).graph
+        mask = np.zeros(16, dtype=bool)
+        mask[[5, 6, 9]] = True
+        with pytest.raises(GraphError, match="flatnonzero"):
+            g.subgraph(mask)
+
+    def test_subgraph_rejects_float_ids(self):
+        g = grid2d(4, 4).graph
+        with pytest.raises(GraphError, match="flatnonzero"):
+            g.subgraph(np.array([0.0, 1.7, 2.0]))
+
     def test_permute_preserves_structure(self):
         g = cycle_graph(8).graph
         perm = np.roll(np.arange(8), 3)

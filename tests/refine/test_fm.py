@@ -70,6 +70,21 @@ class TestFMRefine:
         with pytest.raises(PartitionError):
             fm_refine(b, max_imbalance=-0.1)
 
+    def test_negative_max_passes_rejected(self):
+        with pytest.raises(PartitionError, match="max_passes"):
+            fm_refine(noisy_grid_bisection(), max_passes=-3)
+
+    def test_stall_limit_below_one_rejected(self):
+        with pytest.raises(PartitionError, match="stall_limit"):
+            fm_refine(noisy_grid_bisection(), stall_limit=-1)
+        with pytest.raises(PartitionError, match="stall_limit"):
+            fm_refine(noisy_grid_bisection(), stall_limit=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_imbalance_rejected(self, bad):
+        with pytest.raises(PartitionError, match="max_imbalance"):
+            fm_refine(noisy_grid_bisection(), max_imbalance=bad)
+
     def test_result_fields_consistent(self):
         b = noisy_grid_bisection()
         res = fm_refine(b)
