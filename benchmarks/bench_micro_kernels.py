@@ -1,11 +1,12 @@
 """Micro-benchmark + perf-regression harness for the hot-path kernels.
 
-Times the library's hot paths — matching, contraction, k-way
-assignment and refinement, engine payload delivery, one embed smoothing
-iteration, the β field at the production lattice side, and Barnes–Hut
-at 100k points and at the production ~1k-point clustered shape — on
-generated graphs, reports per-kernel medians, and persists them (plus
-the sequential ÷ vectorised matching speedup) to ``BENCH_kernels.json``.
+Times the library's hot paths — matching (sequential and distributed),
+contraction, k-way assignment and refinement, engine payload delivery,
+one embed smoothing iteration, the β field at the production lattice
+side, and Barnes–Hut at 100k points and at the production ~1k-point
+clustered shape — on generated graphs, reports per-kernel medians, and
+persists them (plus the sequential ÷ vectorised matching speedup) to
+``BENCH_kernels.json``.
 
 Two ways to run it:
 
@@ -53,6 +54,7 @@ from repro.coarsen import (  # noqa: E402
     heavy_edge_matching_vec,
     validate_matching,
 )
+from repro.coarsen.parallel import dist_match  # noqa: E402
 from repro.embed.box import Box  # noqa: E402
 from repro.embed.fdl import force_directed_layout, random_positions  # noqa: E402
 from repro.embed.lattice import (  # noqa: E402
@@ -79,6 +81,7 @@ TIMED_KERNELS = (
     "matching/hem-vec",
     "matching/validate",
     "coarsen/contract",
+    "coarsen/dist-match",
     "kway/geom-assign",
     "refine/kway-refine",
     "csr/dedupe-merge",
@@ -204,6 +207,16 @@ def run_benchmarks(quick: bool = False, repeats: int = 5,
 
     # ---- contraction --------------------------------------------------
     record("coarsen/contract", lambda: contract(g, match))
+
+    # ---- distributed matching -----------------------------------------
+    # three mutual-proposal rounds at P = 16, salted by P as the
+    # hierarchy driver does; ZERO_COST times the kernel and the engine,
+    # not the cost model
+    def dist_match_prog(comm):
+        return (yield from dist_match(comm, g, salt=comm.size))
+
+    record("coarsen/dist-match",
+           lambda: run_spmd(dist_match_prog, 16, machine=ZERO_COST))
 
     # ---- direct k-way geometric assignment ----------------------------
     # balanced spherical K-means on the mesh coordinates (K = 8 cells);

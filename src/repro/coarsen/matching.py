@@ -95,19 +95,39 @@ def _edge_tiebreak(
     return h.astype(np.float64) / float(2**32) * 0.5
 
 
+def _segment_max_slots(seg: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Ascending indices of the slots attaining the maximum ``w`` of
+    their segment, where segments are the runs of equal ``seg``
+    (nonempty input).  NaN counts as largest: a segment holding NaN hits
+    exactly its NaN slots."""
+    first = np.empty(seg.shape[0], dtype=bool)
+    first[0] = True
+    np.not_equal(seg[1:], seg[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    best = np.maximum.reduceat(w, starts)  # NaN propagates
+    hit = w == np.repeat(best, np.diff(starts, append=seg.shape[0]))
+    if np.isnan(best).any():
+        hit |= np.isnan(w)
+    return np.flatnonzero(hit)
+
+
 def heavy_edge_matching_vec(
     graph: CSRGraph, seed: SeedLike = None, max_stall_rounds: int = 4
 ) -> np.ndarray:
     """Round-based vectorised heavy-edge matching (locally dominant edges).
 
     Each round every unmatched vertex proposes to its heaviest free
-    neighbour, found with two segmented reductions over the CSR arrays
-    (``np.maximum.reduceat`` for the best weight, ``np.minimum.reduceat``
-    for its slot); proposals that are mutual become matched pairs.
-    Rounds repeat until no vertex can propose, so on termination the
-    matching is maximal (every remaining unmatched vertex has only
-    matched neighbours) except in the astronomically unlikely event of
-    ``max_stall_rounds`` consecutive tie-break collisions.
+    neighbour, found with segmented reductions over the *live* slots
+    (both endpoints still free) kept in CSR order: ``np.maximum.reduceat``
+    gives the best weight and the *first* slot attaining it wins.  A
+    vertex whose best weight is -inf or NaN makes no proposal.
+    Proposals that are mutual become matched pairs.  A slot that dies
+    never comes back, so the slot arrays are compacted every round and
+    later rounds touch only what is left.  Rounds repeat until no vertex
+    can propose, so on termination the matching is maximal (every
+    remaining unmatched vertex has only matched neighbours) except in
+    the astronomically unlikely event of ``max_stall_rounds``
+    consecutive tie-break collisions.
 
     The globally heaviest free edge is always mutual (both endpoints see
     it as their best), so every round matches at least one pair and the
@@ -116,47 +136,38 @@ def heavy_edge_matching_vec(
     and — like the greedy rule's random visit order — varying across
     seeds.
     """
+    if max_stall_rounds < 1:
+        raise GraphError(f"max_stall_rounds must be >= 1, got {max_stall_rounds}")
     n = graph.num_vertices
     match = np.arange(n, dtype=np.int64)
     if n == 0:
         return match
     rng = as_generator(seed)
     base_salt = int(rng.integers(0, 2**31))
-    indptr, indices, ewgt = graph.indptr, graph.indices, graph.ewgt
-    deg = np.diff(indptr)
-    nz = np.flatnonzero(deg > 0)
-    if nz.size == 0:
-        return match
-    # slot → proposing vertex, for the whole adjacency (built once)
-    src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    # segment starts of the degree>0 vertices tile [0, 2m) exactly,
-    # which is what reduceat needs (empty segments would misbehave)
-    starts = indptr[nz]
-    # position of each slot's owner within ``nz``
-    seg_pos = np.repeat(np.arange(nz.size, dtype=np.int64), deg[nz])
     ids = np.arange(n, dtype=np.int64)
-    nslots = indices.shape[0]
+    # live slots in CSR order: proposing vertex, neighbour, weight
+    src = np.repeat(ids, np.diff(graph.indptr))
+    dst, ewgt = graph.indices, graph.ewgt
     stalled = 0
     round_no = 0
     while True:
         free = match == ids
-        valid = free[src] & free[indices]
-        if not valid.any():
+        live = free[src] & free[dst]
+        if not live.all():
+            src, dst, ewgt = src[live], dst[live], ewgt[live]
+        if src.shape[0] == 0:
             break
-        w_eff = np.where(
-            valid,
-            ewgt + _edge_tiebreak(src, indices,
-                                  np.uint64(base_salt + round_no)),
-            -np.inf,
-        )
-        seg_best = np.maximum.reduceat(w_eff, starts)
-        # slot of the best proposal: smallest slot index attaining the max
-        hit = w_eff == seg_best[seg_pos]
-        slot_ids = np.where(hit, np.arange(nslots), nslots)
-        best_slot = np.minimum.reduceat(slot_ids, starts)
-        has = seg_best > -np.inf
+        w_eff = ewgt + _edge_tiebreak(src, dst, np.uint64(base_salt + round_no))
+        # slot of the best proposal: first live slot attaining the max;
+        # a best weight of -inf or NaN makes no proposal
+        idx = _segment_max_slots(src, w_eff)
+        hs = src[idx]
+        lead = np.ones(hs.shape[0], dtype=bool)
+        lead[1:] = hs[1:] != hs[:-1]
+        best = idx[lead]
+        best = best[w_eff[best] > -np.inf]
         prop = np.full(n, -1, dtype=np.int64)
-        prop[nz[has]] = indices[best_slot[has]]
+        prop[src[best]] = dst[best]
         ok = prop >= 0
         mutual = ok.copy()
         mutual[ok] = prop[prop[ok]] == ids[ok]

@@ -7,7 +7,9 @@ matchers: each round every rank computes, for its owned unmatched
 vertices, the heaviest unmatched neighbour; proposals are exchanged and
 an edge whose endpoints propose each other becomes matched.  Two to
 three rounds capture most of the matching weight; remaining vertices
-stay unmatched for this level (standard in ParMetis).
+stay unmatched for this level (standard in ParMetis).  The proposal is
+a segmented argmax over the block's CSR slots (no sort); on a tie the
+last slot wins, unlike ``hem-vec``, where the first does.
 
 Folding: with ``keep_every_other=True`` two matchings fuse per retained
 level and the active rank set shrinks to a quarter (``P^i ≈ P^{i-1}/4``,
@@ -15,11 +17,14 @@ paper §3), so per-rank work stays ~``m/P`` at every level.  Ranks that
 fold out wait at the final hierarchy broadcast.
 
 Simulator notes (see :mod:`repro.graph.distributed`): graph objects are
-immutable and travel by :class:`Shared` reference; the contraction is
+immutable and travel by :class:`Shared` reference.  Two steps are
 executed functionally at the subtree root and *charged* as the
-distributed edge-relabel + redistribution a real implementation
-performs (each rank charges its owned adjacency, and the broadcast
-carries the coarse graph's redistribution volume).
+distributed algorithm: the mutual-match step of every round (root
+folds the gathered proposals into a new ``(match, matched)`` pair; the
+broadcast carries the proposal allgather's volume and every rank
+charges ``n/P``), and the contraction (each rank charges its owned
+adjacency for the edge relabel, and the broadcast carries the coarse
+graph's redistribution volume).
 """
 
 from __future__ import annotations
@@ -32,9 +37,10 @@ from ..errors import GraphError
 from ..graph.csr import CSRGraph
 from ..graph.distributed import block_adjacency_slots, block_of, block_starts
 from ..parallel.engine import Comm
-from ..parallel.patterns import allgather_concat, share_from_root
+from ..parallel.patterns import allgather_words, share_from_root
 from .hierarchy import _STALL_RATIO
 from .contract import contract
+from .matching import _edge_tiebreak, _segment_max_slots
 
 __all__ = ["dist_matching_round", "dist_match", "dist_build_hierarchy"]
 
@@ -42,64 +48,77 @@ __all__ = ["dist_matching_round", "dist_match", "dist_build_hierarchy"]
 _ROUNDS = 3
 
 
-def _local_proposals(
-    graph: CSRGraph, lo: int, hi: int, matched: np.ndarray, salt: int = 0
-) -> np.ndarray:
-    """Heaviest-unmatched-neighbour proposal for owned vertices
-    [lo, hi); -1 where no proposal is possible.  Vectorised."""
-    prop = np.full(hi - lo, -1, dtype=np.int64)
-    if hi <= lo:
-        return prop
+def _block_slots(graph: CSRGraph, lo: int, hi: int, salt: int):
+    """Owned adjacency of block [lo, hi) as ``(src_pos, src, dst, w)``
+    with the tie-break already added to ``w``.
+
+    Symmetric pseudo-random tie-break: without it, unweighted regular
+    graphs make every vertex propose in the same direction and almost
+    no proposal is mutual.  It is a pure function of the endpoint pair,
+    so both owners of an edge perturb it identically.  The salt is fixed
+    for one :func:`dist_match`, so this is computed once, not per round.
+    """
     src_pos, src, dst, w = block_adjacency_slots(graph, lo, hi)
+    return src_pos, src, dst, w + _edge_tiebreak(src, dst, np.uint64(salt))
+
+
+def _local_proposals(slots, owned: int, matched: np.ndarray) -> np.ndarray:
+    """Heaviest-unmatched-neighbour proposal for the ``owned`` vertices
+    of a block (``slots`` from :func:`_block_slots`); -1 where no
+    proposal is possible.
+
+    Slots arrive grouped by source in CSR order, so the argmax is one
+    segmented ``np.maximum.reduceat`` with no sort.  Tie rule: the
+    *last* slot attaining the maximum wins and NaN counts as largest
+    (the order of a stable ascending sort by source, then weight).
+    """
+    src_pos, src, dst, w = slots
+    prop = np.full(owned, -1, dtype=np.int64)
     valid = ~matched[dst] & ~matched[src]
     if not valid.any():
         return prop
-    sp, d, ww = src_pos[valid], dst[valid], w[valid]
-    # Symmetric pseudo-random tie-break: without it, unweighted regular
-    # graphs make every vertex propose in the same direction and almost
-    # no proposal is mutual.  The perturbation (< 0.5) never reorders
-    # integer-valued weights, and being a pure function of the endpoint
-    # pair it is identical on both owners of an edge.
-    s = src[valid]
-    elo = np.minimum(s, d).astype(np.uint64)
-    ehi = np.maximum(s, d).astype(np.uint64)
-    h = (
-        elo * np.uint64(2654435761)
-        + ehi * np.uint64(40503)
-        + np.uint64((salt + 1) * 2246822519)
-    ) & np.uint64(0xFFFFFFFF)
-    ww = ww + h.astype(np.float64) / float(2**32) * 0.5
-    order = np.lexsort((ww, sp))  # ascending weight within each source
-    sp_s, d_s = sp[order], d[order]
-    last = np.ones(sp_s.shape[0], dtype=bool)
-    last[:-1] = sp_s[1:] != sp_s[:-1]
-    prop[sp_s[last]] = d_s[last]  # heaviest (last) proposal per source
+    sp, d = src_pos[valid], dst[valid]
+    idx = _segment_max_slots(sp, w[valid])
+    hs = sp[idx]
+    last = np.ones(hs.shape[0], dtype=bool)
+    last[:-1] = hs[1:] != hs[:-1]
+    prop[hs[last]] = d[idx[last]]
     return prop
 
 
-def dist_matching_round(comm: Comm, graph: CSRGraph, matched: np.ndarray,
-                        match: np.ndarray, salt: int = 0):
-    """One mutual-proposal round; updates ``matched``/``match`` in place
-    (identical on every rank after the round's exchanges)."""
+def dist_matching_round(comm: Comm, graph: CSRGraph, slots,
+                        match: np.ndarray, matched: np.ndarray):
+    """One mutual-proposal round; returns the new ``(match, matched)``
+    pair, one immutable object shared by every rank.
+
+    Matching is a pure function of the proposal array (match v↔u iff
+    ``prop[v] == u`` and ``prop[u] == v``), so root derives it once
+    between the proposal gather and the broadcast (functional folding)
+    instead of every rank repeating the O(n) step.  The broadcast
+    carries the proposal allgather's volume and every rank still
+    charges its ``n/P`` share, as in the distributed algorithm.
+    """
     n = graph.num_vertices
     comm.set_phase("coarsen/match")
-    starts = block_starts(n, comm.size)
-    lo, hi = block_of(starts, comm.rank)
-    local_prop = _local_proposals(graph, lo, hi, matched, salt)
+    lo, hi = block_of(block_starts(n, comm.size), comm.rank)
+    local_prop = _local_proposals(slots, hi - lo, matched)
     # charge the sweep: every owned adjacency slot is examined once
     comm.charge(float(graph.indptr[hi] - graph.indptr[lo]) + (hi - lo))
-    prop = yield from allgather_concat(comm, local_prop)
-    # Mutual proposals become matches.  Matching is a pure function of
-    # the proposal array (match v↔u iff prop[v]==u and prop[u]==v), so
-    # after the single proposal exchange every rank derives the round's
-    # matches locally — no second communication step is needed.
-    ids = np.arange(n, dtype=np.int64)
-    ok = prop >= 0
-    mutual = ok.copy()
-    mutual[ok] = prop[prop[ok]] == ids[ok]
-    match[mutual] = prop[mutual]
-    matched[:] = match != ids
+    parts = yield from comm.gather(local_prop, root=0, words=0)
+    pair = None
+    if comm.rank == 0:
+        prop = np.concatenate(parts)
+        ids = np.arange(n, dtype=np.int64)
+        ok = prop >= 0
+        mutual = ok.copy()
+        mutual[ok] = prop[prop[ok]] == ids[ok]
+        new_match = match.copy()
+        new_match[mutual] = prop[mutual]
+        pair = (new_match, new_match != ids)
+    pair = yield from share_from_root(comm, pair,
+                                      words=allgather_words(comm, local_prop))
     comm.charge(float(n) / comm.size)
+    return pair
 
 
 def dist_match(comm: Comm, graph: CSRGraph, rounds: int = _ROUNDS,
@@ -111,12 +130,21 @@ def dist_match(comm: Comm, graph: CSRGraph, rounds: int = _ROUNDS,
     final cut — vary with P, which is how the paper's per-method
     cut-size *ranges* across processor counts arise.
     """
+    _check_rounds(rounds)
     n = graph.num_vertices
-    matched = np.zeros(n, dtype=bool)
+    lo, hi = block_of(block_starts(n, comm.size), comm.rank)
+    slots = _block_slots(graph, lo, hi, salt)
     match = np.arange(n, dtype=np.int64)
-    for _ in range(max(1, rounds)):
-        yield from dist_matching_round(comm, graph, matched, match, salt)
+    matched = np.zeros(n, dtype=bool)
+    for _ in range(rounds):
+        match, matched = yield from dist_matching_round(
+            comm, graph, slots, match, matched)
     return match
+
+
+def _check_rounds(rounds: int) -> None:
+    if rounds < 1:
+        raise GraphError(f"rounds must be >= 1, got {rounds}")
 
 
 def _dist_contract(comm: Comm, graph: CSRGraph, match: np.ndarray):
@@ -163,6 +191,7 @@ def dist_build_hierarchy(
     """
     if coarsest_size < 1:
         raise GraphError("coarsest_size must be >= 1")
+    _check_rounds(rounds)
     graphs: List[CSRGraph] = [graph]
     cmaps: List[np.ndarray] = []
     active: Optional[Comm] = comm

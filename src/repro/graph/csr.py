@@ -31,6 +31,11 @@ from ..errors import GraphError
 __all__ = ["CSRGraph"]
 
 
+def _check_finite(weights: np.ndarray, what: str) -> None:
+    if not np.isfinite(weights).all():
+        raise GraphError(f"{what} weights must be finite (got NaN or inf)")
+
+
 class CSRGraph:
     """Undirected weighted graph in CSR form.
 
@@ -107,6 +112,9 @@ class CSRGraph:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape[0] != edges.shape[0]:
                 raise GraphError("weights length must match number of edges")
+            _check_finite(weights, "edge")
+        if vwgt is not None:
+            _check_finite(np.asarray(vwgt, dtype=np.float64), "vertex")
         keep = edges[:, 0] != edges[:, 1]
         edges, weights = edges[keep], weights[keep]
         if dedupe and edges.shape[0]:
@@ -362,6 +370,8 @@ class CSRGraph:
             raise GraphError("ewgt must align with indices")
         if self.vwgt.shape[0] != n:
             raise GraphError("vwgt must have one entry per vertex")
+        _check_finite(self.ewgt, "edge")
+        _check_finite(self.vwgt, "vertex")
         if self.indices.shape[0] % 2 != 0:
             raise GraphError("adjacency length must be even (undirected graph)")
         src = self.edge_sources()

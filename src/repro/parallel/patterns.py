@@ -19,29 +19,38 @@ import numpy as np
 from ..graph.distributed import Shared
 from .engine import Comm, payload_words
 
-__all__ = ["allgather_concat", "gather_to_root", "share_from_root"]
+__all__ = ["allgather_concat", "allgather_words", "gather_to_root",
+           "share_from_root"]
+
+
+def allgather_words(comm: Comm, local: np.ndarray) -> float:
+    """``words=`` for the broadcast half of a gather(``words=0``) +
+    broadcast pair that charges one allgather of ``local``.
+
+    One recursive-doubling allgather moving ``(p−1)·m`` words costs
+    ``t_s·log p + t_w·(p−1)·m``; the engine's broadcast tree multiplies
+    ``words`` by ``log p``, so the broadcast carries ``(p−1)·m/log p``.
+    """
+    p = comm.size
+    lg = max(1.0, math.log2(p)) if p > 1 else 1.0
+    return (p - 1) * payload_words(local) / lg
 
 
 def allgather_concat(comm: Comm, local: np.ndarray):
     """Allgather of per-rank array slices, returned concatenated (rank
     order), identical on every rank.
 
-    Accounting: one recursive-doubling allgather moving ``(p−1)·m``
-    words costs ``t_s·log p + t_w·(p−1)·m``.  We post the gather with
-    ``words=0`` (latency tree only) and put the full volume on the
-    broadcast, scaled by ``1/log p`` so the engine's tree formula
-    reproduces the allgather volume exactly.
+    Accounting: the gather is posted with ``words=0`` (latency tree
+    only) and the broadcast carries :func:`allgather_words`, so the
+    pair costs exactly one recursive-doubling allgather.
     """
     local = np.ascontiguousarray(local)
-    m = payload_words(local)
     parts = yield from comm.gather(local, root=0, words=0)
     full = None
     if comm.rank == 0:
         full = np.concatenate([np.atleast_1d(x) for x in parts]) if parts else local
-    p = comm.size
-    lg = max(1.0, math.log2(p)) if p > 1 else 1.0
-    volume = (p - 1) * m / lg
-    shared = yield from comm.bcast(Shared(full), root=0, words=volume)
+    shared = yield from comm.bcast(Shared(full), root=0,
+                                   words=allgather_words(comm, local))
     return shared.value
 
 

@@ -123,6 +123,12 @@ class TestVectorisedHEM:
         m = heavy_edge_matching_vec(g, seed=0)
         assert np.array_equal(m, np.arange(4))
 
+    @pytest.mark.parametrize("max_stall_rounds", [0, -1])
+    def test_rejects_max_stall_rounds_below_one(self, max_stall_rounds):
+        g = grid2d(4, 4).graph
+        with pytest.raises(GraphError, match="max_stall_rounds"):
+            heavy_edge_matching_vec(g, seed=0, max_stall_rounds=max_stall_rounds)
+
     def test_quality_parity_with_sequential_hem(self):
         # the round-based rule must land in the same quality band as the
         # greedy visit-order rule: matched-edge weight within 25% on a

@@ -5,6 +5,7 @@ import pytest
 
 from repro.coarsen import validate_matching
 from repro.coarsen.parallel import dist_build_hierarchy, dist_match
+from repro.errors import GraphError
 from repro.graph import cut_weight
 from repro.graph.generators import grid2d, random_delaunay
 from repro.parallel import ZERO_COST, run_spmd
@@ -49,6 +50,12 @@ class TestDistMatch:
         a = run_match(g, 4).values[0]
         b = run_match(g, 4).values[0]
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("rounds", [0, -3])
+    def test_rejects_rounds_below_one(self, rounds):
+        g = grid2d(10, 10).graph
+        with pytest.raises(GraphError, match="rounds"):
+            run_match(g, 2, rounds=rounds)
 
 
 class TestDistHierarchy:
@@ -99,6 +106,12 @@ class TestDistHierarchy:
         for a, b in list(zip(sizes, sizes[1:]))[:3]:
             assert b < 0.5 * a
         assert sizes[-1] < 0.05 * sizes[0]
+
+    def test_rejects_rounds_below_one(self):
+        # checked up front, even when the graph is already coarse enough
+        g = grid2d(4, 4).graph
+        with pytest.raises(GraphError, match="rounds"):
+            self.run_hier(g, 2, coarsest_size=100, rounds=0)
 
     def test_matches_costs_charged(self):
         g = random_delaunay(1000, seed=7).graph

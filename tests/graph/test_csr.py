@@ -70,6 +70,32 @@ class TestConstruction:
         with pytest.raises(GraphError):
             CSRGraph(np.array([0, 1]), np.array([0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_validation_rejects_non_finite_edge_weight(self, bad):
+        with pytest.raises(GraphError, match="edge weights must be finite"):
+            CSRGraph(np.array([0, 1, 2]), np.array([1, 0]),
+                     ewgt=np.array([bad, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_validation_rejects_non_finite_vertex_weight(self, bad):
+        with pytest.raises(GraphError, match="vertex weights must be finite"):
+            CSRGraph(np.array([0, 1, 2]), np.array([1, 0]),
+                     vwgt=np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_edges_rejects_non_finite_weights(self, bad):
+        edges = np.array([[0, 1], [1, 2]])
+        with pytest.raises(GraphError, match="edge weights must be finite"):
+            CSRGraph.from_edges(3, edges, np.array([1.0, bad]))
+        with pytest.raises(GraphError, match="vertex weights must be finite"):
+            CSRGraph.from_edges(3, edges, vwgt=np.array([1.0, bad, 1.0]))
+
+    def test_unvalidated_graph_keeps_non_finite_weights(self):
+        # validate=False is the documented escape hatch (trusted callers)
+        g = CSRGraph(np.array([0, 1, 2]), np.array([1, 0]),
+                     ewgt=np.array([np.nan, np.nan]), validate=False)
+        assert np.isnan(g.ewgt).all()
+
 
 class TestProperties:
     def test_degrees_grid(self):
