@@ -1,24 +1,35 @@
-"""Whole-program protocol checker for SPMD rank programs (SP107–SP112).
+"""Whole-program dataflow pass for SPMD rank programs.
 
-:mod:`repro.analysis.lint` checks one function at a time; this module
-checks a whole *program*.  It builds an index over every parsed file,
-resolves ``yield from helper(...)`` calls across modules (including the
-stage singletons like ``EMBED_STAGE.run_dist`` and the registry's
-distributed entry points), and abstract-interprets each root rank
-program into an ordered **communication summary** — the sequence of
-comm ops it posts, with tag/peer expressions and the loop/branch
-structure they sit under.  The summaries are then model-checked:
+This is the half of ``repro lint`` that follows data and control flow
+(:mod:`repro.analysis.lint` holds the syntactic rules).  It builds an
+index over every parsed file, resolves ``yield from helper(...)`` calls
+across modules (including the stage singletons like
+``EMBED_STAGE.run_dist`` and the registry's distributed entry points),
+and abstract-interprets each root rank program into an ordered
+**communication summary** — the sequence of comm ops it posts, with
+tag/peer expressions and the loop/branch structure they sit under.
+The summaries are then model-checked; an alias scan of each function
+and a scan of the hot kernels complete the pass:
 
 ======  ================================================================
+SP102   a collective on the function's own communicator posted inside a
+        branch of the same function that depends on ``comm.rank`` —
+        ranks disagree on the collective schedule
+SP104   the sent name itself mutated later in the function than it was
+        posted to ``send``/``isend``/``sendrecv`` — delivery is
+        zero-copy, so the receiver aliases the sender's memory
+SP105   a ``for`` loop over a set (or a list/tuple built from one)
+        inside a generator that communicates — set order is
+        hash-dependent, so payload order can differ between runs.
+        Dicts are not flagged: they iterate in insertion order
 SP107   a point-to-point op with no tag-compatible counterpart anywhere
         in the program — the recv blocks forever (or the send is never
         consumed)
-SP108   collective count divergence the per-function SP102 cannot see:
-        a *subcommunicator* collective inside a rank-dependent branch
-        that is not its membership guard (the hole in SP102's
-        guarded-split exemption), a collective reached through a call
-        under a rank-dependent branch, or a collective inside a loop
-        whose trip count depends on ``comm.rank``
+SP108   the other collective-count divergences: a *subcommunicator*
+        collective inside a rank-dependent branch that is not its
+        membership guard, a collective reached through a call under a
+        rank-dependent branch, or a collective inside a loop whose trip
+        count depends on ``comm.rank``
 SP109   a send/recv tag or peer expression that depends on unordered
         (set-derived) iteration — rank A and rank B can disagree on who
         talks to whom
@@ -26,10 +37,9 @@ SP110   an unconditional recv whose every matching send occurs later in
         program order — the static twin of the runtime
         :class:`~repro.errors.DeadlockError` (all ranks block on the
         recv, nobody reaches the send)
-SP111   a posted payload that *aliases* a buffer mutated later in the
-        same phase — the static twin of the sanitizer's checksum catch
-        (SP104 handles the directly-sent name; this rule sees views,
-        reshapes and ``np.asarray`` aliases)
+SP111   a posted payload mutated later in the function through another
+        name — a view, reshape, ``np.asarray`` alias or second binding;
+        the static twin of the sanitizer's checksum catch
 SP112   perf discipline in the committed hot kernels: ``np.add.at``
         where ``np.bincount`` is the established bit-identical fast
         path, and array allocation inside the iteration loops of
@@ -47,31 +57,29 @@ Known unsoundness (by design, to keep the shipped tree clean):
 * unresolved calls are assumed to post no communication;
 * SP110 only fires on recvs outside any branch, and tag matching is
   existence-based (constant tags compared, everything else a wildcard);
-* SP111 treats subscripts as views only when a slice is present
-  (``a[mask]`` copies; ``a[0]`` row views are missed).
+* SP104/SP111 know no types: a mutator is recognised by method name,
+  and subscripts alias only when a slice is present (``a[mask]``
+  copies; ``a[0]`` row views are missed).
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .lint import (
     COLLECTIVE_METHODS,
     PATTERN_HELPERS,
-    SEND_METHODS,
     Finding,
     LintUnit,
     _FUNC_NODES,
     _SCOPE_NODES,
-    _assigned_names,
     _comm_call_op,
     _is_comm_receiver,
-    _is_split_result,
     _own_walk,
-    _reads_rank,
     _receiver_name,
     iter_python_files,
 )
@@ -115,6 +123,24 @@ _TAG_POS = {"send": 2, "isend": 2, "recv": 1, "sendrecv": 3}
 #: positional indices of peer (dest/source) arguments per p2p op
 _PEER_POS = {"send": (1,), "isend": (1,), "recv": (0,), "sendrecv": (1, 2)}
 _PEER_KWARGS = frozenset({"dest", "source"})
+
+#: point-to-point sends whose payload the sender must not mutate
+SEND_METHODS = frozenset({"send", "isend", "sendrecv"})
+
+#: in-place mutators of the payload types delivery shares with the
+#: sender: ndarray methods and set methods.  Lists, tuples and dicts are
+#: rebuilt when the message is posted (``parallel.ops._readonly_payload``),
+#: so their own methods (``append``, ``setdefault``, ...) are absent
+_MUTATOR_METHODS = frozenset({
+    "fill", "sort", "put", "resize", "itemset", "partition", "setflags",
+    "setfield", "byteswap",
+    "add", "discard", "remove", "pop", "clear", "update",
+    "difference_update", "intersection_update",
+    "symmetric_difference_update",
+})
+
+#: numpy functions that write into their first argument
+_MUTATOR_FUNCS = frozenset({"at", "copyto", "put", "place", "putmask"})
 
 _MAX_INLINE_DEPTH = 12
 
@@ -211,12 +237,7 @@ class ProgramIndex:
         if isinstance(stmt, _FUNC_NODES):
             mi.functions[stmt.name] = self._add_func(mi, stmt, stmt.name, None)
         elif isinstance(stmt, ast.ClassDef):
-            methods: Dict[str, FuncInfo] = {}
-            for sub in stmt.body:
-                if isinstance(sub, _FUNC_NODES):
-                    methods[sub.name] = self._add_func(
-                        mi, sub, f"{stmt.name}.{sub.name}", stmt.name)
-            mi.classes[stmt.name] = methods
+            mi.classes[stmt.name] = self._add_class(mi, stmt, stmt.name)
         elif isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call):
             fn = stmt.value.func
             cls = fn.id if isinstance(fn, ast.Name) else (
@@ -236,12 +257,22 @@ class ProgramIndex:
                 return
             for alias in stmt.names:
                 mi.imports[alias.asname or alias.name] = (target, alias.name)
-        elif isinstance(stmt, (ast.If, ast.Try)):
-            # TYPE_CHECKING blocks, optional imports
-            for sub in getattr(stmt, "body", []):
+        elif isinstance(stmt, (ast.If, ast.Try, ast.With, ast.For, ast.While)):
+            # TYPE_CHECKING blocks, optional imports, module-level loops
+            for sub in stmt.body + getattr(stmt, "orelse", []):
                 self._index_stmt(mi, sub)
-            for sub in getattr(stmt, "orelse", []):
-                self._index_stmt(mi, sub)
+
+    def _add_class(self, mi: ModuleInfo, node: ast.ClassDef,
+                   qualname: str) -> Dict[str, FuncInfo]:
+        """Index the methods of a class, and of classes nested in it."""
+        methods: Dict[str, FuncInfo] = {}
+        for sub in node.body:
+            if isinstance(sub, _FUNC_NODES):
+                methods[sub.name] = self._add_func(
+                    mi, sub, f"{qualname}.{sub.name}", node.name)
+            elif isinstance(sub, ast.ClassDef):
+                self._add_class(mi, sub, f"{qualname}.{sub.name}")
+        return methods
 
     def _add_func(self, mi: ModuleInfo, node: ast.AST, qualname: str,
                   class_name: Optional[str]) -> FuncInfo:
@@ -261,7 +292,9 @@ class ProgramIndex:
                 parent.locals[cur.name] = fi
                 self.all_funcs.append(fi)
                 self._add_nested(mi, fi)
-            elif not isinstance(cur, (ast.Lambda, ast.ClassDef)):
+            elif isinstance(cur, ast.ClassDef):
+                self._add_class(mi, cur, f"{parent.qualname}.{cur.name}")
+            elif not isinstance(cur, ast.Lambda):
                 stack.extend(ast.iter_child_nodes(cur))
 
     # -- lookup ---------------------------------------------------------
@@ -333,8 +366,9 @@ class ProgramIndex:
         return best
 
     def roots(self) -> List[FuncInfo]:
-        """Generator functions nobody in the index drives with
-        ``yield from`` — the rank programs handed to run_spmd."""
+        """Generator functions no *other* function in the index drives
+        with ``yield from`` — the rank programs handed to run_spmd.  A
+        self-recursive program is still a root."""
         called: Set[int] = set()
         for fi in self.all_funcs:
             for node in _own_walk(fi.node):
@@ -342,27 +376,59 @@ class ProgramIndex:
                         and isinstance(node.value, ast.Call) \
                         and _comm_call_op(node.value) is None:
                     target = self.resolve_call(node.value, fi)
-                    if target is not None:
+                    if target is not None and target is not fi:
                         called.add(id(target))
-        out = []
-        for fi in self.all_funcs:
-            if id(fi) in called or fi.name in PATTERN_HELPERS:
-                continue
-            if any(isinstance(n, (ast.Yield, ast.YieldFrom))
-                   for n in _own_walk(fi.node)):
-                out.append(fi)
-        return out
+        return [fi for fi in self.all_funcs
+                if id(fi) not in called and fi.name not in PATTERN_HELPERS
+                and _is_generator(fi.node)]
 
 
 # ----------------------------------------------------------------------
 # per-function environment: taint, subcomms, unordered names
 # ----------------------------------------------------------------------
 
+def _is_generator(fn: ast.AST) -> bool:
+    return any(isinstance(n, (ast.Yield, ast.YieldFrom))
+               for n in _own_walk(fn))
+
+
+def _reads_rank(expr: ast.AST, tainted: Set[str]) -> bool:
+    """Does ``expr`` read ``comm.rank``/``comm.world_rank`` or a
+    variable derived from one?"""
+    for node in ast.walk(expr):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in ("rank", "world_rank")
+                and _is_comm_receiver(_receiver_name(node))):
+            return True
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                and node.id in tainted:
+            return True
+    return False
+
+
+def _is_split_result(value: ast.AST) -> bool:
+    """Is ``value`` ``yield from <comm>.split(...)`` (a sub-communicator)?"""
+    if isinstance(value, ast.YieldFrom):
+        value = value.value
+    return (isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Attribute)
+            and value.func.attr == "split"
+            and _is_comm_receiver(_receiver_name(value.func)))
+
+
+def _assigned_names(target: ast.AST) -> Iterator[str]:
+    for node in ast.walk(target):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
 @dataclass
 class FuncEnv:
     tainted: Set[str] = field(default_factory=set)
     subcomms: Set[str] = field(default_factory=set)
     unordered: Set[str] = field(default_factory=set)
+    #: a generator that posts comm ops itself (SP105's scope)
+    communicates: bool = False
 
 
 def _assign_parts(node: ast.AST):
@@ -423,6 +489,9 @@ def _reads_unordered(expr: ast.AST, unordered: Set[str]) -> bool:
 def _func_env(fn: ast.AST) -> FuncEnv:
     env = FuncEnv()
     own = [n for n in _own_walk(fn)]
+    env.communicates = _is_generator(fn) and any(
+        isinstance(n, ast.Call) and _comm_call_op(n) is not None
+        for n in own)
     cleansed: Set[str] = set()
     for _round in range(3):  # cheap fixpoint: taint chains are short
         before = (len(env.tainted), len(env.subcomms), len(env.unordered))
@@ -597,6 +666,11 @@ class _RootRun:
                 self.conds.pop()
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             self._scan_exprs(stmt.iter, frame)
+            if frame.env.communicates \
+                    and _is_unordered_expr(stmt.iter, frame.env.unordered):
+                self._add(stmt.iter, frame.fi.unit.path, "SP105",
+                          "iteration over a set has hash-dependent order "
+                          "inside a communicating rank program")
             rank_dep = _reads_rank(stmt.iter, frame.env.tainted)
             self.conds.append(_Cond(frame, rank_dep, set(), True))
             self._walk_body(stmt.body, frame)
@@ -630,13 +704,14 @@ class _RootRun:
         for node in _own_walk(root):
             if isinstance(node, ast.YieldFrom) \
                     and isinstance(node.value, ast.Call):
-                self._handle_call(node.value, frame)
+                self._handle_call(node, frame)
 
     # -- one yield-from call --------------------------------------------
-    def _handle_call(self, call: ast.Call, frame: _Frame) -> None:
+    def _handle_call(self, yf: ast.YieldFrom, frame: _Frame) -> None:
+        call = yf.value
         op = _comm_call_op(call)
         if op is not None:
-            self._record_op(call, op, frame)
+            self._record_op(yf, op, frame)
             return
         callee = self.index.resolve_call(call, frame.fi)
         if callee is None or id(callee) in self.stack \
@@ -678,10 +753,11 @@ class _RootRun:
             return call.args[0].id
         return None
 
-    def _record_op(self, call: ast.Call, op: str, frame: _Frame) -> None:
+    def _record_op(self, yf: ast.YieldFrom, op: str, frame: _Frame) -> None:
+        call = yf.value
         conditional = any(not c.is_loop for c in self.conds)
         if op in COLLECTIVE_METHODS or op in PATTERN_HELPERS:
-            self._check_sp108(call, op, frame)
+            self._check_collective(yf, op, frame)
             self.ops.append(CommOp(op, "collective", None, conditional,
                                    len(self.ops), call, frame.fi.unit.path))
             return
@@ -708,8 +784,12 @@ class _RootRun:
         except (ValueError, SyntaxError):
             return _WILDCARD
 
-    # -- SP108 ----------------------------------------------------------
-    def _check_sp108(self, call: ast.Call, op: str, frame: _Frame) -> None:
+    # -- SP102 / SP108 --------------------------------------------------
+    def _check_collective(self, yf: ast.YieldFrom, op: str, frame: _Frame) -> None:
+        """SP102 for a collective on this function's own communicator
+        under a rank branch of this function; SP108 for every other
+        way the collective count can diverge."""
+        call = yf.value
         receiver = self._op_receiver(call, op)
         is_sub = receiver is not None and (
             receiver in frame.env.subcomms or receiver in frame.sub_params)
@@ -731,7 +811,11 @@ class _RootRun:
                            "that is not its membership guard — member "
                            "ranks disagree on the collective count")
                 else:
-                    continue  # SP102's territory (same-function, parent comm)
+                    self._add(yf, frame.fi.unit.path, "SP102",
+                              f"collective '{op}' posted inside a "
+                              "rank-dependent branch — ranks will disagree "
+                              "on the collective schedule")
+                    continue
             else:
                 site, path = self._callsite_under(cond, frame)
                 what = "loop" if cond.is_loop else "branch"
@@ -801,7 +885,7 @@ class _RootRun:
 
 
 # ----------------------------------------------------------------------
-# SP111: alias-aware post-send mutation (per function)
+# SP104 / SP111: post-send mutation, direct and through aliases
 # ----------------------------------------------------------------------
 
 #: ndarray methods returning views of the receiver
@@ -812,11 +896,6 @@ _VIEW_FUNCS = frozenset({"asarray", "ascontiguousarray", "atleast_1d",
                          "atleast_2d", "atleast_3d"})
 #: wrappers that hold a reference to their argument
 _REF_WRAPPERS = frozenset({"Shared"})
-
-_MUTATOR_METHODS_111 = frozenset({
-    "fill", "sort", "put", "resize", "itemset", "partition", "setflags",
-    "setfield", "byteswap",
-})
 
 
 def _alias_base(expr: ast.AST) -> Optional[str]:
@@ -841,104 +920,111 @@ def _alias_base(expr: ast.AST) -> Optional[str]:
     return None
 
 
+def _buffers(held: Dict[str, FrozenSet[str]], name: str) -> FrozenSet[str]:
+    """Buffers ``name`` may hold: its incoming value unless rebound."""
+    return held.get(name) or frozenset((name,))
+
+
 class _AliasScan:
-    """Execution-order scan of one function for SP111: payloads posted
-    to a send whose *aliases* are mutated before the phase boundary."""
+    """Execution-order scan of one function for payloads posted to a
+    send and mutated later: through the name they were sent under
+    (SP104) or through any other alias of their memory (SP111).
+
+    ``held`` maps a local name to the buffers it may hold (a name absent
+    from it holds its own incoming value); ``posted`` maps a buffer to
+    ``(send line, op, name it was sent under or None)``.
+    """
 
     def __init__(self, path: str,
                  add: Callable[[str, int, int, str, str], None]) -> None:
         self.path = path
         self.add = add
+        self._fresh = itertools.count()
 
     def run(self, fn: ast.AST) -> None:
-        state: Dict[str, object] = {"root": {}, "posted": {}}
-        self._scan(getattr(fn, "body", []), state["root"], state["posted"])
+        self._scan(getattr(fn, "body", []), {}, {})
 
-    # state: root_of maps name -> ultimate alias root name;
-    #        posted maps root -> (line, op, directly_sent_name_or_None)
-    def _find(self, root_of: Dict[str, str], name: str) -> str:
-        seen = set()
-        while name in root_of and name not in seen:
-            seen.add(name)
-            name = root_of[name]
-        return name
-
-    def _scan(self, body: Sequence[ast.stmt], root_of: Dict[str, str],
+    def _scan(self, body: Sequence[ast.stmt],
+              held: Dict[str, FrozenSet[str]],
               posted: Dict[str, Tuple[int, str, Optional[str]]]) -> None:
         for stmt in body:
             if isinstance(stmt, _SCOPE_NODES):
                 continue
             if isinstance(stmt, ast.If):
-                self._exprs(stmt.test, root_of, posted)
-                t_r, t_p = dict(root_of), dict(posted)
-                e_r, e_p = dict(root_of), dict(posted)
-                self._scan(stmt.body, t_r, t_p)
-                self._scan(stmt.orelse, e_r, e_p)
-                root_of.clear(); root_of.update(e_r); root_of.update(t_r)
-                posted.clear(); posted.update(e_p); posted.update(t_p)
+                # the arms are alternatives: scan each from the same
+                # state, then keep everything either arm may leave
+                self._exprs(stmt.test, held, posted)
+                then_held, then_posted = dict(held), dict(posted)
+                self._scan(stmt.body, then_held, then_posted)
+                self._scan(stmt.orelse, held, posted)
+                for name in then_held.keys() | held.keys():
+                    held[name] = _buffers(then_held, name) | _buffers(held, name)
+                posted.update(then_posted)
             elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
                 header = stmt.iter if isinstance(stmt, (ast.For, ast.AsyncFor)) \
                     else stmt.test
-                self._exprs(header, root_of, posted)
+                self._exprs(header, held, posted)
+                # twice: a mutation textually before a send still
+                # follows it on the next iteration
                 for _pass in range(2):
-                    self._scan(stmt.body, root_of, posted)
-                self._scan(stmt.orelse, root_of, posted)
+                    self._scan(stmt.body, held, posted)
+                self._scan(stmt.orelse, held, posted)
             elif isinstance(stmt, (ast.With, ast.AsyncWith)):
                 for item in stmt.items:
-                    self._exprs(item.context_expr, root_of, posted)
-                self._scan(stmt.body, root_of, posted)
+                    self._exprs(item.context_expr, held, posted)
+                self._scan(stmt.body, held, posted)
             elif isinstance(stmt, ast.Try):
-                self._scan(stmt.body, root_of, posted)
+                self._scan(stmt.body, held, posted)
                 for handler in stmt.handlers:
-                    self._scan(handler.body, root_of, posted)
-                self._scan(stmt.orelse, root_of, posted)
-                self._scan(stmt.finalbody, root_of, posted)
+                    self._scan(handler.body, held, posted)
+                self._scan(stmt.orelse, held, posted)
+                self._scan(stmt.finalbody, held, posted)
             else:
-                self._simple(stmt, root_of, posted)
+                self._simple(stmt, held, posted)
 
-    def _simple(self, stmt: ast.stmt, root_of, posted) -> None:
-        self._exprs(stmt, root_of, posted)
+    def _simple(self, stmt: ast.stmt, held, posted) -> None:
+        self._exprs(stmt, held, posted)
         if isinstance(stmt, ast.Assign):
             base = _alias_base(stmt.value)
             for target in stmt.targets:
-                self._target(target, stmt, base, root_of, posted)
+                self._target(target, stmt, base, held, posted)
         elif isinstance(stmt, ast.AugAssign):
-            self._target(stmt.target, stmt, None, root_of, posted, aug=True)
+            self._target(stmt.target, stmt, None, held, posted, aug=True)
+        elif isinstance(stmt, ast.Delete):
+            for target in stmt.targets:
+                self._target(target, stmt, None, held, posted)
 
-    def _target(self, target, stmt, base, root_of, posted,
+    def _target(self, target, stmt, base, held, posted,
                 aug: bool = False) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                self._target(elt, stmt, None, root_of, posted, aug)
+                self._target(elt, stmt, None, held, posted, aug)
         elif isinstance(target, (ast.Subscript, ast.Attribute)):
-            tb = _alias_base(target.value) if not isinstance(
-                target.value, ast.Name) else target.value.id
+            tb = _alias_base(target.value)
             if tb is not None:
-                self._mutation(stmt, tb, root_of, posted)
+                self._mutation(stmt, tb, held, posted)
         elif isinstance(target, ast.Name):
             if aug:
-                self._mutation(stmt, target.id, root_of, posted)
-            elif base is not None and base != target.id:
-                root_of[target.id] = self._find(root_of, base)
+                self._mutation(stmt, target.id, held, posted)
+            elif base is not None:
+                held[target.id] = _buffers(held, base)
             else:
-                root_of.pop(target.id, None)
+                held[target.id] = frozenset(
+                    (f"{target.id}#{next(self._fresh)}",))
 
-    def _exprs(self, root: ast.AST, root_of, posted) -> None:
+    def _exprs(self, root: ast.AST, held, posted) -> None:
         for node in _own_walk(root):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             if not isinstance(func, ast.Attribute):
                 continue
-            if func.attr == "set_phase" \
-                    and _is_comm_receiver(_receiver_name(func)):
-                posted.clear()
-            elif func.attr in _MUTATOR_METHODS_111 \
+            if func.attr in _MUTATOR_METHODS \
                     and isinstance(func.value, ast.Name):
-                self._mutation(node, func.value.id, root_of, posted)
-            elif func.attr in ("at", "copyto", "put", "place", "putmask") \
+                self._mutation(node, func.value.id, held, posted)
+            elif func.attr in _MUTATOR_FUNCS \
                     and node.args and isinstance(node.args[0], ast.Name):
-                self._mutation(node, node.args[0].id, root_of, posted)
+                self._mutation(node, node.args[0].id, held, posted)
             elif func.attr in SEND_METHODS \
                     and _is_comm_receiver(_receiver_name(func)):
                 payload = node.args[0] if node.args else None
@@ -946,32 +1032,36 @@ class _AliasScan:
                     for kw in node.keywords:
                         if kw.arg == "obj":
                             payload = kw.value
-                if payload is None:
-                    continue
-                base = _alias_base(payload)
+                base = None if payload is None else _alias_base(payload)
                 if base is None:
                     continue
                 direct = payload.id if isinstance(payload, ast.Name) else None
-                posted[self._find(root_of, base)] = (
-                    node.lineno, func.attr, direct)
+                for buf in _buffers(held, base):
+                    posted[buf] = (node.lineno, func.attr, direct)
 
-    def _mutation(self, node: ast.AST, name: str, root_of, posted) -> None:
-        root = self._find(root_of, name)
-        entry = posted.get(root)
-        if entry is None:
+    def _mutation(self, node: ast.AST, name: str, held, posted) -> None:
+        if not posted:
             return
-        line, op, direct = entry
-        if direct == name:
-            return  # the directly-sent name: SP104's finding, not ours
-        self.add(self.path, getattr(node, "lineno", 1),
-                 getattr(node, "col_offset", 0) + 1, "SP111",
-                 f"'{name}' aliases the payload posted to '{op}' on line "
-                 f"{line} — mutating it before the phase boundary "
-                 "corrupts the message; send `obj.copy()`")
-        del posted[root]
+        line, col = getattr(node, "lineno", 1), getattr(node, "col_offset", 0) + 1
+        for buf in sorted(_buffers(held, name)):
+            entry = posted.get(buf)
+            if entry is None:
+                continue
+            sent_line, op, direct = entry
+            if direct == name:
+                self.add(self.path, line, col, "SP104",
+                         f"'{name}' mutated after being posted to '{op}' on "
+                         f"line {sent_line} — the receiver aliases this "
+                         "memory; send `obj.copy()`")
+                continue
+            self.add(self.path, line, col, "SP111",
+                     f"'{name}' aliases the payload posted to '{op}' on line "
+                     f"{sent_line} — mutating it before the phase boundary "
+                     "corrupts the message; send `obj.copy()`")
+            del posted[buf]
 
 
-def _sp111_unit(unit: LintUnit, add) -> None:
+def _alias_unit(unit: LintUnit, add) -> None:
     for node in ast.walk(unit.tree):
         if isinstance(node, _FUNC_NODES):
             _AliasScan(unit.path, add).run(node)
@@ -1044,8 +1134,13 @@ def check_units(units: Sequence[LintUnit]) -> List[Finding]:
     checker = _ProtoChecker(index, add)
     for fi in index.roots():
         checker.check_root(fi)
+    # a generator no root run walked (none gave it an env) sits on a
+    # call cycle or past the inlining depth: check it as an entry point
+    for fi in index.all_funcs:
+        if id(fi) not in checker._envs and _is_generator(fi.node):
+            checker.check_root(fi)
     for unit in units:
-        _sp111_unit(unit, add)
+        _alias_unit(unit, add)
         _sp112_unit(unit, add)
     return findings
 

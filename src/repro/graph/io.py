@@ -19,6 +19,7 @@ Format recap (see the METIS 5 manual):
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Optional, TextIO, Union
 
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 PathLike = Union[str, Path]
+
+_UINT = re.compile(r"[0-9]+")
+_FMT = re.compile(r"[01]{1,3}")
 
 
 def _open(path_or_file, mode: str):
@@ -132,6 +136,27 @@ def _parse_chunk(chunk, v0, n, has_vwgt, has_ewgt, vwgt, buf: _EdgeBuffer) -> No
     buf.append(srcs[keep], dsts[keep], wgts[keep])
 
 
+def _parse_header(line: str):
+    """``n m [fmt [ncon]]`` -> ``(n, m, has_vwgt, has_ewgt)``; every
+    malformed field raises a GraphError quoting the header."""
+    fields = line.split()
+    if len(fields) < 2:
+        raise GraphError(f"bad METIS header: {line!r}")
+    for name, tok in zip(("n", "m", "ncon"), fields[:2] + fields[3:4]):
+        if not _UINT.fullmatch(tok):
+            raise GraphError(f"bad METIS header {line!r}: {name} must be a "
+                             f"non-negative integer, got {tok!r}")
+    fmt = fields[2] if len(fields) > 2 else "0"
+    if not _FMT.fullmatch(fmt):
+        raise GraphError(f"bad METIS header {line!r}: fmt must be up to "
+                         f"three 0/1 digits, got {fmt!r}")
+    if len(fmt) == 3 and fmt[0] == "1":
+        raise GraphError("vertex sizes (fmt=1xx) are not supported")
+    if len(fields) > 3 and int(fields[3]) != 1:
+        raise GraphError("only ncon=1 is supported")
+    return int(fields[0]), int(fields[1]), fmt[-2:-1] == "1", fmt[-1] == "1"
+
+
 def read_metis(
     path_or_file: Union[PathLike, TextIO], *, chunk_lines: int = 65536
 ) -> CSRGraph:
@@ -152,17 +177,7 @@ def read_metis(
         header_line = next(lines, None)
         if header_line is None:
             raise GraphError("empty METIS file")
-        header = header_line.split()
-        if len(header) < 2:
-            raise GraphError(f"bad METIS header: {header_line!r}")
-        n, m = int(header[0]), int(header[1])
-        fmt = header[2] if len(header) > 2 else "0"
-        has_ewgt = fmt.endswith("1")
-        has_vwgt = len(fmt) >= 2 and fmt[-2] == "1"
-        if len(fmt) >= 3 and fmt[-3] == "1":
-            raise GraphError("vertex sizes (fmt=1xx) are not supported")
-        if len(header) > 3 and int(header[3]) != 1:
-            raise GraphError("only ncon=1 is supported")
+        n, m, has_vwgt, has_ewgt = _parse_header(header_line)
         vwgt = np.ones(n, dtype=np.float64)
         buf = _EdgeBuffer()
         seen = 0
@@ -186,68 +201,6 @@ def read_metis(
     if buf.size:
         edges = np.column_stack([buf.srcs[: buf.size], buf.dsts[: buf.size]])
         g = CSRGraph.from_edges(n, edges, buf.wgts[: buf.size], vwgt, dedupe=True)
-    else:
-        g = CSRGraph(np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), vwgt=vwgt)
-    if g.num_edges != m:
-        raise GraphError(f"METIS header declares {m} edges, file has {g.num_edges}")
-    return g
-
-
-def _read_metis_reference(path_or_file: Union[PathLike, TextIO]) -> CSRGraph:
-    """Pre-streaming reader (materialises every line, per-edge Python
-    loop), kept temporarily for the parity tests."""
-    fh, owned = _open(path_or_file, "r")
-    try:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("%")]
-    finally:
-        if owned:
-            fh.close()
-    if not lines:
-        raise GraphError("empty METIS file")
-    header = lines[0].split()
-    if len(header) < 2:
-        raise GraphError(f"bad METIS header: {lines[0]!r}")
-    n, m = int(header[0]), int(header[1])
-    fmt = header[2] if len(header) > 2 else "0"
-    has_ewgt = fmt.endswith("1")
-    has_vwgt = len(fmt) >= 2 and fmt[-2] == "1"
-    if len(fmt) >= 3 and fmt[-3] == "1":
-        raise GraphError("vertex sizes (fmt=1xx) are not supported")
-    if len(header) > 3 and int(header[3]) != 1:
-        raise GraphError("only ncon=1 is supported")
-    if len(lines) - 1 != n:
-        raise GraphError(f"expected {n} vertex lines, found {len(lines) - 1}")
-    vwgt = np.ones(n, dtype=np.float64)
-    srcs, dsts, wgts = [], [], []
-    for v, line in enumerate(lines[1:]):
-        tok = line.split()
-        pos = 0
-        if has_vwgt:
-            if not tok:
-                raise GraphError(f"missing vertex weight on line {v + 2}")
-            vwgt[v] = float(tok[0])
-            pos = 1
-        rest = tok[pos:]
-        if has_ewgt:
-            if len(rest) % 2:
-                raise GraphError(f"odd token count with edge weights on line {v + 2}")
-            nbrs = rest[0::2]
-            ws = rest[1::2]
-        else:
-            nbrs = rest
-            ws = ["1"] * len(rest)
-        for u, w in zip(nbrs, ws):
-            srcs.append(v)
-            dsts.append(int(u) - 1)
-            wgts.append(float(w))
-    if srcs:
-        edges = np.column_stack(
-            [np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64)]
-        )
-        keep = edges[:, 0] < edges[:, 1]
-        g = CSRGraph.from_edges(
-            n, edges[keep], np.asarray(wgts)[keep], vwgt, dedupe=True
-        )
     else:
         g = CSRGraph(np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), vwgt=vwgt)
     if g.num_edges != m:

@@ -99,6 +99,48 @@ class TestSP102RankDependentCollective:
                     return total
         """) == []
 
+    def test_silent_on_symmetric_collective_result(self):
+        # every rank gets the same allreduce result, so a branch on it
+        # is rank-consistent even though comm.rank fed the reduction
+        assert codes("""
+            def prog(comm):
+                x = yield from comm.allreduce(comm.rank)
+                if x > 0:
+                    yield from comm.barrier()
+        """) == []
+
+    @pytest.mark.parametrize("src", [
+        # method of a function-local class
+        """
+        def outer():
+            class P:
+                def prog(self, comm):
+                    if comm.rank == 0:
+                        yield from comm.barrier()
+            return P
+        """,
+        # method of a nested class
+        """
+        class A:
+            class B:
+                def prog(self, comm):
+                    if comm.rank == 0:
+                        yield from comm.barrier()
+        """,
+        # mutual recursion: no function is called by nobody
+        """
+        def a(comm, d):
+            if comm.rank == 0:
+                yield from comm.barrier()
+            yield from b(comm, d)
+
+        def b(comm, d):
+            yield from a(comm, d - 1)
+        """,
+    ], ids=["local-class", "nested-class", "mutual-recursion"])
+    def test_fires_wherever_the_generator_is_defined(self, src):
+        assert codes(src) == ["SP102"]
+
     def test_fires_on_world_collective_in_rank_branch(self):
         assert codes("""
             def prog(comm):
@@ -191,6 +233,17 @@ class TestSP104MutateAfterSend:
                     buf[0] = 1.0
         """) == ["SP104"]
 
+    def test_silent_on_list_method_after_send(self):
+        # lists are rebuilt when the message is posted, so appending to
+        # the sender's list cannot reach the receiver
+        assert codes("""
+            def prog(comm):
+                lst = [1, 2]
+                yield from comm.send(lst, dest=1)
+                lst.append(3)
+                yield from comm.barrier()
+        """) == []
+
     def test_silent_after_rebind(self):
         # rebinding the name breaks the alias: the sent object is safe
         assert codes("""
@@ -214,6 +267,15 @@ class TestSP105SetOrderPayload:
                     yield from comm.send(b, dest=b)
         """)
         assert "SP105" in [f.code for f in fs]
+
+    def test_fires_on_list_built_from_set(self):
+        # list(s) keeps the set's hash order
+        assert "SP105" in codes("""
+            def prog(comm, nbrs):
+                s = set(nbrs)
+                for b in list(s):
+                    yield from comm.send(b, dest=b)
+        """)
 
     def test_silent_on_sorted_set(self):
         assert codes("""
@@ -402,6 +464,15 @@ class TestApi:
         broken.write_text("def f(:\n")
         fs = lint_paths([str(broken)])
         assert len(fs) == 1 and fs[0].code == "SP000"
+
+    def test_syntax_error_column_is_one_based(self, tmp_path):
+        # like every other rule: col 7 is the ':' of 'def f(:'
+        broken = tmp_path / "broken.py"
+        broken.write_text("def f(:\n")
+        (by_path,) = lint_paths([str(broken)])
+        (by_source,) = lint_source("def f(:\n")
+        assert (by_path.line, by_path.col) == (1, 7)
+        assert (by_source.line, by_source.col) == (1, 7)
 
 
 class TestCli:

@@ -9,7 +9,6 @@ from repro.errors import GraphError
 from repro.graph import CSRGraph
 from repro.graph.generators import grid2d, random_delaunay
 from repro.graph.io import (
-    _read_metis_reference,
     read_coords,
     read_edgelist,
     read_metis,
@@ -17,6 +16,7 @@ from repro.graph.io import (
     write_edgelist,
     write_metis,
 )
+from tests.oracles.metis import read_metis_reference
 
 
 class TestMetis:
@@ -67,6 +67,22 @@ class TestMetis:
         with pytest.raises(GraphError):
             read_metis(io.StringIO("3 1\n2\n1\n"))
 
+    @pytest.mark.parametrize("header", [
+        "-3 2",        # negative n
+        "3 -2",        # negative m
+        "x 2",         # non-integer n
+        "3 2.5",       # non-integer m
+        "3 2 7",       # fmt digit other than 0/1
+        "3 2 x",       # non-numeric fmt
+        "3 2 0011",    # fmt longer than three digits
+        "3 2 0 -1",    # negative ncon
+        "3 2 0 y",     # non-integer ncon
+    ])
+    def test_read_rejects_malformed_header(self, header):
+        with pytest.raises(GraphError) as exc:
+            read_metis(io.StringIO(header + "\n2\n1 3\n2\n"))
+        assert repr(header) in str(exc.value)
+
     def test_read_empty_file(self):
         with pytest.raises(GraphError):
             read_metis(io.StringIO(""))
@@ -98,7 +114,7 @@ class TestMetisStreaming:
         ):
             text = self._text(g, **kw)
             got = read_metis(io.StringIO(text), chunk_lines=chunk_lines)
-            ref = _read_metis_reference(io.StringIO(text))
+            ref = read_metis_reference(io.StringIO(text))
             assert got == ref
 
     def test_accepts_trailing_blanks_and_comments(self):
