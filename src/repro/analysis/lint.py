@@ -203,9 +203,7 @@ COLLECTIVE_METHODS = frozenset({
 })
 
 #: generator helpers from repro.parallel.patterns (collective inside)
-PATTERN_HELPERS = frozenset({
-    "allgather_concat", "share_from_root", "gather_to_root",
-})
+PATTERN_HELPERS = frozenset({"allgather_concat", "share_from_root"})
 
 #: receiver names treated as communicator handles
 _COMM_NAMES = frozenset({"comm", "active", "sub", "world"})

@@ -936,9 +936,12 @@ class _AliasScan:
     """
 
     def __init__(self, path: str,
-                 add: Callable[[str, int, int, str, str], None]) -> None:
+                 add: Callable[[str, int, int, str, str], None],
+                 numpy_names: FrozenSet[str]) -> None:
         self.path = path
         self.add = add
+        #: names the module binds to numpy itself (``import numpy as np``)
+        self.numpy_names = numpy_names
         self._fresh = itertools.count()
 
     def run(self, fn: ast.AST) -> None:
@@ -1019,9 +1022,13 @@ class _AliasScan:
             func = node.func
             if not isinstance(func, ast.Attribute):
                 continue
-            if func.attr in _MUTATOR_METHODS \
-                    and isinstance(func.value, ast.Name):
-                self._mutation(node, func.value.id, held, posted)
+            receiver = func.value.id if isinstance(func.value, ast.Name) \
+                else None
+            # `put` is an ndarray method and a numpy function: on the
+            # numpy module it writes into its first argument instead
+            if func.attr in _MUTATOR_METHODS and receiver is not None \
+                    and receiver not in self.numpy_names:
+                self._mutation(node, receiver, held, posted)
             elif func.attr in _MUTATOR_FUNCS \
                     and node.args and isinstance(node.args[0], ast.Name):
                 self._mutation(node, node.args[0].id, held, posted)
@@ -1062,9 +1069,13 @@ class _AliasScan:
 
 
 def _alias_unit(unit: LintUnit, add) -> None:
+    numpy_names = frozenset(
+        alias.asname or alias.name for node in ast.walk(unit.tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "numpy")
     for node in ast.walk(unit.tree):
         if isinstance(node, _FUNC_NODES):
-            _AliasScan(unit.path, add).run(node)
+            _AliasScan(unit.path, add, numpy_names).run(node)
 
 
 # ----------------------------------------------------------------------

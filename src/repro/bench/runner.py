@@ -124,7 +124,7 @@ def run_method(method: str, graph_name: str, p: int = 1,
     """Run (or fetch from cache) one cell of the evaluation grid.
 
     ``checkpoint`` (a store directory or
-    :class:`~repro.parallel.checkpoint.CheckpointPolicy`) lets long
+    :class:`~repro.parallel.checkpoint.CheckpointStore`) lets long
     sweeps restart cheaply after a crash: resumed cells recompute only
     the post-embedding stages.  It is deliberately NOT part of the
     cache key — a resumed run feeds the same persisted embedding the

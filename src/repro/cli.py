@@ -29,7 +29,12 @@ from typing import List, Optional
 
 from .core.config import ScalaPartConfig
 from .core.cost import cost_model_names
-from .core.kway import hierarchical_kway, parse_hierarchy, partition_kway
+from .core.kway import (
+    LEVEL_IMBALANCE,
+    hierarchical_kway,
+    parse_hierarchy,
+    partition_kway,
+)
 from .core.methods import cli_choices, get_method
 from .core.parallel import run_parallel
 from .embed.multilevel import hu_layout, multilevel_embedding
@@ -58,7 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coords", help="coordinate file for coordinate-based "
                                     "methods (default: compute a Hu layout)")
     p.add_argument("--out", help="write part ids here (default: stdout)")
-    p.add_argument("--max-imbalance", type=float, default=0.05)
+    p.add_argument("--max-imbalance", type=float, default=None,
+                   dest="max_imbalance",
+                   help="balance target of the refinement (default 0.05); "
+                        "rejected by methods without one and by "
+                        "--hierarchy")
     p.add_argument("--cost-model", default="unit", dest="cost_model",
                    choices=cost_model_names(),
                    help="vertex cost model for the balance constraint")
@@ -220,12 +229,43 @@ def _write_parts(parts, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+#: methods whose two-way run refines toward a balance target; the
+#: others (RCB and the GMT baselines) cut at a weighted median
+_REFINING_METHODS = frozenset({
+    "ScalaPart", "SP-PG7-NL", "ParMetis-like", "Pt-Scotch-like",
+    "Spectral", "KWay-Geometric",
+})
+
+
+def _balance_target(args, spec, k: int):
+    """``(config, max_imbalance)`` carrying ``--max-imbalance`` to the
+    path this invocation takes, or a :class:`ReproError` where that
+    path has no balance target to set."""
+    imb = args.max_imbalance
+    if imb is None:
+        return None, None
+    if args.hierarchy:
+        raise ReproError(
+            f"--max-imbalance does not apply to --hierarchy (method "
+            f"{spec.name!r}): the node and core levels keep their fixed "
+            f"budgets {LEVEL_IMBALANCE}"
+        )
+    two_way = args.backend != "seq" or (k == 2 and args.cost_model == "unit")
+    if two_way and spec.name not in _REFINING_METHODS:
+        raise ReproError(
+            f"method {spec.name!r} has no balance target for "
+            f"--max-imbalance (it cuts at a weighted median)"
+        )
+    return ScalaPartConfig(max_imbalance=imb), imb
+
+
 def _cmd_partition(args) -> int:
     graph = read_metis(args.graph)
     spec = get_method(args.method)
+    k = args.k
+    config, imb = _balance_target(args, spec, k)
     coords = _load_coords(args, graph) if spec.needs_coords else None
     t0 = time.perf_counter()
-    k = args.k
     if args.hierarchy:
         if args.backend != "seq":
             raise ReproError(
@@ -252,7 +292,8 @@ def _cmd_partition(args) -> int:
                 f"bisection on the sequential backend only"
             )
         res = run_parallel(spec, graph, args.nranks, coords=coords,
-                           seed=args.seed, backend=args.backend,
+                           config=config, seed=args.seed,
+                           backend=args.backend, max_imbalance=imb,
                            k=k, cost_model=args.cost_model,
                            checkpoint=args.checkpoint)
         pids = res.extras.get("pids")
@@ -261,11 +302,12 @@ def _cmd_partition(args) -> int:
                   f"pids={','.join(str(p) for p in pids)} "
                   f"distinct_pids={len(set(pids))}", file=sys.stderr)
     elif k == 2 and args.cost_model == "unit":
-        res = spec.sequential(graph, coords, seed=args.seed)
+        res = spec.sequential(graph, coords, config=config, seed=args.seed)
     else:
         res = partition_kway(
             graph, k, spec, coords=coords, seed=args.seed,
-            cost_model=args.cost_model, max_imbalance=args.max_imbalance,
+            cost_model=args.cost_model,
+            max_imbalance=0.05 if imb is None else imb,
         )
     dt = time.perf_counter() - t0
     _write_parts(res.parts, args.out)

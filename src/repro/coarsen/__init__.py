@@ -3,12 +3,9 @@
 from .contract import coarse_map, contract, project_labels
 from .hierarchy import Hierarchy, build_hierarchy
 from .matching import (
-    MATCHERS,
-    get_matcher,
     heavy_edge_matching,
     heavy_edge_matching_vec,
     matching_work,
-    random_matching,
     validate_matching,
 )
 
@@ -21,8 +18,5 @@ __all__ = [
     "heavy_edge_matching",
     "heavy_edge_matching_vec",
     "matching_work",
-    "random_matching",
     "validate_matching",
-    "MATCHERS",
-    "get_matcher",
 ]

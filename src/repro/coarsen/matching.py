@@ -26,22 +26,17 @@ of ``v`` (or ``v`` itself for unmatched vertices); it is an involution
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
 import numpy as np
 
-from ..errors import ConfigError, GraphError
+from ..errors import GraphError
 from ..graph.csr import CSRGraph
 from ..rng import SeedLike, as_generator
 
 __all__ = [
     "heavy_edge_matching",
     "heavy_edge_matching_vec",
-    "random_matching",
     "validate_matching",
     "matching_work",
-    "MATCHERS",
-    "get_matcher",
 ]
 
 
@@ -183,26 +178,6 @@ def heavy_edge_matching_vec(
     return match
 
 
-def random_matching(graph: CSRGraph, seed: SeedLike = None) -> np.ndarray:
-    """Random maximal matching (ablation baseline for HEM)."""
-    n = graph.num_vertices
-    rng = as_generator(seed)
-    match = np.arange(n, dtype=np.int64)
-    matched = np.zeros(n, dtype=bool)
-    indptr, indices = graph.indptr, graph.indices
-    for v in rng.permutation(n):
-        if matched[v]:
-            continue
-        nbrs = indices[indptr[v] : indptr[v + 1]]
-        free = nbrs[~matched[nbrs]]
-        if free.shape[0] == 0:
-            continue
-        u = int(free[rng.integers(free.shape[0])])
-        match[v], match[u] = u, v
-        matched[v] = matched[u] = True
-    return match
-
-
 def validate_matching(graph: CSRGraph, match: np.ndarray) -> None:
     """Raise :class:`GraphError` unless ``match`` is a valid matching."""
     n = graph.num_vertices
@@ -222,25 +197,6 @@ def validate_matching(graph: CSRGraph, match: np.ndarray) -> None:
         if bad.size:
             v = int(bad[0])
             raise GraphError(f"matched pair ({v}, {match[v]}) is not an edge")
-
-
-#: Matcher registry keyed by the :class:`~repro.core.config.ScalaPartConfig`
-#: ``matching`` knob.
-MATCHERS: Dict[str, Callable[..., np.ndarray]] = {
-    "hem": heavy_edge_matching,
-    "hem-vec": heavy_edge_matching_vec,
-    "random": random_matching,
-}
-
-
-def get_matcher(name: str) -> Callable[..., np.ndarray]:
-    """Resolve a matcher by config name (raises :class:`ConfigError`)."""
-    try:
-        return MATCHERS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown matching {name!r}; expected one of {sorted(MATCHERS)}"
-        ) from None
 
 
 def matching_work(graph: CSRGraph) -> float:

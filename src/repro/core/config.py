@@ -9,7 +9,7 @@ the separator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..embed.forces import DEFAULT_C
 from ..errors import ConfigError
@@ -23,12 +23,6 @@ class ScalaPartConfig:
 
     #: stop coarsening near this many vertices ("hundreds or few thousands")
     coarsest_size: int = 160
-    #: sequential matching kernel for the coarsening hierarchy:
-    #: ``"hem-vec"`` (round-based vectorised heavy-edge matching, the
-    #: default — the same locally-dominant-edge algorithm the parallel
-    #: drivers run distributed), ``"hem"`` (the literal ParMetis greedy
-    #: rule) or ``"random"`` (ablation baseline)
-    matching: str = "hem-vec"
     #: FDL iterations on the coarsest graph (random start needs many)
     coarsest_iters: int = 150
     #: smoothing iterations per refined level ("a few iterations")
@@ -46,28 +40,12 @@ class ScalaPartConfig:
     ncircles: int = 5
     #: strip size as a multiple of separator vertices (Fig 2 shows ~5.6)
     strip_factor: float = 6.0
-    #: FM passes on the strip
-    strip_passes: int = 6
     #: allowed partition imbalance
     max_imbalance: float = 0.05
-    #: sample size for the parallel centerpoint computation
-    centerpoint_sample: int = 1000
-    #: Lloyd iterations of the direct k-way geometric assignment
-    kway_lloyd_iters: int = 4
-    #: bias-balancing iterations of the direct k-way assignment
-    kway_balance_iters: int = 48
-    #: greedy boundary passes of the k-way refinement
-    kway_refine_passes: int = 8
-    #: pairwise-FM rounds of the k-way refinement (0 disables)
-    kway_pairwise_rounds: int = 3
 
     def __post_init__(self) -> None:
         if self.coarsest_size < 1:
             raise ConfigError("coarsest_size must be >= 1")
-        # resolve eagerly so a typo fails at config time, not mid-pipeline
-        from ..coarsen.matching import get_matcher
-
-        get_matcher(self.matching)
         if self.coarsest_iters < 0 or self.smooth_iters < 0:
             raise ConfigError("iteration counts must be nonnegative")
         if self.block_size < 1:
@@ -78,12 +56,3 @@ class ScalaPartConfig:
             raise ConfigError("strip_factor must be positive")
         if not (0 <= self.max_imbalance < 1):
             raise ConfigError("max_imbalance must be in [0, 1)")
-        if (self.kway_lloyd_iters < 0 or self.kway_refine_passes < 0
-                or self.kway_pairwise_rounds < 0):
-            raise ConfigError("k-way iteration counts must be nonnegative")
-        if self.kway_balance_iters < 1:
-            raise ConfigError("kway_balance_iters must be >= 1")
-
-    def with_options(self, **kw) -> "ScalaPartConfig":
-        """Copy with some fields replaced."""
-        return replace(self, **kw)

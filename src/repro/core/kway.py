@@ -40,6 +40,9 @@ __all__ = [
     "partition_kway",
 ]
 
+#: (node, core) imbalance budgets of :func:`hierarchical_kway`
+LEVEL_IMBALANCE = (0.03, 0.05)
+
 
 def kway_geometric(
     graph: CSRGraph,
@@ -141,11 +144,10 @@ def partition_kway(
     from .stages import as_coords
 
     t0 = time.perf_counter()
-    kwargs = {"config": config} if spec.accepts_config else {}
     kres = recursive_bisection(
         graph, k, spec.sequential,
         coords=None if coords is None else as_coords(coords),
-        seed=seed, cost_model=cost_model, **kwargs,
+        seed=seed, cost_model=cost_model, config=config,
     )
     part = KWayPartition(graph, kres.parts, k, costs=costs)
     extras = {
@@ -153,10 +155,7 @@ def partition_kway(
         "cost_model": get_cost_model(cost_model).name,
     }
     if refine and k >= 2:
-        cfg = config or ScalaPartConfig()
-        rr = kway_refine(part, max_imbalance=max_imbalance,
-                         max_passes=cfg.kway_refine_passes,
-                         pairwise_rounds=cfg.kway_pairwise_rounds)
+        rr = kway_refine(part, max_imbalance=max_imbalance)
         part = rr.partition
         extras.update({"refine_passes": rr.passes, "refine_moves": rr.moves,
                        "recursive_cut": rr.initial_cut})
@@ -200,14 +199,13 @@ def hierarchical_kway(
     config: Optional[ScalaPartConfig] = None,
     seed: SeedLike = None,
     cost_model=None,
-    level_imbalance: Tuple[float, float] = (0.03, 0.05),
 ) -> PartitionResult:
     """Hierarchical K = K1×K2 partitioning (node × core).
 
     Two stacked k-way calls: level 1 splits the graph into ``k1`` node
-    parts under the tighter budget ``level_imbalance[0]``; level 2
+    parts under the tighter budget ``LEVEL_IMBALANCE[0]`` (3%); level 2
     splits each node part into ``k2`` core parts under
-    ``level_imbalance[1]``.  The overall imbalance is bounded by
+    ``LEVEL_IMBALANCE[1]`` (5%).  The overall imbalance is bounded by
     ``(1 + e1)(1 + e2) − 1``, which is why the node level gets the
     tighter budget.  Labels nest: ``label = p1 * k2 + p2``.
     """
@@ -218,7 +216,7 @@ def hierarchical_kway(
         raise PartitionError(
             f"cannot split {graph.num_vertices} vertices into {k1}x{k2} parts"
         )
-    e1, e2 = level_imbalance
+    e1, e2 = LEVEL_IMBALANCE
     t0 = time.perf_counter()
     top = partition_kway(
         graph, k1, method,

@@ -45,6 +45,7 @@ from ..baselines.spectral import spectral_bisect
 from ..errors import ConfigError
 from ..geometric.gmt import GMTResult, g7, g7_nl, g30
 from ..results import PartitionResult
+from .config import ScalaPartConfig
 from .scalapart import scalapart, sp_pg7_nl
 from .stages import (
     EMBED_STAGE,
@@ -91,8 +92,6 @@ class MethodSpec:
     #: post-run guarantee: ``run_parallel`` validates packaged results
     #: against this bound when declared
     balance_bound: Optional[float] = None
-    #: does the method take a :class:`ScalaPartConfig`?
-    accepts_config: bool = False
     #: native k-way method: its entry points accept ``k`` and
     #: ``cost_model`` keywords and label vertices in ``[0, k)``
     #: (bisection methods reach k > 2 via recursive bisection instead)
@@ -129,7 +128,6 @@ def register_method(
     seed_salt: Optional[int] = None,
     default_max_imbalance: Optional[float] = None,
     balance_bound: Optional[float] = None,
-    accepts_config: bool = False,
     kway: bool = False,
     checkpoint_stages: Tuple[str, ...] = (),
     resume_method: Optional[str] = None,
@@ -151,7 +149,6 @@ def register_method(
             seed_salt=seed_salt,
             default_max_imbalance=default_max_imbalance,
             balance_bound=balance_bound,
-            accepts_config=accepts_config,
             kway=kway,
             checkpoint_stages=checkpoint_stages,
             resume_method=resume_method,
@@ -331,6 +328,12 @@ def _dist_kway_geometric(comm, graph, *, coords=None, config=None, seed=None,
 # registrations (sequential entry points with normalised signatures)
 # ----------------------------------------------------------------------
 
+def _max_imbalance(config: Optional[ScalaPartConfig]) -> float:
+    """Balance target of a refining bisector: ``config.max_imbalance``
+    (0.05 without a config, the default of every bisector here)."""
+    return (config or ScalaPartConfig()).max_imbalance
+
+
 def _wrap_gmt(res: GMTResult, name: str, seconds: float) -> PartitionResult:
     return PartitionResult(
         bisection=res.bisection,
@@ -344,7 +347,6 @@ def _wrap_gmt(res: GMTResult, name: str, seconds: float) -> PartitionResult:
 
 @register_method(
     "ScalaPart", distributed=_dist_scalapart, seed_salt=1,
-    accepts_config=True,
     checkpoint_stages=("embed",), resume_method="SP-PG7-NL",
     description="full pipeline: coarsen, lattice-embed, circles, strip FM",
 )
@@ -354,7 +356,7 @@ def _scalapart(graph, coords=None, *, config=None, seed=None):
 
 @register_method(
     "SP-PG7-NL", cli_name="sp-pg7-nl", needs_coords=True,
-    distributed=_dist_sp_pg7_nl, seed_salt=2, accepts_config=True,
+    distributed=_dist_sp_pg7_nl, seed_salt=2,
     description="stages 3–4 only: great circles + strip FM on given coords",
 )
 def _sp_pg7_nl(graph, coords=None, *, config=None, seed=None):
@@ -367,7 +369,8 @@ def _sp_pg7_nl(graph, coords=None, *, config=None, seed=None):
     description="speed-tuned multilevel bisection (greedy refinement)",
 )
 def _parmetis(graph, coords=None, *, config=None, seed=None):
-    return parmetis_like(graph, seed=seed)
+    return parmetis_like(graph, seed=seed,
+                         max_imbalance=_max_imbalance(config))
 
 
 @register_method(
@@ -376,7 +379,8 @@ def _parmetis(graph, coords=None, *, config=None, seed=None):
     description="quality-tuned multilevel bisection (band FM)",
 )
 def _scotch(graph, coords=None, *, config=None, seed=None):
-    return scotch_like(graph, seed=seed)
+    return scotch_like(graph, seed=seed,
+                       max_imbalance=_max_imbalance(config))
 
 
 @register_method(
@@ -393,7 +397,8 @@ def _rcb(graph, coords=None, *, config=None, seed=None):
     description="Fiedler-vector bisection (classical reference)",
 )
 def _spectral(graph, coords=None, *, config=None, seed=None):
-    return spectral_bisect(graph, seed=seed)
+    return spectral_bisect(graph, seed=seed,
+                           max_imbalance=_max_imbalance(config))
 
 
 @register_method(
@@ -429,8 +434,7 @@ def _g7_nl(graph, coords=None, *, config=None, seed=None):
 @register_method(
     "KWay-Geometric", cli_name="kway-geometric",
     distributed=_dist_kway_geometric, seed_salt=5,
-    default_max_imbalance=0.05, balance_bound=0.10,
-    accepts_config=True, kway=True,
+    default_max_imbalance=0.05, balance_bound=0.10, kway=True,
     checkpoint_stages=("embed",), resume_method="KWay-Geometric",
     description="direct k-way: K centroid cells on the sphere + boundary refine",
 )

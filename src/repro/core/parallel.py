@@ -35,7 +35,6 @@ partition.  The full attempt trail lands in
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -44,7 +43,7 @@ import numpy as np
 from ..errors import CommError, ConfigError, PartitionError, ReproError
 from ..graph.csr import CSRGraph
 from ..graph.partition import Bisection, KWayPartition
-from ..parallel.checkpoint import CheckpointContext, as_policy
+from ..parallel.checkpoint import CheckpointContext, as_store
 from ..parallel.engine import run_spmd
 from ..parallel.faults import FaultPlan
 from ..parallel.machine import MachineModel, QDR_CLUSTER
@@ -62,9 +61,6 @@ __all__ = ["RetryPolicy", "run_parallel"]
 #: caller's seed; attempt k reruns with derive_seed(seed, salt, k))
 _RETRY_SALT = 0x5AFE
 
-#: seed-salting namespace for the retry backoff jitter draw
-_JITTER_SALT = 0x117E4
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -76,32 +72,15 @@ class RetryPolicy:
     registry's :func:`~repro.core.methods.recovery_ladder` is descended.
     ``validate_imbalance`` is the balance bound applied to recovered
     partitions whose method declares no ``balance_bound`` of its own.
-
-    ``base_delay`` > 0 sleeps before every re-attempt:
-    ``base_delay * backoff**(epoch-1)`` stretched by up to ``jitter``
-    (multiplicatively, ``1 + jitter*u`` with ``u`` drawn via
-    :func:`~repro.rng.derive_seed` from the run seed), so concurrent
-    retries of many jobs de-stampede deterministically per seed.  The
-    default 0 keeps recovery immediate; each attempt's actual sleep is
-    recorded as ``"delay"`` in the ``extras["recovery"]`` trail.
+    Recovery is immediate: attempts follow each other without a sleep.
     """
 
     retries: int = 1
     backoff: float = 2.0
-    base_delay: float = 0.0
-    jitter: float = 0.5
     shrink: bool = True
     min_ranks: int = 2
     fallback: bool = True
     validate_imbalance: float = 0.15
-
-    def delay_for(self, seed: SeedLike, epoch: int) -> float:
-        """Deterministic jittered backoff delay before attempt ``epoch``."""
-        if self.base_delay <= 0.0 or epoch <= 0:
-            return 0.0
-        u = derive_seed(seed, _JITTER_SALT, epoch) / float(2 ** 63)
-        return self.base_delay * self.backoff ** (epoch - 1) \
-            * (1.0 + self.jitter * u)
 
 
 def _package(
@@ -235,13 +214,10 @@ def _run_recovering(
         scale = retry.backoff ** epoch
         aseed = seed if epoch == 0 else derive_seed(seed, _RETRY_SALT, epoch)
         plan = None if faults is None else faults.for_attempt(epoch)
-        delay = retry.delay_for(seed, epoch)
         rec: Dict[str, Any] = {"step": step, "mode": "engine",
                                "method": aspec.name, "nranks": p,
-                               "attempt": epoch, "delay": delay}
+                               "attempt": epoch}
         epoch += 1
-        if delay > 0.0:
-            time.sleep(delay)
         try:
             out = engine(aspec, p, aseed, plan, scale)
             ck = out.extras.get("checkpoint")
@@ -259,13 +235,10 @@ def _run_recovering(
     def sequential_attempt(aspec: MethodSpec) -> Optional[PartitionResult]:
         nonlocal epoch, last_exc
         aseed = derive_seed(seed, _RETRY_SALT, epoch)
-        delay = retry.delay_for(seed, epoch)
         rec: Dict[str, Any] = {"step": "fallback", "mode": "sequential",
                                "method": aspec.name, "nranks": 1,
-                               "attempt": epoch, "delay": delay}
+                               "attempt": epoch}
         epoch += 1
-        if delay > 0.0:
-            time.sleep(delay)
         try:
             out = sequential(aspec, aseed)
             out.validate(bound_for(aspec))
@@ -374,8 +347,7 @@ def run_parallel(
     recursive bisection + k-way refinement under the same model.
 
     ``checkpoint`` enables stage-durable elastic recovery: a directory
-    path, :class:`~repro.parallel.checkpoint.CheckpointStore` or
-    :class:`~repro.parallel.checkpoint.CheckpointPolicy`.  Methods that
+    path or :class:`~repro.parallel.checkpoint.CheckpointStore`.  Methods that
     declare ``checkpoint_stages`` persist their completed embedding
     (atomic, crc-verified, keyed by graph hash × config fingerprint ×
     seed × stage); every attempt — including the primary one, so a
@@ -408,10 +380,10 @@ def run_parallel(
         )
     if spec.needs_coords:
         coords = as_coords(coords)
-    policy = as_policy(checkpoint)
+    store = as_store(checkpoint)
     ctx = None
-    if policy is not None:
-        ctx = CheckpointContext.for_run(policy, graph, spec, config, seed,
+    if store is not None:
+        ctx = CheckpointContext.for_run(store, graph, spec, config, seed,
                                         k=k, cost_model=cost_model)
 
     def engine(aspec: MethodSpec, p: int, aseed: SeedLike,
@@ -457,7 +429,7 @@ def run_parallel(
         if ctx is not None:
             out.extras["checkpoint"] = {
                 "resumed_from": resumed_from,
-                "store": str(ctx.policy.store.root),
+                "store": str(ctx.store.root),
                 "ignored": list(ctx.ignored),
             }
         return out
@@ -476,16 +448,12 @@ def run_parallel(
             from .kway import partition_kway
 
             return partition_kway(
-                graph, k, aspec, coords=scoords,
-                config=config if aspec.accepts_config else None,
+                graph, k, aspec, coords=scoords, config=config,
                 seed=aseed, cost_model=cost_model,
                 max_imbalance=(max_imbalance if max_imbalance is not None
                                else 0.05),
             )
-        kwargs: Dict[str, Any] = {"seed": aseed}
-        if aspec.accepts_config:
-            kwargs["config"] = config
-        return aspec.sequential(graph, scoords, **kwargs)
+        return aspec.sequential(graph, scoords, config=config, seed=aseed)
 
     return _run_recovering(spec, nranks, seed, faults, retry, k,
                            engine, sequential)

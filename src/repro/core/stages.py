@@ -31,7 +31,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..coarsen.matching import get_matcher
+from ..coarsen.matching import heavy_edge_matching_vec
 from ..embed.multilevel import multilevel_embedding
 from ..embed.parallel import dist_multilevel_embedding
 from ..errors import GeometryError
@@ -245,7 +245,7 @@ class EmbedStage(Stage):
             smooth_iters=cfg.smooth_iters,
             jitter=cfg.jitter,
             repulsion="lattice",
-            matcher=get_matcher(cfg.matching),
+            matcher=heavy_edge_matching_vec,
         )
         return EmbeddingArtifact(
             stage=self.name,
@@ -291,7 +291,6 @@ class GeometricStage(Stage):
             nlines=0,
             ncenterpoints=1,
             seed=derive_seed(seed, 0x5B),
-            sample_size=cfg.centerpoint_sample,
         )
         return GeometricArtifact(
             stage=self.name,
@@ -323,7 +322,6 @@ class StripRefineStage(Stage):
             upstream.sdist,
             factor=cfg.strip_factor,
             max_imbalance=cfg.max_imbalance,
-            max_passes=cfg.strip_passes,
         )
         return RefineArtifact(
             stage=self.name,
@@ -354,7 +352,6 @@ class KWayGeometricStage(Stage):
 
     def run(self, graph, upstream, config=None, seed=None, *,
             k: int = 2, costs=None):
-        cfg = config or ScalaPartConfig()
         coords = as_coords(upstream)
         t0 = time.perf_counter()
         parts, info = kway_geometric_assign(
@@ -363,8 +360,6 @@ class KWayGeometricStage(Stage):
             k,
             costs=costs,
             seed=derive_seed(seed, 0x5B),
-            lloyd_iters=cfg.kway_lloyd_iters,
-            balance_iters=cfg.kway_balance_iters,
         )
         return KWayArtifact(
             stage=self.name,
@@ -399,12 +394,7 @@ class KWayRefineStage(Stage):
         cfg = config or ScalaPartConfig()
         bound = cfg.max_imbalance if max_imbalance is None else max_imbalance
         t0 = time.perf_counter()
-        refined = kway_refine(
-            upstream.partition,
-            max_imbalance=bound,
-            max_passes=cfg.kway_refine_passes,
-            pairwise_rounds=cfg.kway_pairwise_rounds,
-        )
+        refined = kway_refine(upstream.partition, max_imbalance=bound)
         return KWayArtifact(
             stage=self.name,
             seconds=time.perf_counter() - t0,

@@ -164,69 +164,3 @@ def force_directed_layout(
             converged = True
             break
     return LayoutResult(pos, it, converged, step, energy)
-
-
-def _force_directed_layout_reference(
-    graph: CSRGraph,
-    pos0: np.ndarray,
-    *,
-    masses: Optional[np.ndarray] = None,
-    c: float = DEFAULT_C,
-    k: float = 1.0,
-    max_iters: int = 100,
-    tol: float = 1e-3,
-    step0: Optional[float] = None,
-    repulsion: RepulsionLike = "auto",
-    fixed: Optional[np.ndarray] = None,
-) -> LayoutResult:
-    """Pre-optimisation layout loop (fresh temporaries every iteration,
-    ``np.add.at`` attraction), kept temporarily so the test suite can
-    assert the workspace-backed loop is bit-identical."""
-    from .forces import _attractive_forces_reference
-
-    n = graph.num_vertices
-    pos = np.array(pos0, dtype=np.float64, copy=True)
-    if pos.shape != (n, 2):
-        raise EmbeddingError(f"pos0 must be ({n}, 2), got {pos.shape}")
-    if max_iters < 0:
-        raise EmbeddingError("max_iters must be nonnegative")
-    if masses is None:
-        masses = graph.vwgt
-    masses = np.asarray(masses, dtype=np.float64)
-    if fixed is not None:
-        fixed = np.asarray(fixed, dtype=bool)
-        if fixed.shape != (n,):
-            raise EmbeddingError("fixed mask must have one entry per vertex")
-        if fixed.all():
-            return LayoutResult(pos, 0, True, 0.0, 0.0)
-    rep = _resolve_repulsion(repulsion, n)
-
-    step = float(step0) if step0 is not None else k
-    energy_prev = np.inf
-    progress = 0
-    converged = False
-    it = 0
-    energy = 0.0
-    for it in range(1, max_iters + 1):
-        f = _attractive_forces_reference(graph, pos, k) + rep(pos, masses, c, k)
-        if fixed is not None:
-            f[fixed] = 0.0
-        norms = np.sqrt((f * f).sum(axis=1))
-        energy = float((norms * norms).sum())
-        move = np.zeros_like(pos)
-        active = norms > 1e-300
-        move[active] = f[active] / norms[active, None] * step
-        pos += move
-        if energy < energy_prev:
-            progress += 1
-            if progress >= _PROGRESS_LIMIT:
-                progress = 0
-                step /= _T
-        else:
-            progress = 0
-            step *= _T
-        energy_prev = energy
-        if step < tol * k:
-            converged = True
-            break
-    return LayoutResult(pos, it, converged, step, energy)

@@ -122,29 +122,6 @@ def attractive_forces(
     return out
 
 
-def _attractive_forces_reference(
-    graph: CSRGraph, pos: np.ndarray, k: float = 1.0
-) -> np.ndarray:
-    """Pre-optimisation implementation (``np.add.at`` scatter), kept
-    temporarily so the test suite can assert the rewritten kernel is
-    bit-identical on every graph family."""
-    pos = np.asarray(pos, dtype=np.float64)
-    n = graph.num_vertices
-    if pos.shape != (n, 2):
-        raise EmbeddingError(f"pos must be ({n}, 2), got {pos.shape}")
-    if k <= 0:
-        raise EmbeddingError("K must be positive")
-    src = graph.edge_sources()
-    dst = graph.indices
-    d = pos[dst] - pos[src]
-    dist = np.sqrt((d * d).sum(axis=1))
-    mag = dist / k * graph.ewgt
-    f = d * mag[:, None]
-    out = np.zeros((n, 2))
-    np.add.at(out, src, f)
-    return out
-
-
 def repulsive_forces_exact(
     pos: np.ndarray,
     masses: Optional[np.ndarray] = None,

@@ -236,21 +236,6 @@ def beta_force_field(
     return field
 
 
-def _beta_force_field_reference(
-    stats: LatticeStats, c: float = DEFAULT_C, k: float = 1.0
-) -> np.ndarray:
-    """Pre-optimisation field kernel (full ``(B, B, 2)`` temporaries),
-    kept temporarily for the bit-exactness tests."""
-    com, mass = stats.com, stats.mass
-    d = com[:, None, :] - com[None, :, :]
-    r2 = (d * d).sum(axis=2) + _EPS2
-    np.fill_diagonal(r2, np.inf)
-    w = c * k * k * mass[None, :] / r2
-    field = (d * w[:, :, None]).sum(axis=1)
-    field[mass == 0] = 0.0
-    return field
-
-
 def repulsive_forces_lattice(
     pos: np.ndarray,
     masses: Optional[np.ndarray] = None,
@@ -319,40 +304,4 @@ def repulsive_forces_lattice(
     np.multiply(dy, t, out=dy)
     np.add(out[:, 0], dx, out=out[:, 0])
     np.add(out[:, 1], dy, out=out[:, 1])
-    return out
-
-
-def _repulsive_forces_lattice_reference(
-    pos: np.ndarray,
-    masses: Optional[np.ndarray] = None,
-    c: float = DEFAULT_C,
-    k: float = 1.0,
-    *,
-    box: Optional[Box] = None,
-    s: int = 16,
-    stats: Optional[LatticeStats] = None,
-) -> np.ndarray:
-    """Pre-optimisation lattice kernel (double ``cell_ids``, ~10 fresh
-    temporaries per call), kept temporarily for the bit-exactness
-    tests."""
-    pos = np.asarray(pos, dtype=np.float64)
-    n = pos.shape[0]
-    if masses is None:
-        masses = np.ones(n)
-    masses = np.asarray(masses, dtype=np.float64)
-    if box is None:
-        box = Box.of_points(pos)
-    if stats is None:
-        stats = lattice_stats(pos, masses, box, s)
-    elif stats.s != s:
-        raise EmbeddingError(f"stats built for s={stats.s}, requested s={s}")
-
-    field = _beta_force_field_reference(stats, c, k)
-    cid = cell_ids(pos, box, s)
-    out = field[cid] * masses[:, None]
-
-    d = pos - stats.com[cid]
-    r2 = (d * d).sum(axis=1) + _EPS2
-    m_other = np.maximum(stats.mass[cid] - masses, 0.0)
-    out += d * (c * k * k * masses * m_other / r2)[:, None]
     return out

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -54,8 +54,15 @@ class EmbeddingResult:
         return self.hierarchy.num_levels
 
 
-def lattice_side_for(n: int, per_cell: float = 32.0, s_max: int = 64) -> int:
-    """Lattice side so cells hold ~``per_cell`` vertices on average.
+#: average vertices per lattice cell on the sequential refined levels
+LATTICE_PER_CELL = 32.0
+#: largest lattice side the sequential smoother uses
+LATTICE_MAX_SIDE = 64
+
+
+def lattice_side_for(n: int) -> int:
+    """Lattice side so cells hold ~:data:`LATTICE_PER_CELL` vertices on
+    average (at most :data:`LATTICE_MAX_SIDE` cells per axis).
 
     The distributed algorithm fixes ``s = √P``; the sequential smoother
     picks the side from the level size instead (finer graphs get finer
@@ -63,8 +70,8 @@ def lattice_side_for(n: int, per_cell: float = 32.0, s_max: int = 64) -> int:
     """
     if n < 1:
         return 1
-    s = int(np.sqrt(n / per_cell)) or 1
-    return int(min(s_max, max(2, s)))
+    s = int(np.sqrt(n / LATTICE_PER_CELL)) or 1
+    return int(min(LATTICE_MAX_SIDE, max(2, s)))
 
 
 def multilevel_embedding(
@@ -77,8 +84,6 @@ def multilevel_embedding(
     smooth_iters: int = 16,
     jitter: float = 0.25,
     repulsion: str = "lattice",
-    lattice_per_cell: float = 32.0,
-    hierarchy: Optional[Hierarchy] = None,
     matcher=heavy_edge_matching,
 ) -> EmbeddingResult:
     """Embed an arbitrary graph in the plane.
@@ -87,9 +92,8 @@ def multilevel_embedding(
     ``"lattice"`` (the paper's scheme) or ``"bh"`` (Barnes–Hut, the
     higher-fidelity reference used for the ablation benchmarks).
     ``matcher`` is the matching kernel handed to
-    :func:`~repro.coarsen.build_hierarchy` (the pipeline resolves it
-    from ``ScalaPartConfig.matching``; ignored when ``hierarchy`` is
-    supplied).
+    :func:`~repro.coarsen.build_hierarchy` (the ScalaPart pipeline
+    passes :func:`~repro.coarsen.heavy_edge_matching_vec`).
     """
     if repulsion not in ("lattice", "bh"):
         raise EmbeddingError(f"unknown repulsion {repulsion!r}")
@@ -100,7 +104,7 @@ def multilevel_embedding(
             LayoutResult(empty, 0, True, 0.0, 0.0),
         )
     rng = as_generator(derive_seed(seed, 0xE3BED))
-    h = hierarchy if hierarchy is not None else build_hierarchy(
+    h = build_hierarchy(
         graph, coarsest_size=coarsest_size, keep_every_other=True, seed=seed,
         matcher=matcher,
     )
@@ -129,7 +133,7 @@ def multilevel_embedding(
         pos = 2.0 * pos[cmap]  # box scales by 2 per axis (paper §3)
         pos = pos + rng.normal(scale=jitter, size=pos.shape)
         if repulsion == "lattice":
-            s = lattice_side_for(g.num_vertices, lattice_per_cell)
+            s = lattice_side_for(g.num_vertices)
             box = Box.of_points(pos).expanded(1.05)
             kernel = partial(_lattice_kernel, box=box, s=s, ws=lat_ws)
         else:

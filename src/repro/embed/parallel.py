@@ -300,7 +300,6 @@ def dist_multilevel_embedding(
     c: float = DEFAULT_C,
     jitter: float = 0.25,
     seed=None,
-    hierarchy=None,
 ):
     """Distributed ScalaPart embedding; rank program for the VM.
 
@@ -309,12 +308,9 @@ def dist_multilevel_embedding(
     ``info`` carries the hierarchy sizes for diagnostics.
     """
     comm.set_phase("coarsen")
-    if hierarchy is None:
-        graphs, cmaps = yield from dist_build_hierarchy(
-            comm, graph, coarsest_size=coarsest_size, keep_every_other=True
-        )
-    else:
-        graphs, cmaps = hierarchy
+    graphs, cmaps = yield from dist_build_hierarchy(
+        comm, graph, coarsest_size=coarsest_size, keep_every_other=True
+    )
 
     comm.set_phase("embed")
     nlevels = len(graphs)

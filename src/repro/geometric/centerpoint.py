@@ -21,7 +21,8 @@ import numpy as np
 from ..errors import GeometryError
 from ..rng import SeedLike, as_generator
 
-__all__ = ["radon_point", "approx_centerpoint", "centerpoint_depth"]
+__all__ = ["CENTERPOINT_SAMPLE", "radon_point", "approx_centerpoint",
+           "centerpoint_depth"]
 
 
 def radon_point(points: np.ndarray) -> np.ndarray:
@@ -46,10 +47,15 @@ def radon_point(points: np.ndarray) -> np.ndarray:
     return (lam[pos, None] * pts[pos]).sum(axis=0) / s_pos
 
 
+#: points the approximate centerpoint reduces (the sequential sample,
+#: and the total the distributed partitioners gather over all ranks)
+CENTERPOINT_SAMPLE = 1000
+
+
 def approx_centerpoint(
     points: np.ndarray,
     seed: SeedLike = None,
-    sample_size: int = 1000,
+    sample_size: int = CENTERPOINT_SAMPLE,
 ) -> np.ndarray:
     """Approximate centerpoint by iterated Radon reduction.
 

@@ -33,7 +33,7 @@ from ..errors import GeometryError
 from ..graph.csr import CSRGraph
 from ..graph.partition import Bisection
 from ..rng import SeedLike, as_generator, derive_seed
-from .centerpoint import approx_centerpoint
+from .centerpoint import CENTERPOINT_SAMPLE, approx_centerpoint
 from .circles import Candidate, circle_candidates, evaluate_cuts, line_candidates
 from .stereo import conformal_to_center, lift
 
@@ -81,7 +81,7 @@ def geometric_partition(
     nlines: int = 0,
     ncenterpoints: int = 1,
     seed: SeedLike = None,
-    sample_size: int = 1000,
+    sample_size: int = CENTERPOINT_SAMPLE,
 ) -> GMTResult:
     """Run the GMT partitioner with the given candidate budget."""
     n = graph.num_vertices

@@ -39,17 +39,24 @@ from ..graph.distributed import block_of, block_starts
 from ..graph.partition import KWayPartition
 from ..parallel.engine import Comm
 from ..parallel.patterns import allgather_concat, share_from_root
-from ..refine.kway import kway_refine
+from ..refine.kway import REFINE_PASSES, kway_refine
 from ..rng import SeedLike, as_generator, derive_seed
+from .centerpoint import CENTERPOINT_SAMPLE
 from .gmt import normalize_coords
 from .stereo import lift
 
-__all__ = ["dist_kway_geometric", "kway_geometric_assign", "seed_centroids"]
+__all__ = ["BALANCE_ITERS", "LLOYD_ITERS", "dist_kway_geometric",
+           "kway_geometric_assign", "seed_centroids"]
 
 #: bias learning-rate schedule: large first steps, gentle tail so the
 #: assignment settles instead of oscillating between cells
 _BIAS_LR0 = 0.12
 _BIAS_DECAY = 0.97
+
+#: Lloyd iterations that move the seeded centroids
+LLOYD_ITERS = 4
+#: bias-balancing iterations (at most) with the centroids frozen
+BALANCE_ITERS = 48
 
 
 def _bias_lr(it: int) -> float:
@@ -119,8 +126,8 @@ def kway_geometric_assign(
     *,
     costs: Optional[np.ndarray] = None,
     seed: SeedLike = None,
-    lloyd_iters: int = 4,
-    balance_iters: int = 48,
+    lloyd_iters: int = LLOYD_ITERS,
+    balance_iters: int = BALANCE_ITERS,
     balance_tol: float = 0.02,
 ) -> Tuple[np.ndarray, dict]:
     """Sequential direct k-way assignment of an embedded graph.
@@ -211,7 +218,7 @@ def dist_kway_geometric(
     # ---- shared sample: normalisation + seed centroids ---------------
     comm.set_phase("partition/sample")
     rng = np.random.default_rng(derive_seed(seed, 0xD158))
-    per_rank = max(4, cfg.centerpoint_sample // p)
+    per_rank = max(4, CENTERPOINT_SAMPLE // p)
     take = min(per_rank, owned.shape[0])
     sample_ids = (
         owned[rng.choice(owned.shape[0], size=take, replace=False)]
@@ -239,7 +246,7 @@ def dist_kway_geometric(
 
     # ---- Lloyd iterations: one (k, 4) allreduce each ------------------
     comm.set_phase("partition/centroids")
-    for _ in range(cfg.kway_lloyd_iters):
+    for _ in range(LLOYD_ITERS):
         parts_own = np.argmax(own_u @ centroids.T, axis=1)
         comm.charge(float(hi - lo) * (3 * k + 4))
         tot = yield from comm.allreduce(
@@ -255,7 +262,7 @@ def dist_kway_geometric(
     best_key = (np.inf, np.inf)
     best_parts = np.zeros(hi - lo, dtype=np.int64)
     iters = 0
-    for it in range(cfg.kway_balance_iters):
+    for it in range(BALANCE_ITERS):
         iters = it + 1
         parts_own = np.argmax(aff - bias, axis=1)
         pc_own = np.bincount(parts_own, weights=own_costs, minlength=k)
@@ -279,14 +286,12 @@ def dist_kway_geometric(
     info = {
         "assign_imbalance": float(best_key[1]),
         "assign_iters": iters,
-        "lloyd_iters": cfg.kway_lloyd_iters,
+        "lloyd_iters": LLOYD_ITERS,
     }
     result = None
     if comm.rank == 0:
         kp = KWayPartition(graph, parts_full, k, costs=costs)
-        refined = kway_refine(kp, max_imbalance=bound,
-                              max_passes=cfg.kway_refine_passes,
-                              pairwise_rounds=cfg.kway_pairwise_rounds)
+        refined = kway_refine(kp, max_imbalance=bound)
         result = (
             np.asarray(refined.partition.parts),
             {
@@ -298,7 +303,7 @@ def dist_kway_geometric(
         )
     # boundary work is proportional to the separator, not the graph
     boundary_guess = float(k) * math.sqrt(max(n, 1.0))
-    comm.charge(boundary_guess * cfg.kway_refine_passes / p)
+    comm.charge(boundary_guess * REFINE_PASSES / p)
     parts_final, final_info = (yield from share_from_root(
         comm, result,
         words=float(n) / max(1.0, math.log2(p) if p > 1 else 1.0),

@@ -39,7 +39,7 @@ from ..parallel.engine import Comm
 from ..parallel.patterns import allgather_concat, share_from_root
 from ..refine.strip import strip_refine
 from ..rng import SeedLike, derive_seed
-from .centerpoint import approx_centerpoint
+from .centerpoint import CENTERPOINT_SAMPLE, approx_centerpoint
 from .circles import random_unit_vectors
 from .stereo import lift, project, rotation_to_south
 
@@ -90,7 +90,7 @@ def dist_geometric(
     # ---- sampled centerpoint & conformal map (redundant per rank) ----
     comm.set_phase("partition/sample")
     rng = np.random.default_rng(derive_seed(seed, 0xD157))
-    per_rank = max(4, cfg.centerpoint_sample // p)
+    per_rank = max(4, CENTERPOINT_SAMPLE // p)
     take = min(per_rank, owned.shape[0])
     sample_ids = (
         owned[rng.choice(owned.shape[0], size=take, replace=False)]
@@ -203,7 +203,6 @@ def dist_strip_refine(
             bis, sd_full,
             factor=cfg.strip_factor,
             max_imbalance=cfg.max_imbalance,
-            max_passes=cfg.strip_passes,
         )
         result = (
             refined.bisection.side,

@@ -142,6 +142,9 @@ def _parse_header(line: str):
     fields = line.split()
     if len(fields) < 2:
         raise GraphError(f"bad METIS header: {line!r}")
+    if len(fields) > 4:
+        raise GraphError(f"bad METIS header {line!r}: expected at most 4 "
+                         f"fields (n m fmt ncon), got {len(fields)}")
     for name, tok in zip(("n", "m", "ncon"), fields[:2] + fields[3:4]):
         if not _UINT.fullmatch(tok):
             raise GraphError(f"bad METIS header {line!r}: {name} must be a "

@@ -2,7 +2,6 @@
 
 from .checkpoint import (
     CheckpointKey,
-    CheckpointPolicy,
     CheckpointStore,
     graph_content_hash,
 )
@@ -29,7 +28,6 @@ from .trace import (
 
 __all__ = [
     "CheckpointKey",
-    "CheckpointPolicy",
     "CheckpointStore",
     "graph_content_hash",
     "Comm",

@@ -10,11 +10,10 @@ process, after a crash) can resume from the last persisted stage:
 * :class:`CheckpointStore` — a directory of atomically written,
   crc32-verified ``.npz`` artifact files, keyed by
   ``(graph content hash, config fingerprint, seed, stage)``;
-* :class:`CheckpointPolicy` — what the run should do with the store
-  (save completed stages / resume from persisted ones);
-* :class:`CheckpointContext` — one run's view of the policy: the
+* :class:`CheckpointContext` — one run's view of the store: the
   resolved key per stage, the rank-0 save hook threaded into rank
-  programs, and the strictly validated resume probe.
+  programs, and the strictly validated resume probe.  A run with a
+  store both saves completed stages and resumes from persisted ones.
 
 Durability contract
 -------------------
@@ -52,9 +51,8 @@ from ..rng import DEFAULT_SEED
 __all__ = [
     "CheckpointKey",
     "CheckpointStore",
-    "CheckpointPolicy",
     "CheckpointContext",
-    "as_policy",
+    "as_store",
     "graph_content_hash",
     "config_fingerprint",
 ]
@@ -299,32 +297,19 @@ class CheckpointStore:
 
 
 # ----------------------------------------------------------------------
-# policy + per-run context
+# per-run context
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckpointPolicy:
-    """What :func:`~repro.core.parallel.run_parallel` does with a store."""
-
-    store: CheckpointStore
-    save: bool = True
-    resume: bool = True
-
-
-def as_policy(obj) -> Optional[CheckpointPolicy]:
-    """Normalise the ``checkpoint=`` argument: a directory path, a
-    :class:`CheckpointStore` or a :class:`CheckpointPolicy` (or None)."""
-    if obj is None:
-        return None
-    if isinstance(obj, CheckpointPolicy):
+def as_store(obj) -> Optional[CheckpointStore]:
+    """Normalise the ``checkpoint=`` argument: a directory path or a
+    :class:`CheckpointStore` (or None)."""
+    if obj is None or isinstance(obj, CheckpointStore):
         return obj
-    if isinstance(obj, CheckpointStore):
-        return CheckpointPolicy(store=obj)
     if isinstance(obj, (str, os.PathLike)):
-        return CheckpointPolicy(store=CheckpointStore(obj))
+        return CheckpointStore(obj)
     raise ConfigError(
-        "checkpoint must be a directory path, CheckpointStore or "
-        f"CheckpointPolicy, got {type(obj).__name__}"
+        "checkpoint must be a directory path or CheckpointStore, got "
+        f"{type(obj).__name__}"
     )
 
 
@@ -340,7 +325,7 @@ class CheckpointContext:
     it in ``extras``.
     """
 
-    policy: CheckpointPolicy
+    store: CheckpointStore
     method: str
     graph_hash: str
     fingerprint: str
@@ -348,10 +333,10 @@ class CheckpointContext:
     ignored: List[str] = field(default_factory=list)
 
     @classmethod
-    def for_run(cls, policy: CheckpointPolicy, graph, spec, config,
+    def for_run(cls, store: CheckpointStore, graph, spec, config,
                 seed, k: int = 2, cost_model=None) -> "CheckpointContext":
         return cls(
-            policy=policy,
+            store=store,
             method=spec.name,
             graph_hash=graph_content_hash(graph),
             fingerprint=config_fingerprint(spec.name, config, k=k,
@@ -365,11 +350,10 @@ class CheckpointContext:
                              seed=self.seed, stage=stage)
 
     def can_save(self, spec) -> bool:
-        return bool(self.policy.save and spec.checkpoint_stages
-                    and spec.name == self.method)
+        return bool(spec.checkpoint_stages and spec.name == self.method)
 
     def can_resume(self, spec) -> bool:
-        return bool(self.policy.resume and spec.checkpoint_stages
+        return bool(spec.checkpoint_stages
                     and spec.resume_method is not None
                     and spec.name == self.method)
 
@@ -378,7 +362,7 @@ class CheckpointContext:
         failure is reported (CheckpointWarning), never fatal — the run's
         answer does not depend on the checkpoint landing."""
         try:
-            self.policy.store.save(self.key_for(stage), artifact)
+            self.store.save(self.key_for(stage), artifact)
         except OSError as exc:
             warnings.warn(
                 f"could not persist {stage!r} checkpoint: "
@@ -389,7 +373,7 @@ class CheckpointContext:
 
     def load_stage(self, stage: str):
         """Verified artifact for ``stage``, or None (recording why)."""
-        artifact, reason = self.policy.store.try_load(self.key_for(stage))
+        artifact, reason = self.store.try_load(self.key_for(stage))
         if reason is not None:
             self.ignored.append(reason)
         return artifact

@@ -336,8 +336,6 @@ class _Engine:
         self.groups: Dict[Any, _Group] = {}
         #: collectives completed per communicator (names split children)
         self.coll_seq: Dict[Any, int] = {}
-        #: global send ordinal (the simulator's message-fault site)
-        self.messages = 0
         self.stats: Dict[str, CommStats] = defaultdict(
             lambda: CommStats.zeros(nranks))
 
@@ -673,14 +671,11 @@ def _do_send(eng: _Engine, grank: int, op: _Op) -> None:
         cksum = payload_checksum(op.value)
     fault = None
     if eng.faults is not None:
-        # eng.messages is the global send ordinal (deterministic rank
-        # scheduling order); the sender-local ordinal is the site shared
-        # with the procs backend, so random rates and rank-scoped
-        # scheduled faults fire on the same logical messages there
+        # the sender-local ordinal is the site shared with the procs
+        # backend, so faults fire on the same logical messages there
         local_index = eng.send_counts[grank]
         eng.send_counts[grank] = local_index + 1
-        fault = eng.faults.message_fault(eng.messages, sender=grank,
-                                         sender_index=local_index)
+        fault = eng.faults.message_fault(grank, local_index)
     q = eng.mailbox.setdefault((grank, gdst, op.tag, op.cid), deque())
     if fault is None:
         q.append((arrival, words, _readonly_payload(op.value), cksum))
@@ -694,9 +689,8 @@ def _do_send(eng: _Engine, grank: int, op: _Op) -> None:
         eng.fault_events.append(apply_message_fault(
             fault, op.value, local_index, post,
             time=float(eng.clocks[grank]), rank=grank, dest=gdst,
-            tag=op.tag, msg_index=eng.messages, phase=eng.phase[grank],
+            tag=op.tag, msg_index=local_index, phase=eng.phase[grank],
         ))
-    eng.messages += 1
     eng.stats_for(grank).book_send(grank, words)
 
 

@@ -97,7 +97,7 @@ class FaultEvent:
     dest: int = -1       #: global destination rank (message faults)
     tag: int = -1        #: message tag (message faults)
     op_index: int = -1   #: rank-local op ordinal (kills)
-    msg_index: int = -1  #: send ordinal (global on sim, sender-local on procs)
+    msg_index: int = -1  #: sender-local send ordinal (message faults)
     phase: str = ""      #: phase of the affected rank at injection
     detail: str = ""     #: human-readable description
 
@@ -137,25 +137,20 @@ class KillRank:
 
 @dataclass(frozen=True)
 class MessageFault:
-    """Apply ``kind`` to the ``index``-th point-to-point send of the run.
+    """Apply ``kind`` to the ``index``-th point-to-point send of ``rank``.
 
-    With ``rank=None`` (the default) ``index`` is the *global* send
-    ordinal — the simulator counts every ``comm.send`` in deterministic
-    scheduling order.  Real processes have no global ordinal, so the
-    procs backend rejects globally-indexed faults; give ``rank`` to key
-    the fault on that sender's ``index``-th own send instead (the
-    sender-local ordinal is identical on both backends, so a
-    rank-scoped fault fires at the same logical message everywhere).
-    ``delay`` is the extra seconds for ``kind="delay"`` (simulated on
-    the sim backend, wall-clock on procs).
+    ``index`` counts that sender's own sends.  The sender-local ordinal
+    is identical on both backends, so the fault fires at the same
+    logical message everywhere.  ``delay`` is the extra seconds for
+    ``kind="delay"`` (simulated on the sim backend, wall-clock on
+    procs).
     """
 
     kind: str
     index: int
+    rank: int
     delay: float = 0.0
     attempts: Optional[Tuple[int, ...]] = (0,)
-    #: restrict to one sender and count its own sends (cross-backend)
-    rank: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in MESSAGE_FAULT_KINDS:
@@ -227,44 +222,29 @@ class FaultPlan:
         return False
 
     def message_fault(
-        self,
-        msg_index: Optional[int],
-        sender: Optional[int] = None,
-        sender_index: Optional[int] = None,
+        self, sender: int, sender_index: int
     ) -> Optional[Tuple[str, float]]:
-        """Fault (kind, delay-seconds) for one posted send, or ``None``
-        for clean delivery.
+        """Fault (kind, delay-seconds) for the ``sender_index``-th send
+        of ``sender``, or ``None`` for clean delivery.
 
-        ``msg_index`` is the global send ordinal (simulator; ``None``
-        on the procs backend, which has no global order).  ``sender`` /
-        ``sender_index`` identify the same send by its sender-local
-        ordinal — available on both backends, and when present they are
-        the site random rates hash on, so a plan's random faults land
-        on the same logical messages under ``backend="sim"`` and
-        ``backend="procs"``.
+        The sender-local ordinal is the site random rates hash on, so a
+        plan's faults land on the same logical messages under
+        ``backend="sim"`` and ``backend="procs"``.
         """
         for m in self.messages:
-            if not self._active(m.attempts):
-                continue
-            if m.rank is None:
-                if msg_index is not None and m.index == msg_index:
-                    return m.kind, m.delay
-            elif sender is not None and m.rank == sender \
+            if self._active(m.attempts) and m.rank == sender \
                     and m.index == sender_index:
                 return m.kind, m.delay
         rates = (("drop", self.drop_rate), ("duplicate", self.duplicate_rate),
                  ("delay", self.delay_rate), ("corrupt", self.corrupt_rate))
-        # sender-local site when known (cross-backend reproducible);
-        # legacy global site otherwise (direct plan queries)
-        site: Tuple[int, ...] = ((sender, sender_index)
-                                 if sender is not None else (msg_index,))
         for pos, (kind, rate) in enumerate(rates):
             if rate > 0.0 and _uniform(self.seed, self.attempt, _SALT_MSG,
-                                       pos, *site) < rate:
+                                       pos, sender, sender_index) < rate:
                 delay = 0.0
                 if kind == "delay":
                     delay = self.mean_delay * (0.5 + _uniform(
-                        self.seed, self.attempt, _SALT_DELAY, *site))
+                        self.seed, self.attempt, _SALT_DELAY, sender,
+                        sender_index))
                 return kind, delay
         return None
 

@@ -12,15 +12,14 @@ textbook algorithm would incur (see each function's accounting note).
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
 from ..graph.distributed import Shared
 from .engine import Comm, payload_words
 
-__all__ = ["allgather_concat", "allgather_words", "gather_to_root",
-           "share_from_root"]
+__all__ = ["allgather_concat", "allgather_words", "share_from_root"]
 
 
 def allgather_words(comm: Comm, local: np.ndarray) -> float:
@@ -52,13 +51,6 @@ def allgather_concat(comm: Comm, local: np.ndarray):
     shared = yield from comm.bcast(Shared(full), root=0,
                                    words=allgather_words(comm, local))
     return shared.value
-
-
-def gather_to_root(comm: Comm, local: Any, words: Optional[float] = None):
-    """Plain gather returning the list at root (None elsewhere); thin
-    wrapper kept for symmetry and call-site readability."""
-    out = yield from comm.gather(local, root=0, words=words)
-    return out
 
 
 def share_from_root(comm: Comm, value: Any, words: float = 1.0):

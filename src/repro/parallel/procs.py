@@ -33,15 +33,12 @@ Fault injection is real here.  Scheduled
 :class:`~repro.parallel.faults.KillRank` faults ``os._exit`` the worker
 and the parent surfaces a typed :class:`~repro.errors.RankFailure`.
 Message faults (drop / duplicate / delay / corrupt — scheduled via
-rank-scoped :class:`~repro.parallel.faults.MessageFault` or random
-rates) are injected by the *sender* at the :class:`_Router` queue
-layer, keyed on the sender-local send ordinal with the same
-counter-based hashing the simulator uses, so one plan lands its random
-faults on the same logical messages under both backends.  Globally
-indexed scheduled faults (``MessageFault(rank=None)``) stay
-simulated-only — real processes have no global send order — and
-``max_kills`` caps random kills per *worker* rather than per run (no
-worker can observe another's death).  ``delay`` sleeps wall-clock
+:class:`~repro.parallel.faults.MessageFault` or random rates) are
+injected by the *sender* at the :class:`_Router` queue layer, keyed on
+the sender-local send ordinal with the same counter-based hashing the
+simulator uses, so one plan lands its faults on the same logical
+messages under both backends.  ``max_kills`` caps random kills per
+*worker* rather than per run (no worker can observe another's death).  ``delay`` sleeps wall-clock
 seconds at the receiver.  Injected faults ship back with each
 surviving worker's result and land on ``SpmdResult.faults``
 (best-effort: a killed or failed worker's events are lost with it).
@@ -564,13 +561,10 @@ def _execute_op(side: _WorkerSide, op: _Op) -> Any:
         if side.faults is not None:
             local_index = side.send_count
             side.send_count = local_index + 1
-            fault = side.faults.message_fault(None, sender=me,
-                                              sender_index=local_index)
+            fault = side.faults.message_fault(me, local_index)
         if fault is None:
             post(op.value, 0.0)
         else:
-            # real processes have no global send order: the event's
-            # msg_index is the sender-local ordinal
             side.fault_events.append(apply_message_fault(
                 fault, op.value, local_index, post,
                 time=float(side.clocks[me]), rank=me, dest=gdst, tag=op.tag,
@@ -734,16 +728,6 @@ def _validate(nranks: int, sanitize: Optional[bool],
             "max_sim_seconds is simulated-only (the procs backend has no "
             "modelled clock); use max_steps or op_timeout instead"
         )
-    if faults is not None:
-        for m in faults.messages:
-            if m.rank is None:
-                raise ConfigError(
-                    "backend='procs' cannot honour a globally-indexed "
-                    "MessageFault: real processes have no global send "
-                    "ordinal.  Key the fault on its sender instead — "
-                    "MessageFault(kind, index, rank=R) counts rank R's own "
-                    "sends, identically on both backends"
-                )
     if not procs_available():
         raise CommError(
             "backend='procs' requires the fork start method "

@@ -56,7 +56,7 @@ import numpy as np
 from ..errors import PartitionError
 from ..graph.partition import KWayPartition, kway_cut_weight
 
-__all__ = ["KWayRefineResult", "kway_refine"]
+__all__ = ["KWayRefineResult", "REFINE_PASSES", "kway_refine"]
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,14 @@ class KWayRefineResult:
         return self.initial_cut - self.final_cut
 
 
+#: greedy boundary passes of :func:`kway_refine` (at most)
+REFINE_PASSES = 8
+
+
 def kway_refine(
     partition: KWayPartition,
     max_imbalance: float = 0.05,
-    max_passes: int = 8,
+    max_passes: int = REFINE_PASSES,
     pairwise_rounds: int = 3,
 ) -> KWayRefineResult:
     """Refine a k-way partition with greedy boundary passes.

@@ -213,6 +213,19 @@ class TestSP104MutateAfterSend:
                 yield from comm.barrier()
         """) == ["SP104"]
 
+    def test_fires_on_numpy_put_function(self):
+        # `put` is also an ndarray method: the call must be read as the
+        # numpy function writing into `buf`, not as a mutation of `np`
+        fs = lint("""
+            import numpy as np
+
+            def prog(comm, buf):
+                yield from comm.send(buf, dest=1)
+                np.put(buf, [0], [1.0])
+                np.copyto(buf, 0.0)
+        """)
+        assert [(f.code, f.line) for f in fs] == [("SP104", 6), ("SP104", 7)]
+
     def test_silent_when_mutation_in_other_branch(self):
         # only one arm executes: send-then-mutate never happens
         assert codes("""

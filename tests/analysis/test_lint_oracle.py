@@ -20,7 +20,11 @@ from tests.oracles.lint import oracle_findings
 REPO = Path(__file__).resolve().parents[2]
 CODES = {"SP102", "SP104", "SP105"}
 
-#: fixtures (module::Class.test) on which the oracle is known wrong
+#: fixtures (module::Class.test) on which the oracle is known wrong.
+#: The reverse case, where the whole-program pass was wrong and the
+#: oracle right, needs no entry: its fixture must agree with the oracle.
+#: ``TestSP104MutateAfterSend.test_fires_on_numpy_put_function`` is one
+#: (the pass read ``np.put(buf, ...)`` as a mutation of ``np``).
 ORACLE_WRONG = {
     # SP102 on a branch over an allreduce result every rank agrees on
     "test_lint.py::TestSP102RankDependentCollective."

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.coarsen import Hierarchy, build_hierarchy, random_matching
+from repro.coarsen import Hierarchy, build_hierarchy, heavy_edge_matching_vec
 from repro.errors import GraphError
 from repro.graph import cut_weight
 from repro.graph.generators import complete_graph, grid2d, random_delaunay
@@ -58,7 +58,8 @@ class TestBuildHierarchy:
 
     def test_custom_matcher(self):
         g = grid2d(10, 10).graph
-        h = build_hierarchy(g, coarsest_size=30, matcher=random_matching, seed=8)
+        h = build_hierarchy(g, coarsest_size=30,
+                            matcher=heavy_edge_matching_vec, seed=8)
         assert h.coarsest.num_vertices < 100
 
     def test_invalid_coarsest_size(self):

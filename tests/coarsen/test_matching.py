@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coarsen import (
-    get_matcher,
     heavy_edge_matching,
     heavy_edge_matching_vec,
-    random_matching,
     validate_matching,
 )
-from repro.errors import ConfigError, GraphError
+from repro.errors import GraphError
 from repro.graph import CSRGraph
 from repro.graph.generators import (
-    complete_graph,
     grid2d,
     path_graph,
     preferential_attachment,
@@ -139,40 +136,6 @@ class TestVectorisedHEM:
             w_seq = _matching_weight(gg, heavy_edge_matching(gg, seed=3))
             w_vec = _matching_weight(gg, heavy_edge_matching_vec(gg, seed=3))
             assert w_vec >= 0.75 * w_seq, (w_vec, w_seq)
-
-
-class TestMatcherRegistry:
-    def test_known_names_resolve(self):
-        assert get_matcher("hem") is heavy_edge_matching
-        assert get_matcher("hem-vec") is heavy_edge_matching_vec
-        assert get_matcher("random") is random_matching
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ConfigError):
-            get_matcher("hem-typo")
-
-    def test_config_validates_matching_eagerly(self):
-        from repro.core.config import ScalaPartConfig
-
-        with pytest.raises(ConfigError):
-            ScalaPartConfig(matching="nope")
-        assert ScalaPartConfig().matching == "hem-vec"
-
-
-class TestRandomMatching:
-    def test_valid_and_maximal_on_path(self):
-        g = path_graph(10).graph
-        m = random_matching(g, seed=1)
-        validate_matching(g, m)
-        # maximal: no two adjacent vertices both unmatched
-        un = np.flatnonzero(m == np.arange(10))
-        for v in un:
-            assert all(m[u] != u for u in g.neighbors(v))
-
-    def test_complete_graph_perfect(self):
-        g = complete_graph(8).graph
-        m = random_matching(g, seed=2)
-        assert (m != np.arange(8)).all()
 
 
 class TestValidation:

@@ -95,8 +95,7 @@ class TestEveryMethodRuns:
         g, pts = small
         spec = get_method(name)
         coords = pts if spec.needs_coords else None
-        cfg = FAST if spec.accepts_config else None
-        res = spec.sequential(g, coords, config=cfg, seed=1)
+        res = spec.sequential(g, coords, config=FAST, seed=1)
         assert res.method == spec.name
         res.validate(max_imbalance=0.3)
         assert 0 < res.cut_size < g.num_edges
@@ -106,8 +105,7 @@ class TestEveryMethodRuns:
         g, pts = small
         spec = get_method(name)
         coords = pts if spec.needs_coords else None
-        cfg = FAST if spec.accepts_config else None
-        res = run_parallel(name, g, 1, coords=coords, config=cfg, seed=2)
+        res = run_parallel(name, g, 1, coords=coords, config=FAST, seed=2)
         assert res.simulated
         assert res.method == spec.name
         res.validate(max_imbalance=0.3)

@@ -15,11 +15,6 @@ class TestConfig:
         assert cfg.block_size in range(2, 9)
         assert cfg.ncircles == 5
 
-    def test_with_options(self):
-        cfg = ScalaPartConfig().with_options(smooth_iters=3)
-        assert cfg.smooth_iters == 3
-        assert cfg.ncircles == 5
-
     @pytest.mark.parametrize(
         "kw",
         [

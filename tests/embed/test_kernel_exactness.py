@@ -4,8 +4,8 @@ Every hot-path kernel rewritten for the million-vertex push (workspace
 reuse, bincount scatters, blocked field sums, the flat point-blocked
 Barnes–Hut far field) must produce output *bit-identical* to the
 implementation it replaced — the pre-refactor bodies are kept as
-``_reference`` functions (the Barnes–Hut one in :mod:`tests.oracles`)
-for exactly this comparison.  Each kernel is checked on several graph
+``*_reference`` oracles in :mod:`tests.oracles` for exactly this
+comparison.  Each kernel is checked on several graph
 families, including degenerate ones (star hub, isolated vertices), and
 with a shared workspace reused across repeated calls (stale-buffer bugs
 only show up on the second call).
@@ -20,19 +20,10 @@ import pytest
 
 from repro.embed import lattice, quadtree
 from repro.embed.box import Box
-from repro.embed.fdl import (
-    _force_directed_layout_reference,
-    force_directed_layout,
-)
-from repro.embed.forces import (
-    AttractiveWorkspace,
-    _attractive_forces_reference,
-    attractive_forces,
-)
+from repro.embed.fdl import force_directed_layout
+from repro.embed.forces import AttractiveWorkspace, attractive_forces
 from repro.embed.lattice import (
     LatticeWorkspace,
-    _beta_force_field_reference,
-    _repulsive_forces_lattice_reference,
     beta_force_field,
     lattice_stats,
     repulsive_forces_lattice,
@@ -42,6 +33,12 @@ from repro.embed.quadtree import _EXACT_CUTOFF, repulsive_forces_bh
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid2d, random_delaunay, star_graph
 from tests.oracles.barnes_hut import repulsive_forces_bh_reference
+from tests.oracles.embed import (
+    attractive_forces_reference,
+    beta_force_field_reference,
+    force_directed_layout_reference,
+    repulsive_forces_lattice_reference,
+)
 
 
 def _with_isolated(g: CSRGraph, extra: int = 5) -> CSRGraph:
@@ -79,7 +76,7 @@ class TestAttractiveExactness:
     def test_matches_reference(self, name, g):
         pos, _ = _pos_masses(g)
         got = attractive_forces(g, pos, 1.3)
-        ref = _attractive_forces_reference(g, pos, 1.3)
+        ref = attractive_forces_reference(g, pos, 1.3)
         assert np.array_equal(got, ref)
 
     def test_workspace_reuse_is_stable(self, name, g):
@@ -87,7 +84,7 @@ class TestAttractiveExactness:
         for seed in range(3):
             pos, _ = _pos_masses(g, seed)
             got = attractive_forces(g, pos, 0.8, workspace=ws)
-            ref = _attractive_forces_reference(g, pos, 0.8)
+            ref = attractive_forces_reference(g, pos, 0.8)
             assert np.array_equal(got, ref)
 
 
@@ -119,7 +116,7 @@ class TestLatticeExactness:
             got = repulsive_forces_lattice(
                 pos, masses, 0.2, 1.1, box=box, s=s, workspace=ws
             )
-            ref = _repulsive_forces_lattice_reference(
+            ref = repulsive_forces_lattice_reference(
                 pos, masses, 0.2, 1.1, box=box, s=s
             )
             assert _bits_equal(got, ref)
@@ -130,7 +127,7 @@ class TestLatticeExactness:
         stats = lattice_stats(pos, masses, box, s)
         ws = LatticeWorkspace()
         got = beta_force_field(stats, 0.2, 1.1, workspace=ws)
-        ref = _beta_force_field_reference(stats, 0.2, 1.1)
+        ref = beta_force_field_reference(stats, 0.2, 1.1)
         assert _bits_equal(got, ref)
 
     def test_sparse_corner_matches_reference(self, name, g, s):
@@ -139,9 +136,9 @@ class TestLatticeExactness:
         pos = _corner(pos)
         stats = lattice_stats(pos, masses, box, s)
         got = beta_force_field(stats, 0.2, 1.1)
-        assert _bits_equal(got, _beta_force_field_reference(stats, 0.2, 1.1))
+        assert _bits_equal(got, beta_force_field_reference(stats, 0.2, 1.1))
         got = repulsive_forces_lattice(pos, masses, 0.2, 1.1, box=box, s=s)
-        ref = _repulsive_forces_lattice_reference(
+        ref = repulsive_forces_lattice_reference(
             pos, masses, 0.2, 1.1, box=box, s=s
         )
         assert _bits_equal(got, ref)
@@ -155,7 +152,7 @@ class TestLatticeExactness:
             got = repulsive_forces_lattice(
                 pos, masses, 0.2, 1.1, box=box, s=side, workspace=ws
             )
-            ref = _repulsive_forces_lattice_reference(
+            ref = repulsive_forces_lattice_reference(
                 pos, masses, 0.2, 1.1, box=box, s=side
             )
             assert _bits_equal(got, ref)
@@ -174,7 +171,7 @@ def test_field_block_boundaries(monkeypatch, block_elems):
             pos = _corner(pos)
         stats = lattice_stats(pos, masses, box, s)
         got = beta_force_field(stats, 0.2, 1.1, workspace=ws)
-        assert _bits_equal(got, _beta_force_field_reference(stats, 0.2, 1.1))
+        assert _bits_equal(got, beta_force_field_reference(stats, 0.2, 1.1))
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[n for n, _ in GRAPHS])
@@ -251,7 +248,7 @@ class TestLayoutLoopExactness:
         got = force_directed_layout(
             g, pos, masses=masses, max_iters=6, step0=1.0, repulsion=kern
         )
-        ref = _force_directed_layout_reference(
+        ref = force_directed_layout_reference(
             g, pos, masses=masses, max_iters=6, step0=1.0, repulsion=kern
         )
         assert np.array_equal(got.pos, ref.pos)
@@ -262,7 +259,7 @@ class TestLayoutLoopExactness:
     def test_auto_repulsion_matches_reference(self, name, g):
         pos, masses = _pos_masses(g, 4)
         got = force_directed_layout(g, pos, masses=masses, max_iters=4)
-        ref = _force_directed_layout_reference(
+        ref = force_directed_layout_reference(
             g, pos, masses=masses, max_iters=4
         )
         assert np.array_equal(got.pos, ref.pos)
@@ -274,7 +271,7 @@ class TestLayoutLoopExactness:
         got = force_directed_layout(
             g, pos, masses=masses, max_iters=4, fixed=fixed
         )
-        ref = _force_directed_layout_reference(
+        ref = force_directed_layout_reference(
             g, pos, masses=masses, max_iters=4, fixed=fixed
         )
         assert np.array_equal(got.pos, ref.pos)

@@ -77,6 +77,8 @@ class TestMetis:
         "3 2 0011",    # fmt longer than three digits
         "3 2 0 -1",    # negative ncon
         "3 2 0 y",     # non-integer ncon
+        "3 2 0 1 junk",  # a field past ncon
+        "3 2 0 1 1",     # five numeric fields
     ])
     def test_read_rejects_malformed_header(self, header):
         with pytest.raises(GraphError) as exc:

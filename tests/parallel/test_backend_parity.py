@@ -41,10 +41,6 @@ GRAPHS = [
 ]
 
 
-def _kwargs(spec):
-    return {"config": CFG} if spec.accepts_config else {}
-
-
 class TestBackendParity:
     @pytest.mark.parametrize("spec", METHODS, ids=[s.cli_name for s in METHODS])
     @pytest.mark.parametrize(
@@ -53,7 +49,7 @@ class TestBackendParity:
     def test_methods_bit_identical_across_backends(self, spec, gname, gfn, p):
         mesh = gfn()
         sim, procs = run_both_backends(
-            spec, mesh.graph, p, seed=SEED, coords=mesh.coords, **_kwargs(spec)
+            spec, mesh.graph, p, seed=SEED, coords=mesh.coords, config=CFG
         )
 
         # partition vector and cut: byte-identical
@@ -102,7 +98,7 @@ class TestProcsPropertyAndDeterminism:
 
         def run():
             return run_parallel(spec, mesh.graph, p, coords=mesh.coords,
-                                seed=SEED, backend="procs", **_kwargs(spec))
+                                seed=SEED, backend="procs", config=CFG)
 
         a = run()
         bound = spec.balance_bound if spec.balance_bound is not None else 0.15

@@ -32,9 +32,8 @@ from repro.parallel import FaultPlan, KillRank
 from repro.parallel.checkpoint import (
     CheckpointContext,
     CheckpointKey,
-    CheckpointPolicy,
     CheckpointStore,
-    as_policy,
+    as_store,
     config_fingerprint,
     graph_content_hash,
 )
@@ -122,21 +121,19 @@ class TestStore:
     def test_generator_seed_rejected(self, tmp_path, small_delaunay):
         from repro.core.methods import get_method
 
-        policy = as_policy(str(tmp_path))
+        store = as_store(str(tmp_path))
         with pytest.raises(ConfigError, match="reproducible run seed"):
             CheckpointContext.for_run(
-                policy, small_delaunay.graph, get_method("scalapart"),
+                store, small_delaunay.graph, get_method("scalapart"),
                 FAST, np.random.default_rng(0))
 
-    def test_as_policy_forms(self, tmp_path):
-        assert as_policy(None) is None
+    def test_as_store_forms(self, tmp_path):
+        assert as_store(None) is None
         store = CheckpointStore(tmp_path)
-        assert as_policy(store).store is store
-        policy = CheckpointPolicy(store=store, save=False)
-        assert as_policy(policy) is policy
-        assert as_policy(str(tmp_path)).store.root == store.root
+        assert as_store(store) is store
+        assert as_store(str(tmp_path)).root == store.root
         with pytest.raises(ConfigError, match="checkpoint must be"):
-            as_policy(42)
+            as_store(42)
 
 
 # ----------------------------------------------------------------------
@@ -279,21 +276,6 @@ class TestElasticResume:
         np.testing.assert_array_equal(first.parts, second.parts)
         assert first.cut_size == second.cut_size
 
-    def test_resume_respects_policy_flags(self, small_delaunay, tmp_path):
-        g = small_delaunay.graph
-        run_parallel("scalapart", g, 4, seed=3, config=FAST,
-                     checkpoint=str(tmp_path))
-        policy = CheckpointPolicy(store=CheckpointStore(tmp_path),
-                                  resume=False)
-        res = run_parallel("scalapart", g, 4, seed=3, config=FAST,
-                           checkpoint=policy)
-        assert res.extras["checkpoint"]["resumed_from"] is None
-        no_save = CheckpointPolicy(store=CheckpointStore(tmp_path / "e"),
-                                   save=False)
-        run_parallel("scalapart", g, 4, seed=3, config=FAST,
-                     checkpoint=no_save)
-        assert not list((tmp_path / "e").glob("*.npz"))
-
     def test_different_seed_does_not_resume(self, small_delaunay, tmp_path):
         g = small_delaunay.graph
         run_parallel("scalapart", g, 4, seed=3, config=FAST,
@@ -331,39 +313,3 @@ class TestElasticResume:
         sim = self._killed_run(small_delaunay.graph,
                                tmp_path / "sim", backend="sim")
         np.testing.assert_array_equal(res.parts, sim.parts)
-
-
-# ----------------------------------------------------------------------
-# retry backoff jitter
-# ----------------------------------------------------------------------
-
-class TestRetryJitter:
-    def test_delay_is_deterministic_per_seed_and_epoch(self):
-        retry = RetryPolicy(base_delay=0.01, jitter=0.5)
-        d1 = [retry.delay_for(3, e) for e in range(4)]
-        d2 = [retry.delay_for(3, e) for e in range(4)]
-        assert d1 == d2
-        assert d1[0] == 0.0  # the primary attempt never sleeps
-        assert all(d > 0.0 for d in d1[1:])
-        assert d1 != [retry.delay_for(4, e) for e in range(4)]
-
-    def test_delay_scales_with_backoff(self):
-        retry = RetryPolicy(base_delay=0.01, jitter=0.0, backoff=2.0)
-        assert retry.delay_for(3, 2) == pytest.approx(
-            2.0 * retry.delay_for(3, 1))
-
-    def test_zero_base_delay_never_sleeps(self):
-        retry = RetryPolicy()
-        assert [retry.delay_for(3, e) for e in range(4)] == [0.0] * 4
-
-    def test_trail_records_jittered_delays(self, small_delaunay):
-        plan = FaultPlan(seed=11,
-                         kills=(KillRank(rank=1, at_op=STRIP_OP),))
-        retry = RetryPolicy(retries=1, base_delay=0.001, jitter=0.5)
-        res = run_parallel("scalapart", small_delaunay.graph, 4, seed=3,
-                           config=FAST, faults=plan, retry=retry)
-        trail = res.extras["recovery"]["attempts"]
-        assert trail[0]["delay"] == 0.0
-        assert trail[1]["delay"] == pytest.approx(
-            retry.delay_for(3, 1))
-        assert trail[1]["delay"] > 0.0

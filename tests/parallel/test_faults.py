@@ -59,16 +59,17 @@ class TestFaultPlan:
     def test_decisions_are_deterministic(self):
         plan = FaultPlan(seed=42, kill_rate=0.1, drop_rate=0.1)
         kills = [plan.kill_now(r, i, 0) for r in range(4) for i in range(50)]
-        msgs = [plan.message_fault(i) for i in range(200)]
+        msgs = [plan.message_fault(r, i) for r in range(4) for i in range(50)]
         again = FaultPlan(seed=42, kill_rate=0.1, drop_rate=0.1)
         assert kills == [again.kill_now(r, i, 0)
                          for r in range(4) for i in range(50)]
-        assert msgs == [again.message_fault(i) for i in range(200)]
+        assert msgs == [again.message_fault(r, i)
+                        for r in range(4) for i in range(50)]
 
     def test_attempt_epoch_redraws_random_faults(self):
         plan = FaultPlan(seed=42, drop_rate=0.2)
-        first = [plan.message_fault(i) for i in range(100)]
-        second = [plan.for_attempt(1).message_fault(i) for i in range(100)]
+        first = [plan.message_fault(0, i) for i in range(100)]
+        second = [plan.for_attempt(1).message_fault(0, i) for i in range(100)]
         assert first != second
 
     def test_scheduled_faults_are_transient_by_default(self):
@@ -84,11 +85,16 @@ class TestFaultPlan:
         assert plan.kill_now(0, 0, killed_so_far=0)
         assert not plan.kill_now(0, 0, killed_so_far=1)
 
+    def test_message_fault_needs_a_sender(self):
+        # faults key on the sender-local ordinal: there is no global one
+        with pytest.raises(TypeError):
+            MessageFault("drop", 0)
+
     def test_bad_rate_and_kind_raise(self):
         with pytest.raises(CommError):
             FaultPlan(seed=0, drop_rate=1.5)
         with pytest.raises(CommError):
-            MessageFault("teleport", 0)
+            MessageFault("teleport", 0, rank=0)
 
     def test_describe_mentions_active_knobs(self):
         text = FaultPlan(seed=9, drop_rate=0.25,
@@ -141,7 +147,7 @@ class TestEngineInjection:
         assert ei.value.sim_time >= 0.0
 
     def test_drop_becomes_deadlock_with_context(self):
-        plan = FaultPlan(seed=0, messages=(MessageFault("drop", 0),))
+        plan = FaultPlan(seed=0, messages=(MessageFault("drop", 0, rank=0),))
         with pytest.raises(DeadlockError) as ei:
             run0(ring, 3, faults=plan)
         parked = ei.value.parked
@@ -160,13 +166,15 @@ class TestEngineInjection:
             b = yield from comm.recv(source=0, tag=2)
             return (a, b)
 
-        plan = FaultPlan(seed=0, messages=(MessageFault("duplicate", 0),))
+        plan = FaultPlan(seed=0,
+                         messages=(MessageFault("duplicate", 0, rank=0),))
         res = run0(prog, 2, faults=plan)
         assert res.values[1] == (5, 5)
 
     def test_delay_completes_and_is_recorded(self):
         plan = FaultPlan(seed=0,
-                         messages=(MessageFault("delay", 0, delay=1e-3),))
+                         messages=(MessageFault("delay", 0, rank=0,
+                                                delay=1e-3),))
         res = run0(ring, 4, seed=3, faults=plan)
         assert res.values == run0(ring, 4, seed=3).values
         kinds = [ev.kind for ev in res.faults]
@@ -175,13 +183,15 @@ class TestEngineInjection:
         assert recs and recs[0]["kind"] == "delay"
 
     def test_corrupt_without_sanitizer_changes_payload(self):
-        plan = FaultPlan(seed=0, messages=(MessageFault("corrupt", 0),))
+        plan = FaultPlan(seed=0,
+                         messages=(MessageFault("corrupt", 0, rank=0),))
         clean = run0(ring, 3, faults=None, sanitize=False)
         res = run0(ring, 3, faults=plan, sanitize=False)
         assert res.values != clean.values  # silent corruption flowed through
 
     def test_corrupt_with_sanitizer_raises(self):
-        plan = FaultPlan(seed=0, messages=(MessageFault("corrupt", 0),))
+        plan = FaultPlan(seed=0,
+                         messages=(MessageFault("corrupt", 0, rank=0),))
         with pytest.raises(CommError, match="checksum|sanitizer|corrupt"):
             run0(ring, 3, faults=plan, sanitize=True)
 

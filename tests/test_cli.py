@@ -177,6 +177,72 @@ class TestPartition:
         assert "cost_model=degree" in capsys.readouterr().err
 
 
+class TestMaxImbalance:
+    """``--max-imbalance`` reaches every path with a balance target and
+    is rejected, naming the method, where there is none."""
+
+    @pytest.fixture
+    def mesh_file(self, tmp_path):
+        mesh = random_delaunay(600, seed=7)
+        gp = tmp_path / "d600.graph"
+        cp = tmp_path / "d600.xy"
+        write_metis(mesh.graph, gp)
+        write_coords(mesh.coords, cp)
+        return str(gp), str(cp)
+
+    @staticmethod
+    def _parts(path, tmp_path, *flags):
+        out = tmp_path / "out.part"
+        assert main(["partition", path, "--method", "parmetis", "--seed",
+                     "1", "--out", str(out), *flags]) == 0
+        return out.read_text()
+
+    @pytest.mark.parametrize("backend", ["seq", "sim"])
+    def test_target_reaches_parmetis(self, mesh_file, tmp_path, backend):
+        path, _ = mesh_file
+
+        def run(*flags):
+            return self._parts(path, tmp_path, "--backend", backend, *flags)
+
+        default = run()
+        assert run("--max-imbalance", "0.05") == default
+        assert run("--max-imbalance", "0.14") != default
+
+    def test_target_reaches_scalapart_config(self, mesh_file, monkeypatch):
+        import repro.core.methods as methods
+
+        seen = []
+        real = methods.scalapart
+
+        def spy(graph, config=None, seed=None):
+            seen.append(config)
+            return real(graph, config, seed=seed)
+
+        monkeypatch.setattr(methods, "scalapart", spy)
+        path, _ = mesh_file
+        assert main(["partition", path, "--max-imbalance", "0.2"]) == 0
+        assert [c.max_imbalance for c in seen] == [0.2]
+
+    def test_rejected_without_balance_target(self, mesh_file, capsys):
+        path, coords = mesh_file
+        rc = main(["partition", path, "--method", "rcb", "--coords", coords,
+                   "--max-imbalance", "0.1"])
+        assert rc == 2
+        assert "'RCB'" in capsys.readouterr().err
+
+    def test_kway_refinement_takes_target_for_any_method(self, mesh_file):
+        path, coords = mesh_file
+        assert main(["partition", path, "--method", "rcb", "--coords",
+                     coords, "--parts", "4", "--max-imbalance", "0.1"]) == 0
+
+    def test_rejected_with_hierarchy(self, mesh_file, capsys):
+        path, _ = mesh_file
+        rc = main(["partition", path, "--method", "kway-geometric",
+                   "--hierarchy", "2x2", "--max-imbalance", "0.1"])
+        assert rc == 2
+        assert "'KWay-Geometric'" in capsys.readouterr().err
+
+
 class TestEmbed:
     def test_writes_coordinates(self, graph_file, tmp_path):
         path, g = graph_file
