@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-__all__ = ["format_table", "format_series", "format_comm_stats", "banner"]
+__all__ = ["format_table", "format_series", "banner"]
 
 
 def banner(title: str) -> str:
@@ -54,33 +54,6 @@ def format_series(
     for i, x in enumerate(xs):
         rows.append([x] + [vals[i] for _, vals in columns])
     return format_table(headers, rows, title=title)
-
-
-def format_comm_stats(stats, title: Optional[str] = None) -> str:
-    """Render a :class:`~repro.parallel.trace.CommStats` ledger as an
-    aligned per-phase table (run totals in the last row).
-
-    Benchmarks use this to print the communication account next to the
-    timing numbers, so volume claims (e.g. "collectives per iteration
-    drop with block size") are visible, not only asserted.
-    """
-    def row(name, cs):
-        return [
-            name,
-            cs.total_messages,
-            float(cs.total_words),
-            cs.collective_invocations(),
-            cs.collective_ops.get("exchange", 0),
-            cs.total_wait * 1e3,
-        ]
-
-    rows = [row(name, stats.phases[name]) for name in sorted(stats.phases)]
-    rows.append(row("TOTAL", stats))
-    return format_table(
-        ["phase", "msgs", "words", "global_colls", "exchanges", "wait_ms"],
-        rows,
-        title=title,
-    )
 
 
 def _fmt(v: object) -> str:

@@ -5,7 +5,6 @@ from .hierarchy import Hierarchy, build_hierarchy
 from .matching import (
     heavy_edge_matching,
     heavy_edge_matching_vec,
-    matching_work,
     validate_matching,
 )
 
@@ -17,6 +16,5 @@ __all__ = [
     "build_hierarchy",
     "heavy_edge_matching",
     "heavy_edge_matching_vec",
-    "matching_work",
     "validate_matching",
 ]

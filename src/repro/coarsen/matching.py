@@ -36,7 +36,6 @@ __all__ = [
     "heavy_edge_matching",
     "heavy_edge_matching_vec",
     "validate_matching",
-    "matching_work",
 ]
 
 
@@ -198,7 +197,3 @@ def validate_matching(graph: CSRGraph, match: np.ndarray) -> None:
             v = int(bad[0])
             raise GraphError(f"matched pair ({v}, {match[v]}) is not an edge")
 
-
-def matching_work(graph: CSRGraph) -> float:
-    """Work units charged for one matching sweep (edges touched)."""
-    return float(graph.indices.shape[0] + graph.num_vertices)

@@ -1,17 +1,17 @@
 """Configuration for the ScalaPart pipeline.
 
-One dataclass gathers every knob the paper mentions, with defaults
-matching its choices: coarsest graphs of "hundreds or few thousands" of
-vertices, 5 great-circle candidates (the G7-NL budget), blocks of 2–8
-iterations acting on stale β data, strips holding a small multiple of
-the separator.
+One dataclass gathers the knobs a caller sets, with defaults matching
+the paper's choices: 5 great-circle candidates (the G7-NL budget),
+blocks of 2–8 iterations acting on stale β data, strips holding a small
+multiple of the separator.  The paper parameters no caller varies are
+constants of the embedding drivers (:mod:`repro.embed.multilevel`):
+``COARSEST_SIZE``, ``JITTER`` and the force model's ``DEFAULT_C``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..embed.forces import DEFAULT_C
 from ..errors import ConfigError
 
 __all__ = ["ScalaPartConfig"]
@@ -21,8 +21,6 @@ __all__ = ["ScalaPartConfig"]
 class ScalaPartConfig:
     """Tuning knobs of ScalaPart (paper §3 defaults)."""
 
-    #: stop coarsening near this many vertices ("hundreds or few thousands")
-    coarsest_size: int = 160
     #: FDL iterations on the coarsest graph (random start needs many)
     coarsest_iters: int = 150
     #: smoothing iterations per refined level ("a few iterations")
@@ -32,10 +30,6 @@ class ScalaPartConfig:
     #: no observable change in the quality of the embeddings"); the
     #: top of the paper's range minimises global collectives
     block_size: int = 8
-    #: repulsion strength C of the force model
-    c: float = DEFAULT_C
-    #: jitter of inherited child coordinates (× K) during projection
-    jitter: float = 0.25
     #: great-circle candidates (5 = the G7-NL budget ScalaPart parallelises)
     ncircles: int = 5
     #: strip size as a multiple of separator vertices (Fig 2 shows ~5.6)
@@ -44,8 +38,6 @@ class ScalaPartConfig:
     max_imbalance: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.coarsest_size < 1:
-            raise ConfigError("coarsest_size must be >= 1")
         if self.coarsest_iters < 0 or self.smooth_iters < 0:
             raise ConfigError("iteration counts must be nonnegative")
         if self.block_size < 1:

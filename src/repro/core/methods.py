@@ -65,7 +65,6 @@ __all__ = [
     "distributed_methods",
     "distributed_entry_points",
     "methods_table",
-    "recovery_ladder",
 ]
 
 
@@ -96,12 +95,10 @@ class MethodSpec:
     #: ``cost_model`` keywords and label vertices in ``[0, k)``
     #: (bisection methods reach k > 2 via recursive bisection instead)
     kway: bool = False
-    #: stages whose artifacts the rank program persists when a
-    #: checkpoint context is threaded in (the program must accept a
-    #: ``checkpoint=`` keyword); empty = not checkpointable
-    checkpoint_stages: Tuple[str, ...] = ()
     #: registered method that re-enters the pipeline downstream of a
-    #: persisted embed artifact (fed via ``coords=``) on resume
+    #: persisted embedding (fed via ``coords=``) on resume; a method
+    #: with one is checkpointable: its rank program accepts a
+    #: ``checkpoint=`` keyword and persists its embedding there
     resume_method: Optional[str] = None
     #: one-line description (README method table, ``--help`` text)
     description: str = ""
@@ -129,7 +126,6 @@ def register_method(
     default_max_imbalance: Optional[float] = None,
     balance_bound: Optional[float] = None,
     kway: bool = False,
-    checkpoint_stages: Tuple[str, ...] = (),
     resume_method: Optional[str] = None,
     description: str = "",
 ):
@@ -150,7 +146,6 @@ def register_method(
             default_max_imbalance=default_max_imbalance,
             balance_bound=balance_bound,
             kway=kway,
-            checkpoint_stages=checkpoint_stages,
             resume_method=resume_method,
             description=description,
         )
@@ -210,32 +205,6 @@ def distributed_entry_points() -> List[Tuple[str, Callable]]:
     return [(s.name, s.distributed) for s in distributed_methods()]
 
 
-def recovery_ladder(spec: MethodSpec) -> List[Tuple[str, MethodSpec]]:
-    """Degradation ladder for a method whose engine runs keep failing.
-
-    Consumed by :func:`repro.core.parallel.run_parallel` after retries
-    and rank-shrinking are exhausted.  Each entry is ``(mode, spec)``
-    with ``mode`` ``"dist"`` (run the spec's rank program on the
-    engine, faults still applied) or ``"seq"`` (run its sequential
-    entry point — outside the fault domain, so it can only fail on its
-    own merits).  The order follows the quality ladder of the registry:
-    distributed ScalaPart first (skipped when it is the failing method
-    itself), then sequential ScalaPart, then sequential RCB as the
-    geometry-only last resort.
-    """
-    ladder: List[Tuple[str, MethodSpec]] = []
-    scala = METHOD_REGISTRY.get("ScalaPart")
-    if scala is not None:
-        if scala.distributed is not None and scala.name != spec.name:
-            ladder.append(("dist", scala))
-        if scala.sequential is not None:
-            ladder.append(("seq", scala))
-    rcb = METHOD_REGISTRY.get("RCB")
-    if rcb is not None and rcb.sequential is not None:
-        ladder.append(("seq", rcb))
-    return ladder
-
-
 def methods_table() -> str:
     """The README method table, regenerated from the registry."""
     rows = ["| method | CLI name | coords | parallel | description |",
@@ -266,7 +235,7 @@ def _dist_scalapart(comm, graph, *, coords=None, config=None, seed=None,
     """
     emb = yield from EMBED_STAGE.run_dist(comm, graph, None, config, seed)
     if checkpoint is not None and comm.rank == 0:
-        checkpoint.save_artifact("embed", emb)
+        checkpoint.save_artifact(emb)
     geo = yield from GEOMETRIC_STAGE.run_dist(comm, graph, emb, config, seed)
     side, info = yield from STRIP_REFINE_STAGE.run_dist(comm, graph, geo,
                                                         config, seed)
@@ -314,7 +283,7 @@ def _dist_kway_geometric(comm, graph, *, coords=None, config=None, seed=None,
     if coords is None:
         emb = yield from EMBED_STAGE.run_dist(comm, graph, None, config, seed)
         if checkpoint is not None and comm.rank == 0:
-            checkpoint.save_artifact("embed", emb)
+            checkpoint.save_artifact(emb)
         info = {**emb.info, "pos": emb.coords}
         coords = emb
     parts, kinfo = yield from KWAY_GEOMETRIC_STAGE.run_dist(
@@ -347,7 +316,7 @@ def _wrap_gmt(res: GMTResult, name: str, seconds: float) -> PartitionResult:
 
 @register_method(
     "ScalaPart", distributed=_dist_scalapart, seed_salt=1,
-    checkpoint_stages=("embed",), resume_method="SP-PG7-NL",
+    resume_method="SP-PG7-NL",
     description="full pipeline: coarsen, lattice-embed, circles, strip FM",
 )
 def _scalapart(graph, coords=None, *, config=None, seed=None):
@@ -435,7 +404,7 @@ def _g7_nl(graph, coords=None, *, config=None, seed=None):
     "KWay-Geometric", cli_name="kway-geometric",
     distributed=_dist_kway_geometric, seed_salt=5,
     default_max_imbalance=0.05, balance_bound=0.10, kway=True,
-    checkpoint_stages=("embed",), resume_method="KWay-Geometric",
+    resume_method="KWay-Geometric",
     description="direct k-way: K centroid cells on the sphere + boundary refine",
 )
 def _kway_geometric(graph, coords=None, *, config=None, seed=None, k=2,

@@ -14,21 +14,18 @@ instead of propagating the first engine fault.  On a typed failure
 (:class:`~repro.errors.RankFailure`, :class:`~repro.errors.
 DeadlockError`, :class:`~repro.errors.BudgetExceededError`, any other
 :class:`~repro.errors.CommError`, or a balance-validation
-:class:`~repro.errors.PartitionError`) it descends a deterministic
-ladder:
+:class:`~repro.errors.PartitionError`) it walks one fixed ladder:
 
 1. **retry** — re-run at full ``P`` with a re-salted seed and the
-   ``max_steps`` budget scaled by ``backoff**attempt``;
+   ``max_steps`` budget scaled by ``BACKOFF**attempt``;
 2. **shrink** — halve the rank count (``P/2``, ``P/4``, … down to
-   ``min_ranks``), the Holtgrewe-style repartition-on-fewer-PEs path;
-3. **fallback** — descend the registry ladder
-   (:func:`~repro.core.methods.recovery_ladder`): distributed ScalaPart,
-   then sequential ScalaPart, then sequential RCB.
+   ``MIN_RANKS``), the Holtgrewe-style repartition-on-fewer-PEs path;
+3. **fallback** — distributed ScalaPart, then sequential ScalaPart,
+   then sequential RCB (see :func:`_ladder`).
 
-Every recovered partition is validated against the producing method's
-``balance_bound`` (or the policy's ``validate_imbalance`` when the
-method declares none), so degradation never returns a silently broken
-partition.  The full attempt trail lands in
+Every partition, recovered or not, is checked once against
+:func:`_allowed_imbalance`, so degradation never returns a silently
+broken partition.  The full attempt trail lands in
 ``result.extras["recovery"]``; the whole ladder is deterministic per
 ``(seed, FaultPlan)``.
 """
@@ -36,10 +33,11 @@ partition.  The full attempt trail lands in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..embed.multilevel import hu_layout
 from ..errors import CommError, ConfigError, PartitionError, ReproError
 from ..graph.csr import CSRGraph
 from ..graph.partition import Bisection, KWayPartition
@@ -51,7 +49,7 @@ from ..parallel.trace import SpmdResult
 from ..rng import SeedLike, derive_seed
 from .config import ScalaPartConfig
 from .cost import resolve_costs
-from .methods import MethodSpec, get_method, recovery_ladder
+from .methods import MethodSpec, get_method
 from .stages import as_coords
 from ..results import PartitionResult
 
@@ -61,42 +59,66 @@ __all__ = ["RetryPolicy", "run_parallel"]
 #: caller's seed; attempt k reruns with derive_seed(seed, salt, k))
 _RETRY_SALT = 0x5AFE
 
+#: ``max_steps`` grows by this factor per recovery attempt
+BACKOFF = 2.0
+
+#: the shrink step halves the rank count down to this floor
+MIN_RANKS = 2
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """How :func:`run_parallel` degrades when an engine run fails.
 
-    ``retries`` re-runs at full ``P`` (re-salted seed, ``max_steps``
-    scaled by ``backoff`` per attempt) come first; then, if ``shrink``, the rank
-    count is halved down to ``min_ranks``; then, if ``fallback``, the
-    registry's :func:`~repro.core.methods.recovery_ladder` is descended.
-    ``validate_imbalance`` is the balance bound applied to recovered
-    partitions whose method declares no ``balance_bound`` of its own.
-    Recovery is immediate: attempts follow each other without a sleep.
+    ``retries`` re-runs at full ``P`` come first, then the fixed shrink
+    and fallback steps of the module docstring.  ``validate_imbalance``
+    is the balance bound applied to partitions whose method declares no
+    ``balance_bound`` of its own.  Recovery is immediate: attempts
+    follow each other without a sleep.
     """
 
     retries: int = 1
-    backoff: float = 2.0
-    shrink: bool = True
-    min_ranks: int = 2
-    fallback: bool = True
     validate_imbalance: float = 0.15
+
+    def __post_init__(self) -> None:
+        if self.retries < 0:
+            raise ConfigError(f"retries must be >= 0, got {self.retries}")
+        if not (0 <= self.validate_imbalance < 1):
+            raise ConfigError(
+                "validate_imbalance must be in [0, 1), got "
+                f"{self.validate_imbalance}"
+            )
+
+
+def _allowed_imbalance(spec: MethodSpec, max_imbalance: Optional[float],
+                       retry: Optional[RetryPolicy]) -> Optional[float]:
+    """The one balance bound a run of ``spec`` is checked against.
+
+    The method's declared ``balance_bound``, else the retry policy's
+    ``validate_imbalance`` (``None`` — no check — without either),
+    loosened to the caller's ``max_imbalance`` target when that is
+    larger: a run is never rejected for meeting the balance it was
+    asked for.
+    """
+    bound = spec.balance_bound
+    if bound is None and retry is not None:
+        bound = retry.validate_imbalance
+    if bound is None or max_imbalance is None:
+        return bound
+    return max(bound, max_imbalance)
 
 
 def _package(
     graph: CSRGraph,
     res: SpmdResult,
     method: str,
-    max_imbalance: Optional[float] = None,
     *,
     k: int = 2,
     costs=None,
     is_kway: bool = False,
 ) -> PartitionResult:
-    """Package an SPMD run; validate balance when a bound is declared.
+    """Package an SPMD run as a :class:`PartitionResult`.
 
-    ``max_imbalance`` is the method's declared ``balance_bound`` (wired
-    through by :func:`run_parallel`); ``None`` skips validation.
     ``simulated`` reflects the producing backend: the procs backend's
     ``seconds`` are measured wall time, not modelled cluster time.
     K-way methods (``is_kway``) return label arrays in ``[0, k)``;
@@ -135,7 +157,7 @@ def _package(
     }
     if res.pids is not None:
         extras["pids"] = list(res.pids)
-    out = PartitionResult(
+    return PartitionResult(
         bisection=bis,
         kway=kway,
         method=method,
@@ -144,20 +166,36 @@ def _package(
         stage_seconds=stage_seconds,
         extras=extras,
     )
-    if max_imbalance is not None:
-        out.validate(max_imbalance)
-    return out
-
-
-def _layout_coords(graph: CSRGraph, seed: SeedLike):
-    """Deterministic fallback coordinates for coordinate-based methods."""
-    from ..embed.multilevel import hu_layout
-
-    return hu_layout(graph, seed=seed)
 
 
 def _first_line(exc: BaseException) -> str:
     return str(exc).splitlines()[0] if str(exc) else type(exc).__name__
+
+
+def _ladder(spec: MethodSpec, nranks: int, retries: int,
+            k: int) -> List[Tuple[str, str, MethodSpec, int]]:
+    """The recovery plan as ``(step, mode, spec, nranks)`` rows.
+
+    The primary run, ``retries`` reruns at full ``P`` and halvings down
+    to :data:`MIN_RANKS`, then the fallbacks in the registry's quality
+    order: distributed ScalaPart on the last rank count tried (unless it
+    is the failing method, or ``k > 2`` parts are asked of its bisection
+    rank program), sequential ScalaPart, and sequential RCB as the
+    geometry-only last resort.  ``mode`` is ``"engine"`` or
+    ``"sequential"``.
+    """
+    rows = [("primary", "engine", spec, nranks)]
+    rows += [("retry", "engine", spec, nranks)] * retries
+    p = nranks // 2
+    while p >= MIN_RANKS:
+        rows.append(("shrink", "engine", spec, p))
+        p //= 2
+    scala = get_method("ScalaPart")
+    if spec.name != scala.name and k == 2:
+        rows.append(("fallback", "engine", scala, rows[-1][3]))
+    rows.append(("fallback", "sequential", scala, 1))
+    rows.append(("fallback", "sequential", get_method("RCB"), 1))
+    return rows
 
 
 def _run_recovering(
@@ -167,10 +205,11 @@ def _run_recovering(
     faults: Optional[FaultPlan],
     retry: RetryPolicy,
     k: int,
+    max_imbalance: Optional[float],
     engine: Callable[..., PartitionResult],
     sequential: Callable[..., PartitionResult],
 ) -> PartitionResult:
-    """Descend the recovery ladder until an attempt yields a valid cut.
+    """Walk the recovery ladder until an attempt yields a valid cut.
 
     ``engine(spec, nranks, seed, plan, scale)`` and
     ``sequential(spec, seed)`` close over the run settings that stay
@@ -178,19 +217,36 @@ def _run_recovering(
     attempt: method, rank count, seed, fault epoch and budget scale.
     """
     attempts: List[Dict[str, Any]] = []
-    epoch = 0
     last_exc: Optional[BaseException] = None
-
-    def bound_for(aspec: MethodSpec) -> float:
-        if aspec.balance_bound is not None:
-            return aspec.balance_bound
-        return retry.validate_imbalance
-
-    def finish(out: PartitionResult, rec: Dict[str, Any],
-               aspec: MethodSpec) -> PartitionResult:
-        nonlocal last_exc
+    for attempt, (step, mode, aspec, p) in enumerate(
+            _ladder(spec, nranks, retry.retries, k)):
+        aseed = seed if attempt == 0 else derive_seed(seed, _RETRY_SALT,
+                                                      attempt)
+        rec: Dict[str, Any] = {"step": step, "mode": mode,
+                               "method": aspec.name, "nranks": p,
+                               "attempt": attempt}
+        # the engine's fault domain fails with CommError; outside it, a
+        # sequential rung can only fail on its own merits
+        caught = (CommError, PartitionError) if mode == "engine" \
+            else ReproError
+        try:
+            if mode == "engine":
+                plan = None if faults is None else faults.for_attempt(attempt)
+                out = engine(aspec, p, aseed, plan, BACKOFF ** attempt)
+                ck = out.extras.get("checkpoint")
+                if ck is not None and ck.get("resumed_from"):
+                    rec["resumed_from"] = ck["resumed_from"]
+            else:
+                out = sequential(aspec, aseed)
+            out.validate(_allowed_imbalance(aspec, max_imbalance, retry))
+        except caught as exc:
+            rec["status"] = "failed"
+            rec["error"] = f"{type(exc).__name__}: {_first_line(exc)}"
+            attempts.append(rec)
+            last_exc = exc
+            continue
         # the failed attempt's traceback pins its frames (and their
-        # buffers) in a cycle through this closure: drop it on success
+        # buffers) in a cycle: drop it on success
         last_exc = None
         rec["status"] = "ok"
         rec["cut"] = int(out.cut_size)
@@ -200,90 +256,13 @@ def _run_recovering(
             "attempts": attempts,
             "recovered": len(attempts) > 1,
             "final_method": aspec.name,
-            "final_nranks": rec["nranks"],
+            "final_nranks": p,
         }
         ck = out.extras.get("checkpoint")
         if ck is not None:
             recovery["resumed_from"] = ck.get("resumed_from")
         out.extras["recovery"] = recovery
         return out
-
-    def engine_attempt(step: str, aspec: MethodSpec,
-                       p: int) -> Optional[PartitionResult]:
-        nonlocal epoch, last_exc
-        scale = retry.backoff ** epoch
-        aseed = seed if epoch == 0 else derive_seed(seed, _RETRY_SALT, epoch)
-        plan = None if faults is None else faults.for_attempt(epoch)
-        rec: Dict[str, Any] = {"step": step, "mode": "engine",
-                               "method": aspec.name, "nranks": p,
-                               "attempt": epoch}
-        epoch += 1
-        try:
-            out = engine(aspec, p, aseed, plan, scale)
-            ck = out.extras.get("checkpoint")
-            if ck is not None and ck.get("resumed_from"):
-                rec["resumed_from"] = ck["resumed_from"]
-            out.validate(bound_for(aspec))
-        except (CommError, PartitionError) as exc:
-            rec["status"] = "failed"
-            rec["error"] = f"{type(exc).__name__}: {_first_line(exc)}"
-            attempts.append(rec)
-            last_exc = exc
-            return None
-        return finish(out, rec, aspec)
-
-    def sequential_attempt(aspec: MethodSpec) -> Optional[PartitionResult]:
-        nonlocal epoch, last_exc
-        aseed = derive_seed(seed, _RETRY_SALT, epoch)
-        rec: Dict[str, Any] = {"step": "fallback", "mode": "sequential",
-                               "method": aspec.name, "nranks": 1,
-                               "attempt": epoch}
-        epoch += 1
-        try:
-            out = sequential(aspec, aseed)
-            out.validate(bound_for(aspec))
-        except ReproError as exc:
-            rec["status"] = "failed"
-            rec["error"] = f"{type(exc).__name__}: {_first_line(exc)}"
-            attempts.append(rec)
-            last_exc = exc
-            return None
-        return finish(out, rec, aspec)
-
-    # stage 1: the primary run plus retries at full rank count
-    for attempt in range(max(0, retry.retries) + 1):
-        out = engine_attempt("primary" if attempt == 0 else "retry",
-                             spec, nranks)
-        if out is not None:
-            return out
-
-    # stage 2: shrink the rank count (repartition on fewer virtual PEs)
-    p_floor = max(1, retry.min_ranks)
-    p_last = nranks
-    if retry.shrink:
-        p = nranks // 2
-        while p >= p_floor:
-            p_last = p
-            out = engine_attempt("shrink", spec, p)
-            if out is not None:
-                return out
-            if p == 1:
-                break
-            p //= 2
-
-    # stage 3: descend the registry ladder to simpler methods
-    if retry.fallback:
-        for mode, fspec in recovery_ladder(spec):
-            if mode == "dist":
-                if k != 2 and not fspec.kway:
-                    # bisection rank programs cannot produce K parts;
-                    # their sequential recursive-bisection form can
-                    continue
-                out = engine_attempt("fallback", fspec, p_last)
-            else:
-                out = sequential_attempt(fspec)
-            if out is not None:
-                return out
 
     raise PartitionError(
         f"recovery exhausted after {len(attempts)} attempt(s) for method "
@@ -320,8 +299,9 @@ def run_parallel(
     :class:`~repro.core.stages.EmbeddingArtifact` captured from another
     run.  ``max_imbalance`` overrides the refinement target handed to
     the rank program (``spec.default_max_imbalance`` otherwise); the
-    packaged result is validated against the spec's declared
-    ``balance_bound``.  Payloads are delivered zero-copy and the dynamic
+    packaged result is checked against :func:`_allowed_imbalance`
+    (the spec's declared ``balance_bound``, loosened to a larger
+    ``max_imbalance``).  Payloads are delivered zero-copy and the dynamic
     sanitizer follows the ``REPRO_SANITIZE`` environment variable (see
     :func:`~repro.parallel.engine.run_spmd`).
 
@@ -346,17 +326,17 @@ def run_parallel(
     forwarded to k-way rank programs; recovered k-way fallbacks run
     recursive bisection + k-way refinement under the same model.
 
-    ``checkpoint`` enables stage-durable elastic recovery: a directory
-    path or :class:`~repro.parallel.checkpoint.CheckpointStore`.  Methods that
-    declare ``checkpoint_stages`` persist their completed embedding
-    (atomic, crc-verified, keyed by graph hash × config fingerprint ×
-    seed × stage); every attempt — including the primary one, so a
-    restarted process benefits too — probes the store first and, on a
-    strictly verified hit, resumes downstream of the artifact via the
-    spec's ``resume_method`` instead of re-coarsening and re-embedding.
-    Any key mismatch or corrupt payload demotes to a full recompute and
-    is recorded in ``extras["checkpoint"]["ignored"]``.  The outcome is
-    reported in ``extras["checkpoint"]`` (and mirrored as
+    ``checkpoint`` enables durable elastic recovery: a directory path
+    or :class:`~repro.parallel.checkpoint.CheckpointStore`.  Methods
+    with a ``resume_method`` persist their completed embedding (atomic,
+    crc-verified, keyed by graph hash × config fingerprint × seed);
+    every attempt of the caller's method — including the primary one,
+    so a restarted process benefits too — probes the store first and,
+    on a strictly verified hit, resumes downstream of the embedding via
+    the spec's ``resume_method`` instead of re-coarsening and
+    re-embedding.  Any key mismatch or corrupt payload demotes to a
+    full recompute and is recorded in ``extras["checkpoint"]["ignored"]``.
+    The outcome is reported in ``extras["checkpoint"]`` (and mirrored as
     ``extras["recovery"]["resumed_from"]`` when a retry policy is
     active).
     """
@@ -388,21 +368,21 @@ def run_parallel(
 
     def engine(aspec: MethodSpec, p: int, aseed: SeedLike,
                plan: Optional[FaultPlan], scale: float) -> PartitionResult:
-        # with a checkpoint, probe the store for the last durable stage
-        # first: a verified embed artifact swaps the run to the spec's
-        # resume_method fed the persisted coordinates, while a full run
-        # persists its own embed stage for the next attempt
+        # with a checkpoint, probe the store for the embedding first: a
+        # verified hit swaps the run to the spec's resume_method fed the
+        # persisted coordinates, while a full run persists its own
+        # embedding for the next attempt
         target = (max_imbalance if max_imbalance is not None
                   else aspec.default_max_imbalance)
-        run_spec, run_coords, resumed_from = aspec, coords, None
-        if ctx is not None and coords is None and ctx.can_resume(aspec):
-            artifact = ctx.load_stage(aspec.checkpoint_stages[-1])
-            if artifact is not None:
+        run_spec, run_coords, resumed_from, save_ctx = aspec, coords, None, None
+        if ctx is not None and ctx.covers(aspec):
+            artifact = ctx.load_stage() if coords is None else None
+            if artifact is None:
+                save_ctx = ctx
+            else:
                 run_spec = get_method(aspec.resume_method)
                 run_coords = artifact
                 resumed_from = artifact.stage
-        save_ctx = ctx if (ctx is not None and resumed_from is None
-                           and ctx.can_save(aspec)) else None
 
         def prog(comm):
             kw = {}
@@ -423,9 +403,8 @@ def run_parallel(
                        faults=plan, max_steps=steps, backend=backend,
                        op_timeout=op_timeout)
         costs = resolve_costs(graph, cost_model) if aspec.kway else None
-        out = _package(graph, res, aspec.name,
-                       max_imbalance=aspec.balance_bound,
-                       k=k, costs=costs, is_kway=aspec.kway)
+        out = _package(graph, res, aspec.name, k=k, costs=costs,
+                       is_kway=aspec.kway)
         if ctx is not None:
             out.extras["checkpoint"] = {
                 "resumed_from": resumed_from,
@@ -435,13 +414,17 @@ def run_parallel(
         return out
 
     if retry is None:
-        return engine(spec, nranks, seed, faults, 1.0)
+        out = engine(spec, nranks, seed, faults, 1.0)
+        bound = _allowed_imbalance(spec, max_imbalance, None)
+        if bound is not None:
+            out.validate(bound)
+        return out
 
     def sequential(aspec: MethodSpec, aseed: SeedLike) -> PartitionResult:
         scoords = None
         if aspec.needs_coords:
             scoords = (coords if coords is not None
-                       else _layout_coords(graph, aseed))
+                       else hu_layout(graph, seed=aseed))
         if k != 2:
             # k-way fallback: any bisection method reaches K parts via
             # recursive bisection + the shared k-way refinement
@@ -456,4 +439,4 @@ def run_parallel(
         return aspec.sequential(graph, scoords, config=config, seed=aseed)
 
     return _run_recovering(spec, nranks, seed, faults, retry, k,
-                           engine, sequential)
+                           max_imbalance, engine, sequential)

@@ -53,8 +53,6 @@ __all__ = [
     "KWayArtifact",
     "RefineArtifact",
     "as_coords",
-    "artifact_payload",
-    "artifact_from_arrays",
     "Stage",
     "EmbedStage",
     "GeometricStage",
@@ -142,62 +140,6 @@ def as_coords(obj) -> np.ndarray:
     return np.asarray(obj, dtype=np.float64)
 
 
-def _json_safe_info(info: Dict[str, Any]) -> Dict[str, Any]:
-    """Best-effort JSON projection of a stage's info dict (diagnostics
-    only — nothing downstream recomputes from it)."""
-    out: Dict[str, Any] = {}
-    for key, value in info.items():
-        if isinstance(value, (str, bool)) or value is None:
-            out[key] = value
-        elif isinstance(value, (int, np.integer)):
-            out[key] = int(value)
-        elif isinstance(value, (float, np.floating)):
-            out[key] = float(value)
-    return out
-
-
-def artifact_payload(artifact: StageArtifact):
-    """Split a checkpointable artifact into ``(arrays, json_meta)``.
-
-    The durable-checkpoint subsystem
-    (:mod:`repro.parallel.checkpoint`) persists the arrays crc-verified
-    in an npz and the metadata as JSON.  Only the embed stage persists
-    today — the downstream stages are cheap relative to coarsening +
-    embedding, and their artifacts embed live ``Bisection`` views that
-    would pin the graph.
-    """
-    from ..errors import ConfigError
-
-    if isinstance(artifact, EmbeddingArtifact):
-        coords = np.ascontiguousarray(artifact.coords, dtype=np.float64)
-        return {"coords": coords}, {"info": _json_safe_info(artifact.info)}
-    raise ConfigError(
-        f"stage {getattr(artifact, 'stage', '?')!r} artifacts are not "
-        "checkpointable (only the embed stage persists today)"
-    )
-
-
-def artifact_from_arrays(stage: str, arrays: Dict[str, np.ndarray],
-                         meta: Dict[str, Any]) -> StageArtifact:
-    """Rebuild the typed artifact from its persisted payload (inverse
-    of :func:`artifact_payload`); raises
-    :class:`~repro.errors.CheckpointError` on a malformed payload."""
-    from ..errors import CheckpointError
-
-    if stage == "embed":
-        coords = arrays.get("coords")
-        if coords is None or coords.ndim != 2 or coords.shape[1] != 2:
-            raise CheckpointError(
-                f"embed artifact payload is malformed: expected an (n, 2) "
-                f"coords array, got "
-                f"{None if coords is None else coords.shape}"
-            )
-        return EmbeddingArtifact(stage="embed",
-                                 info=dict(meta.get("info") or {}),
-                                 coords=coords)
-    raise CheckpointError(f"unknown checkpoint stage {stage!r}")
-
-
 # ----------------------------------------------------------------------
 # stages
 # ----------------------------------------------------------------------
@@ -239,11 +181,8 @@ class EmbedStage(Stage):
         emb = multilevel_embedding(
             graph,
             seed=derive_seed(seed, 0xE3BED0),
-            c=cfg.c,
-            coarsest_size=cfg.coarsest_size,
             coarsest_iters=cfg.coarsest_iters,
             smooth_iters=cfg.smooth_iters,
-            jitter=cfg.jitter,
             repulsion="lattice",
             matcher=heavy_edge_matching_vec,
         )
@@ -259,12 +198,9 @@ class EmbedStage(Stage):
         pos, emb_info = yield from dist_multilevel_embedding(
             comm,
             graph,
-            coarsest_size=cfg.coarsest_size,
             coarsest_iters=cfg.coarsest_iters,
             smooth_iters=cfg.smooth_iters,
             block_size=cfg.block_size,
-            c=cfg.c,
-            jitter=cfg.jitter,
             seed=derive_seed(seed, 0xE3BED0),
         )
         return EmbeddingArtifact(stage=self.name, info=emb_info, coords=pos)

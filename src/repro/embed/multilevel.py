@@ -33,7 +33,6 @@ from ..graph.csr import CSRGraph
 from ..rng import SeedLike, as_generator, derive_seed
 from .box import Box
 from .fdl import LayoutResult, force_directed_layout, random_positions
-from .forces import DEFAULT_C
 from .lattice import LatticeWorkspace, repulsive_forces_lattice
 from .quadtree import repulsive_forces_bh
 
@@ -53,6 +52,12 @@ class EmbeddingResult:
     def num_levels(self) -> int:
         return self.hierarchy.num_levels
 
+
+#: stop coarsening near this many vertices (paper §3: "hundreds or few
+#: thousands"); shared with the distributed driver
+COARSEST_SIZE = 160
+#: jitter of inherited child coordinates (× K) during projection
+JITTER = 0.25
 
 #: average vertices per lattice cell on the sequential refined levels
 LATTICE_PER_CELL = 32.0
@@ -78,11 +83,8 @@ def multilevel_embedding(
     graph: CSRGraph,
     *,
     seed: SeedLike = None,
-    c: float = DEFAULT_C,
-    coarsest_size: int = 160,
     coarsest_iters: int = 300,
     smooth_iters: int = 16,
-    jitter: float = 0.25,
     repulsion: str = "lattice",
     matcher=heavy_edge_matching,
 ) -> EmbeddingResult:
@@ -105,7 +107,7 @@ def multilevel_embedding(
         )
     rng = as_generator(derive_seed(seed, 0xE3BED))
     h = build_hierarchy(
-        graph, coarsest_size=coarsest_size, keep_every_other=True, seed=seed,
+        graph, coarsest_size=COARSEST_SIZE, keep_every_other=True, seed=seed,
         matcher=matcher,
     )
 
@@ -116,7 +118,6 @@ def multilevel_embedding(
         coarsest,
         pos,
         masses=coarsest.vwgt,
-        c=c,
         max_iters=coarsest_iters,
         repulsion="auto",
     )
@@ -131,7 +132,7 @@ def multilevel_embedding(
         g = h.graphs[level]
         cmap = h.cmaps[level]
         pos = 2.0 * pos[cmap]  # box scales by 2 per axis (paper §3)
-        pos = pos + rng.normal(scale=jitter, size=pos.shape)
+        pos = pos + rng.normal(scale=JITTER, size=pos.shape)
         if repulsion == "lattice":
             s = lattice_side_for(g.num_vertices)
             box = Box.of_points(pos).expanded(1.05)
@@ -142,7 +143,6 @@ def multilevel_embedding(
             g,
             pos,
             masses=g.vwgt,
-            c=c,
             max_iters=smooth_iters,
             step0=1.0,
             repulsion=kernel,

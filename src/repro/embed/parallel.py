@@ -50,6 +50,7 @@ from ..parallel.topology import ProcessGrid, grid_dims
 from ..rng import derive_seed
 from .fdl import force_directed_layout, random_positions
 from .forces import DEFAULT_C, _EPS2
+from .multilevel import COARSEST_SIZE, JITTER
 
 __all__ = ["dist_multilevel_embedding"]
 
@@ -180,7 +181,6 @@ def _smooth_level(
     *,
     iters: int,
     block_size: int,
-    c: float,
     k: float = 1.0,
     step0: float = 1.0,
 ):
@@ -268,14 +268,14 @@ def _smooth_level(
         f = np.empty_like(setup.pos_own)
         f[:, 0] = np.bincount(setup.src_pos, weights=fa[:, 0], minlength=n_own)
         f[:, 1] = np.bincount(setup.src_pos, weights=fa[:, 1], minlength=n_own)
-        field = _beta_force(stats, comm.rank, c, k)
+        field = _beta_force(stats, comm.rank, DEFAULT_C, k)
         f += field[None, :] * setup.mass_own[:, None]
         # own-cell term: repulsion from the cell's other mass at its φ
         m_cell, com = stats[comm.rank, 0], stats[comm.rank, 1:]
         dd = setup.pos_own - com
         r2 = (dd * dd).sum(axis=1) + _EPS2
         m_other = np.maximum(m_cell - setup.mass_own, 0.0)
-        f += dd * (c * k * k * setup.mass_own * m_other / r2)[:, None]
+        f += dd * (DEFAULT_C * k * k * setup.mass_own * m_other / r2)[:, None]
         comm.charge(float(setup.w.shape[0] * 4 + setup.own.shape[0] * 6 + p))
 
         # ---- move owned vertices (communication-free cooling) ----------
@@ -293,12 +293,9 @@ def dist_multilevel_embedding(
     comm: Comm,
     graph: CSRGraph,
     *,
-    coarsest_size: int = 160,
     coarsest_iters: int = 150,
     smooth_iters: int = 16,
     block_size: int = 4,
-    c: float = DEFAULT_C,
-    jitter: float = 0.25,
     seed=None,
 ):
     """Distributed ScalaPart embedding; rank program for the VM.
@@ -309,7 +306,7 @@ def dist_multilevel_embedding(
     """
     comm.set_phase("coarsen")
     graphs, cmaps = yield from dist_build_hierarchy(
-        comm, graph, coarsest_size=coarsest_size, keep_every_other=True
+        comm, graph, coarsest_size=COARSEST_SIZE, keep_every_other=True
     )
 
     comm.set_phase("embed")
@@ -333,7 +330,6 @@ def dist_multilevel_embedding(
             coarsest,
             random_positions(nk, seed=derive_seed(seed, 0xC0A4)),
             masses=coarsest.vwgt,
-            c=c,
             max_iters=coarsest_iters,
             repulsion="auto",
         )
@@ -371,7 +367,7 @@ def dist_multilevel_embedding(
         owner = None
         if comm.rank == 0:
             rng = np.random.default_rng(derive_seed(seed, 0x9E0, level))
-            proj = 2.0 * pos[cmaps[level]] + rng.normal(scale=jitter, size=(n, 2))
+            proj = 2.0 * pos[cmaps[level]] + rng.normal(scale=JITTER, size=(n, 2))
             row, col = rcb_grid_map(proj, g.vwgt, rows, cols)
             owner = (row * cols + col).astype(np.int32)
         comm.charge(3.0 * n / p_lvl)
@@ -387,7 +383,7 @@ def dist_multilevel_embedding(
         if sub is not None:
             pos = yield from _smooth_level(
                 sub, g, proj, owner, grid,
-                iters=level_iters, block_size=block_size, c=c,
+                iters=level_iters, block_size=block_size,
             )
         # deliver the level result to the idle ranks as well
         comm.set_phase("embed/gather")

@@ -43,8 +43,7 @@ from .centerpoint import CENTERPOINT_SAMPLE, approx_centerpoint
 from .circles import random_unit_vectors
 from .stereo import lift, project, rotation_to_south
 
-__all__ = ["DistGeoSelection", "dist_geometric", "dist_strip_refine",
-           "dist_sp_pg7_nl"]
+__all__ = ["DistGeoSelection", "dist_geometric", "dist_strip_refine"]
 
 _HIST_BINS = 128
 
@@ -224,21 +223,3 @@ def dist_strip_refine(
     comm.set_phase("partition")
     return side_final, info
 
-
-def dist_sp_pg7_nl(
-    comm: Comm,
-    graph: CSRGraph,
-    pos_full: np.ndarray,
-    *,
-    config: Optional[ScalaPartConfig] = None,
-    seed: SeedLike = None,
-):
-    """Rank program: parallel SP-PG7-NL on an embedded graph.
-
-    Chains :func:`dist_geometric` and :func:`dist_strip_refine` — the
-    same two stage programs the registry pipeline composes.
-    """
-    cfg = config or ScalaPartConfig()
-    selection = yield from dist_geometric(comm, graph, pos_full,
-                                          config=cfg, seed=seed)
-    return (yield from dist_strip_refine(comm, graph, selection, config=cfg))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from ..rng import DEFAULT_SEED, SeedLike, derive_seed
 from . import generators as gen
 from .generators import GeneratedGraph
 
-__all__ = ["SuiteEntry", "SUITE", "LARGE4", "suite_names", "build", "build_suite"]
+__all__ = ["SuiteEntry", "SUITE", "LARGE4", "suite_names", "build"]
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,3 @@ def build(name: str, scale: float = 1.0, seed: SeedLike = None) -> GeneratedGrap
         raise GraphError(f"unknown suite graph {name!r}; known: {suite_names()}")
     return SUITE[name].build(scale, seed)
 
-
-def build_suite(
-    scale: float = 1.0, seed: SeedLike = None, names: Optional[List[str]] = None
-) -> Dict[str, GeneratedGraph]:
-    """Build all (or the named subset of) suite graphs."""
-    return {n: build(n, scale, seed) for n in (names or suite_names())}

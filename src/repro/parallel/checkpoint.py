@@ -1,19 +1,20 @@
-"""Durable stage checkpoints for elastic recovery.
+"""Durable embedding checkpoints for elastic recovery.
 
 The recovery ladder in :func:`~repro.core.parallel.run_parallel`
 (retry → shrink → fallback) recomputes from scratch on every attempt —
 for the paper's pipeline that means re-coarsening and re-embedding even
-when the failure hit the final refinement sweep.  This module makes
-completed stage artifacts *durable* so an attempt (or a whole new
-process, after a crash) can resume from the last persisted stage:
+when the failure hit the final refinement sweep.  This module makes the
+completed embedding — the one stage that persists — *durable*, so an
+attempt (or a whole new process, after a crash) can resume downstream
+of it:
 
 * :class:`CheckpointStore` — a directory of atomically written,
-  crc32-verified ``.npz`` artifact files, keyed by
+  crc32-verified ``.npz`` embedding files, keyed by
   ``(graph content hash, config fingerprint, seed, stage)``;
 * :class:`CheckpointContext` — one run's view of the store: the
-  resolved key per stage, the rank-0 save hook threaded into rank
-  programs, and the strictly validated resume probe.  A run with a
-  store both saves completed stages and resumes from persisted ones.
+  resolved key, the rank-0 save hook threaded into rank programs, and
+  the strictly validated resume probe.  A run with a store both saves
+  its embedding and resumes from a persisted one.
 
 Durability contract
 -------------------
@@ -27,8 +28,8 @@ match its recorded crc32.  Any mismatch raises
 :class:`~repro.errors.CheckpointError`; resume paths treat that as
 "no checkpoint" and fall through to a full recompute — a poisoned
 checkpoint directory can cost time, never correctness.  Resumed cuts
-are additionally re-validated against the method's ``balance_bound``
-by the caller, exactly like freshly computed ones.
+pass the caller's one balance check, exactly like freshly computed
+ones.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import zlib
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -133,27 +134,22 @@ class CheckpointKey:
         return f"{self.stage}-{self.digest()}.npz"
 
 
-# ----------------------------------------------------------------------
-# artifact (de)serialisation
-# ----------------------------------------------------------------------
-
-def _artifact_payload(artifact) -> Tuple[Dict[str, np.ndarray],
-                                         Dict[str, Any]]:
-    """Split a checkpointable artifact into arrays + JSON metadata
-    (stage-type knowledge lives with the artifact types; imported
-    lazily to keep :mod:`repro.core` ↛ :mod:`repro.parallel` acyclic
-    at import time)."""
-    from ..core.stages import artifact_payload
-
-    return artifact_payload(artifact)
+#: the one checkpointed stage (the embedding); its name keys the file
+_STAGE = "embed"
 
 
-def _artifact_restore(stage: str, arrays: Dict[str, np.ndarray],
-                      meta: Dict[str, Any]):
-    """Rebuild the typed artifact from its persisted payload."""
-    from ..core.stages import artifact_from_arrays
-
-    return artifact_from_arrays(stage, arrays, meta)
+def _json_safe_info(info: Dict[str, Any]) -> Dict[str, Any]:
+    """Best-effort JSON projection of the embedding's info dict
+    (diagnostics only — nothing downstream recomputes from it)."""
+    out: Dict[str, Any] = {}
+    for key, value in info.items():
+        if isinstance(value, (str, bool)) or value is None:
+            out[key] = value
+        elif isinstance(value, (int, np.integer)):
+            out[key] = int(value)
+        elif isinstance(value, (float, np.floating)):
+            out[key] = float(value)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +157,7 @@ def _artifact_restore(stage: str, arrays: Dict[str, np.ndarray],
 # ----------------------------------------------------------------------
 
 class CheckpointStore:
-    """A directory of durable, crc32-verified stage artifacts.
+    """A directory of durable, crc32-verified embedding artifacts.
 
     Concurrency-safe against readers (atomic rename) and idempotent
     against writers: a re-save of the same key overwrites the previous
@@ -181,13 +177,16 @@ class CheckpointStore:
 
     # -- writing --------------------------------------------------------
     def save(self, key: CheckpointKey, artifact) -> Path:
-        """Durably persist ``artifact`` under ``key``; returns the path.
+        """Durably persist an
+        :class:`~repro.core.stages.EmbeddingArtifact` under ``key``;
+        returns the path.
 
         tmp-write + fsync + rename + directory fsync: a concurrent
         reader sees either the old artifact or the complete new one,
         never a torn write.
         """
-        arrays, extra = _artifact_payload(artifact)
+        arrays = {"coords": np.ascontiguousarray(artifact.coords,
+                                                 dtype=np.float64)}
         meta = {
             "format": _FORMAT,
             "graph_hash": key.graph_hash,
@@ -196,7 +195,7 @@ class CheckpointStore:
             "stage": key.stage,
             "crc": {name: zlib.crc32(arr.tobytes())
                     for name, arr in arrays.items()},
-            **extra,
+            "info": _json_safe_info(artifact.info),
         }
         meta_arr = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         final = self.path_for(key)
@@ -223,7 +222,7 @@ class CheckpointStore:
 
     # -- reading --------------------------------------------------------
     def load(self, key: CheckpointKey):
-        """Load and strictly validate the artifact stored under ``key``.
+        """Load and strictly validate the embedding stored under ``key``.
 
         Raises :class:`~repro.errors.CheckpointError` naming the precise
         reason when the file is absent, unreadable, keyed differently,
@@ -275,7 +274,19 @@ class CheckpointStore:
                     f"checkpoint {path.name} failed crc32 verification "
                     f"on array {name!r} (truncated or corrupt payload)"
                 )
-        return _artifact_restore(key.stage, arrays, meta)
+        coords = arrays.get("coords")
+        if coords is None or coords.ndim != 2 or coords.shape[1] != 2:
+            raise CheckpointError(
+                f"embed artifact payload is malformed: expected an (n, 2) "
+                f"coords array, got "
+                f"{None if coords is None else coords.shape}"
+            )
+        # deferred: repro.core imports this module
+        from ..core.stages import EmbeddingArtifact
+
+        return EmbeddingArtifact(stage=key.stage,
+                                 info=dict(meta.get("info") or {}),
+                                 coords=coords)
 
     def try_load(self, key: CheckpointKey):
         """``(artifact, None)`` on a verified hit; ``(None, reason)``
@@ -320,7 +331,7 @@ class CheckpointContext:
     Built once per :func:`~repro.core.parallel.run_parallel` call from
     the *caller-level* method and seed, so every rung of the recovery
     ladder (retries, shrunk rank counts, cross-process restarts of the
-    same invocation) resolves the same keys.  ``ignored`` accumulates
+    same invocation) resolves the same key.  ``ignored`` accumulates
     the reasons any unusable artifacts were skipped; the driver surfaces
     it in ``extras``.
     """
@@ -344,36 +355,34 @@ class CheckpointContext:
             seed=_normalize_seed(seed),
         )
 
-    def key_for(self, stage: str) -> CheckpointKey:
+    @property
+    def key(self) -> CheckpointKey:
         return CheckpointKey(graph_hash=self.graph_hash,
                              fingerprint=self.fingerprint,
-                             seed=self.seed, stage=stage)
+                             seed=self.seed, stage=_STAGE)
 
-    def can_save(self, spec) -> bool:
-        return bool(spec.checkpoint_stages and spec.name == self.method)
+    def covers(self, spec) -> bool:
+        """Does a run of ``spec`` save and resume through this context?
+        Only the caller's own method, and only if it can resume."""
+        return spec.resume_method is not None and spec.name == self.method
 
-    def can_resume(self, spec) -> bool:
-        return bool(spec.checkpoint_stages
-                    and spec.resume_method is not None
-                    and spec.name == self.method)
-
-    def save_artifact(self, stage: str, artifact) -> None:
+    def save_artifact(self, artifact) -> None:
         """Rank-0 save hook threaded into rank programs.  A durability
         failure is reported (CheckpointWarning), never fatal — the run's
         answer does not depend on the checkpoint landing."""
         try:
-            self.store.save(self.key_for(stage), artifact)
+            self.store.save(self.key, artifact)
         except OSError as exc:
             warnings.warn(
-                f"could not persist {stage!r} checkpoint: "
+                f"could not persist {_STAGE!r} checkpoint: "
                 f"{type(exc).__name__}: {exc}",
                 CheckpointWarning,
                 stacklevel=2,
             )
 
-    def load_stage(self, stage: str):
-        """Verified artifact for ``stage``, or None (recording why)."""
-        artifact, reason = self.store.try_load(self.key_for(stage))
+    def load_stage(self):
+        """Verified embedding artifact, or None (recording why)."""
+        artifact, reason = self.store.try_load(self.key)
         if reason is not None:
             self.ignored.append(reason)
         return artifact

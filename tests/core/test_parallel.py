@@ -121,9 +121,9 @@ class TestRecoveryForwardsRunSettings:
         # the distributed ScalaPart fallback is the first clean run
         plan = FaultPlan(seed=1, kills=(KillRank(rank=1, at_op=2,
                                                  attempts=(0, 1, 2)),))
-        policy = RetryPolicy(retries=1, backoff=3.0, min_ranks=2)
         out = run_parallel("ParMetis-like", g, 4, config=FAST, seed=13,
-                           machine=ZERO_COST, faults=plan, retry=policy,
+                           machine=ZERO_COST, faults=plan,
+                           retry=RetryPolicy(retries=1),
                            max_steps=100_000, backend="sim", op_timeout=7.5)
         steps = [a["step"] for a in out.extras["recovery"]["attempts"]]
         assert steps == ["primary", "retry", "shrink", "fallback"]
@@ -132,4 +132,5 @@ class TestRecoveryForwardsRunSettings:
             assert kwargs["machine"] is ZERO_COST
             assert kwargs["backend"] == "sim"
             assert kwargs["op_timeout"] == 7.5
-            assert kwargs["max_steps"] == int(100_000 * policy.backoff ** epoch)
+            assert kwargs["max_steps"] == int(
+                100_000 * core_parallel.BACKOFF ** epoch)

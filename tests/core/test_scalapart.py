@@ -18,7 +18,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kw",
         [
-            {"coarsest_size": 0},
+            {"coarsest_iters": -1},
             {"block_size": 0},
             {"ncircles": 0},
             {"strip_factor": 0},

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ScalaPartConfig
-from repro.geometric.parallel import dist_sp_pg7_nl
+from repro.core.methods import get_method
 from repro.graph import Bisection, cut_size
 from repro.graph.generators import random_delaunay
 from repro.parallel import QDR_CLUSTER, ZERO_COST, run_spmd
@@ -12,8 +12,8 @@ from repro.parallel import QDR_CLUSTER, ZERO_COST, run_spmd
 
 def run_pg(graph, coords, p, cfg=None, seed=5, machine=ZERO_COST):
     def prog(comm):
-        return (yield from dist_sp_pg7_nl(comm, graph, coords,
-                                          config=cfg, seed=seed))
+        return (yield from get_method("SP-PG7-NL").distributed(
+            comm, graph, coords=coords, config=cfg, seed=seed))
 
     return run_spmd(prog, p, machine=machine, seed=1)
 

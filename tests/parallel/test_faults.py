@@ -13,17 +13,21 @@ import numpy as np
 import pytest
 
 from repro.core.config import ScalaPartConfig
+from repro.core import parallel as core_parallel
+from repro.core.methods import get_method
 from repro.core.parallel import RetryPolicy, run_parallel
 from repro.errors import (
     BudgetExceededError,
     CommError,
     CommWarning,
+    ConfigError,
     DeadlockError,
     PartitionError,
     RankFailure,
     ReproError,
 )
 from repro.graph import generators as gen
+from repro.graph.csr import CSRGraph
 from repro.parallel import (
     FaultPlan,
     KillRank,
@@ -292,14 +296,48 @@ class TestRecoveryLadder:
         assert methods[0] == "RCB" and "ScalaPart" in methods
         out.bisection.validate(0.15)
 
-    def test_exhaustion_raises_typed_error(self, small_delaunay):
-        g, _ = small_delaunay
+    def test_exhaustion_raises_typed_error(self, monkeypatch):
+        """Every rung of the real ladder fails: rank 0 dies on every
+        engine attempt, and no bisection can balance a graph whose one
+        vertex outweighs all the others ten times over."""
+        g0 = gen.random_delaunay(300, seed=3).graph
+        vwgt = np.ones(g0.num_vertices)
+        vwgt[0] = 10 * g0.num_vertices
+        g = CSRGraph(g0.indptr, g0.indices, g0.ewgt, vwgt)
         plan = FaultPlan(seed=3, kills=(KillRank(rank=0, at_op=5,
                                                  attempts=None),))
-        with pytest.raises(PartitionError, match="recovery exhausted"):
+        engine_ranks = []
+        real_run_spmd = core_parallel.run_spmd
+
+        def recording(prog, nranks, **kwargs):
+            engine_ranks.append(nranks)
+            return real_run_spmd(prog, nranks, **kwargs)
+
+        monkeypatch.setattr(core_parallel, "run_spmd", recording)
+        ladder = core_parallel._ladder(get_method("ScalaPart"), 4,
+                                       RetryPolicy().retries, 2)
+        assert [(step, mode, spec.name, p)
+                for step, mode, spec, p in ladder] == [
+            ("primary", "engine", "ScalaPart", 4),
+            ("retry", "engine", "ScalaPart", 4),
+            ("shrink", "engine", "ScalaPart", 2),
+            ("fallback", "sequential", "ScalaPart", 1),
+            ("fallback", "sequential", "RCB", 1),
+        ]
+        with pytest.raises(PartitionError,
+                           match="recovery exhausted after 5 attempt"):
             run_parallel("ScalaPart", g, 4, config=FAST, seed=7, faults=plan,
-                         retry=RetryPolicy(retries=0, shrink=False,
-                                           fallback=False))
+                         retry=RetryPolicy())
+        assert engine_ranks == [4, 4, 2]
+
+    @pytest.mark.parametrize("kw", [
+        {"retries": -1},
+        {"validate_imbalance": -0.1},
+        {"validate_imbalance": 1.0},
+    ])
+    def test_bad_policy_rejected(self, kw):
+        with pytest.raises(ConfigError):
+            RetryPolicy(**kw)
 
     def test_recovery_is_deterministic(self, small_delaunay):
         g, _ = small_delaunay

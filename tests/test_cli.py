@@ -208,6 +208,16 @@ class TestMaxImbalance:
         assert run("--max-imbalance", "0.05") == default
         assert run("--max-imbalance", "0.14") != default
 
+    @pytest.mark.parametrize("backend", ["seq", "sim"])
+    def test_looser_target_is_not_rejected(self, mesh_file, tmp_path,
+                                           backend):
+        """A result that meets the caller's looser target passes the
+        balance check on every backend, not only on ``seq``."""
+        path, _ = mesh_file
+        parts = self._parts(path, tmp_path, "--backend", backend,
+                            "--max-imbalance", "0.5")
+        assert parts != self._parts(path, tmp_path, "--backend", backend)
+
     def test_target_reaches_scalapart_config(self, mesh_file, monkeypatch):
         import repro.core.methods as methods
 
@@ -319,6 +329,12 @@ class TestChaos:
         assert run["status"] == "recovered"
         assert run["recovery"]["resumed_from"] == "embed"
         assert list(ckdir.glob("embed-*.npz"))
+
+    def test_negative_retries_rejected(self, tmp_path, capsys):
+        rc = main(["chaos", "--n", "150", "--retries", "-1",
+                   "--out", str(tmp_path / "report.json")])
+        assert rc == 2
+        assert "retries must be >= 0" in capsys.readouterr().err
 
     def test_procs_backend_recorded(self, tmp_path):
         from repro.parallel import procs_available

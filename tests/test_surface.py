@@ -15,22 +15,21 @@ import repro.parallel.checkpoint as checkpoint
 from repro.core.config import ScalaPartConfig
 from repro.core.methods import MethodSpec
 from repro.core.parallel import RetryPolicy, run_parallel
+from repro.embed.multilevel import multilevel_embedding
+from repro.embed.parallel import dist_multilevel_embedding
 from repro.parallel.engine import run_spmd
 from repro.parallel.faults import FaultPlan, MessageFault
 
 FIELDS = {
     ScalaPartConfig: [
-        "coarsest_size", "coarsest_iters", "smooth_iters", "block_size",
-        "c", "jitter", "ncircles", "strip_factor", "max_imbalance",
+        "coarsest_iters", "smooth_iters", "block_size", "ncircles",
+        "strip_factor", "max_imbalance",
     ],
-    RetryPolicy: [
-        "retries", "backoff", "shrink", "min_ranks", "fallback",
-        "validate_imbalance",
-    ],
+    RetryPolicy: ["retries", "validate_imbalance"],
     MethodSpec: [
         "name", "cli_name", "needs_coords", "sequential", "distributed",
         "seed_salt", "default_max_imbalance", "balance_bound", "kway",
-        "checkpoint_stages", "resume_method", "description",
+        "resume_method", "description",
     ],
     FaultPlan: [
         "seed", "kills", "messages", "kill_rate", "drop_rate",
@@ -49,6 +48,12 @@ KEYWORDS = {
     run_spmd: [
         "machine", "seed", "sanitize", "faults", "max_steps",
         "max_sim_seconds", "backend", "op_timeout", "stall_timeout",
+    ],
+    multilevel_embedding: [
+        "seed", "coarsest_iters", "smooth_iters", "repulsion", "matcher",
+    ],
+    dist_multilevel_embedding: [
+        "coarsest_iters", "smooth_iters", "block_size", "seed",
     ],
 }
 
