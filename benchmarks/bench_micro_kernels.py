@@ -3,8 +3,10 @@
 Times the library's hot paths — matching (sequential and distributed),
 contraction, k-way assignment and refinement, engine payload delivery,
 one embed smoothing iteration, the β field at the production lattice
-side, and Barnes–Hut at 100k points and at the production ~1k-point
-clustered shape — on generated graphs, reports per-kernel medians, and
+side, Barnes–Hut at 100k points and at the production ~1k-point
+clustered shape, the exact repulsion on a 188-point coarsest layout
+and the Radon reduction of a 1,000-point centerpoint sample — on
+generated graphs, reports per-kernel medians, and
 persists them (plus the sequential ÷ vectorised matching speedup) to
 ``BENCH_kernels.json``.
 
@@ -57,6 +59,7 @@ from repro.coarsen import (  # noqa: E402
 from repro.coarsen.parallel import dist_match  # noqa: E402
 from repro.embed.box import Box  # noqa: E402
 from repro.embed.fdl import force_directed_layout, random_positions  # noqa: E402
+from repro.embed.forces import repulsive_forces_exact  # noqa: E402
 from repro.embed.lattice import (  # noqa: E402
     LatticeWorkspace,
     beta_force_field,
@@ -65,7 +68,12 @@ from repro.embed.lattice import (  # noqa: E402
 )
 from repro.embed.multilevel import lattice_side_for  # noqa: E402
 from repro.embed.quadtree import repulsive_forces_bh  # noqa: E402
+from repro.geometric.centerpoint import (  # noqa: E402
+    CENTERPOINT_SAMPLE,
+    approx_centerpoint,
+)
 from repro.geometric.kway import kway_geometric_assign  # noqa: E402
+from repro.geometric.stereo import lift  # noqa: E402
 from repro.graph.generators import grid2d  # noqa: E402
 from repro.graph.partition import KWayPartition  # noqa: E402
 from repro.graph.io import read_metis  # noqa: E402
@@ -93,6 +101,8 @@ TIMED_KERNELS = (
     "embed/beta-field",
     "embed/bh-build",
     "embed/bh-coarse",
+    "embed/exact-coarse",
+    "geometric/centerpoint",
     "io/read-metis",
 )
 
@@ -320,6 +330,29 @@ def run_benchmarks(quick: bool = False, repeats: int = 5,
             repulsive_forces_bh(pos_c, mass_c)
 
     record("embed/bh-coarse", bh_coarse)
+
+    # the exact repulsion at its production shape: on the simulated
+    # sweep rank 0 lays out coarsest graphs of 160 and 188 vertices with
+    # it, 150 calls per layout; one sample is ten calls on 188 clustered
+    # points
+    pos_e, mass_e = clustered_layout(188)
+
+    def exact_coarse():
+        for _ in range(10):
+            repulsive_forces_exact(pos_e, mass_e)
+
+    record("embed/exact-coarse", exact_coarse)
+
+    # ---- approximate centerpoint --------------------------------------
+    # the Radon reduction of one sample of mesh points lifted to the
+    # sphere, as every rank of the distributed geometric stage runs it;
+    # the sample has exactly CENTERPOINT_SAMPLE points, so the call does
+    # no subsampling and times the reduction alone
+    cp_rows = np.random.default_rng(9).choice(
+        g.num_vertices, size=CENTERPOINT_SAMPLE, replace=False)
+    cp_sample = lift(mesh.coords[cp_rows])
+    record("geometric/centerpoint",
+           lambda: approx_centerpoint(cp_sample, seed=7))
 
     # ---- streaming METIS reader ---------------------------------------
     import tempfile

@@ -449,6 +449,8 @@ def _cmd_chaos(args) -> int:
             except ReproError as exc:
                 run["status"] = "failed"
                 run["error"] = f"{type(exc).__name__}: {exc}"
+                if getattr(exc, "recovery", None) is not None:
+                    run["recovery"] = exc.recovery
             else:
                 rec = res.extras.get("recovery")
                 recovered = bool(rec and rec.get("recovered"))

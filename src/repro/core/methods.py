@@ -52,6 +52,7 @@ from .stages import (
     GEOMETRIC_STAGE,
     KWAY_GEOMETRIC_STAGE,
     STRIP_REFINE_STAGE,
+    EmbeddingArtifact,
     as_coords,
 )
 
@@ -236,19 +237,24 @@ def _dist_scalapart(comm, graph, *, coords=None, config=None, seed=None,
     emb = yield from EMBED_STAGE.run_dist(comm, graph, None, config, seed)
     if checkpoint is not None and comm.rank == 0:
         checkpoint.save_artifact(emb)
-    geo = yield from GEOMETRIC_STAGE.run_dist(comm, graph, emb, config, seed)
-    side, info = yield from STRIP_REFINE_STAGE.run_dist(comm, graph, geo,
-                                                        config, seed)
-    return side, {**info, **emb.info, "pos": emb.coords}
+    return (yield from _dist_sp_pg7_nl(comm, graph, coords=emb,
+                                       config=config, seed=seed))
 
 
 def _dist_sp_pg7_nl(comm, graph, *, coords=None, config=None, seed=None,
                     max_imbalance=None):
-    """Partition-only component: stages 3–4 on given coordinates."""
+    """Partition-only component: stages 3–4 on given coordinates.
+
+    Fed an :class:`EmbeddingArtifact` (by a full or a resumed ScalaPart
+    run), the embedding's diagnostics join the result.
+    """
     geo = yield from GEOMETRIC_STAGE.run_dist(comm, graph, coords,
                                               config, seed)
-    return (yield from STRIP_REFINE_STAGE.run_dist(comm, graph, geo,
-                                                   config, seed))
+    side, info = yield from STRIP_REFINE_STAGE.run_dist(comm, graph, geo,
+                                                        config, seed)
+    if isinstance(coords, EmbeddingArtifact):
+        info = {**info, **coords.info, "pos": coords.coords}
+    return side, info
 
 
 def _dist_parmetis(comm, graph, *, coords=None, config=None, seed=None,
@@ -281,11 +287,13 @@ def _dist_kway_geometric(comm, graph, *, coords=None, config=None, seed=None,
     costs = resolve_costs(graph, cost_model)
     info = {}
     if coords is None:
-        emb = yield from EMBED_STAGE.run_dist(comm, graph, None, config, seed)
+        coords = yield from EMBED_STAGE.run_dist(comm, graph, None, config,
+                                                 seed)
         if checkpoint is not None and comm.rank == 0:
-            checkpoint.save_artifact(emb)
-        info = {**emb.info, "pos": emb.coords}
-        coords = emb
+            checkpoint.save_artifact(coords)
+    if isinstance(coords, EmbeddingArtifact):
+        # fresh or resumed, the embedding's diagnostics join the result
+        info = {**coords.info, "pos": coords.coords}
     parts, kinfo = yield from KWAY_GEOMETRIC_STAGE.run_dist(
         comm, graph, coords, config, seed,
         k=k, costs=costs, max_imbalance=max_imbalance,

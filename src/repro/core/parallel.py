@@ -26,8 +26,9 @@ DeadlockError`, :class:`~repro.errors.BudgetExceededError`, any other
 Every partition, recovered or not, is checked once against
 :func:`_allowed_imbalance`, so degradation never returns a silently
 broken partition.  The full attempt trail lands in
-``result.extras["recovery"]``; the whole ladder is deterministic per
-``(seed, FaultPlan)``.
+``result.extras["recovery"]``, or, when every rung fails, in the
+``recovery`` attribute of the :class:`~repro.errors.PartitionError`
+raised; the whole ladder is deterministic per ``(seed, FaultPlan)``.
 """
 
 from __future__ import annotations
@@ -264,12 +265,14 @@ def _run_recovering(
         out.extras["recovery"] = recovery
         return out
 
-    raise PartitionError(
+    err = PartitionError(
         f"recovery exhausted after {len(attempts)} attempt(s) for method "
         f"{spec.name!r} on {nranks} ranks; last error: "
         f"{type(last_exc).__name__ if last_exc else 'none'}: "
         f"{_first_line(last_exc) if last_exc else ''}"
-    ) from last_exc
+    )
+    err.recovery = {"attempts": attempts, "recovered": False}
+    raise err from last_exc
 
 
 def run_parallel(

@@ -130,7 +130,15 @@ def repulsive_forces_exact(
 ) -> np.ndarray:
     """All-pairs repulsion (O(n²), vectorised): ground truth for the
     Barnes–Hut and fixed-lattice approximations, and the scheme actually
-    used on the (small) coarsest graph."""
+    used on the (small) coarsest graph.
+
+    The pair terms live in transposed matrices, ``dx[j, i] = x_i − x_j``,
+    so the sum over ``j`` is a reduction over axis 0.  numpy reduces an
+    outer axis row by row: the same sequential-over-``j`` order as a
+    middle-axis reduction of the ``(n, n, 2)`` difference tensor (the
+    oracle the tests compare against bit for bit), with contiguous rows
+    and no short inner axis.
+    """
     pos = np.asarray(pos, dtype=np.float64)
     n = pos.shape[0]
     if masses is None:
@@ -138,11 +146,21 @@ def repulsive_forces_exact(
     masses = np.asarray(masses, dtype=np.float64)
     if n == 0:
         return np.zeros((0, 2))
-    d = pos[:, None, :] - pos[None, :, :]  # d[i,j] = ci - cj
-    r2 = (d * d).sum(axis=2) + _EPS2
-    np.fill_diagonal(r2, np.inf)
-    scale = c * k * k * (masses[:, None] * masses[None, :]) / r2
-    return (d * scale[:, :, None]).sum(axis=1)
+    x, y = pos[:, 0], pos[:, 1]
+    dx = x[None, :] - x[:, None]  # dx[j, i] = x_i - x_j
+    dy = y[None, :] - y[:, None]
+    r2 = dx * dx
+    r2 += dy * dy
+    r2 += _EPS2
+    np.fill_diagonal(r2, np.inf)  # no self-repulsion
+    scale = (c * k * k) * (masses[None, :] * masses[:, None])
+    scale /= r2
+    dx *= scale
+    dy *= scale
+    out = np.empty((n, 2))
+    out[:, 0] = dx.sum(axis=0)
+    out[:, 1] = dy.sum(axis=0)
+    return out
 
 
 def spring_energy(

@@ -25,6 +25,13 @@ machine, stage for stage:
 
 Per-rank state is O(n/P): owned ids/coordinates, ghost buffers, and the
 per-neighbour send/receive index lists, all precomputed at level setup.
+Owned and ghost coordinates are the two halves of one ``(n_own +
+n_ghost, 2)`` buffer, so halo and far-ghost refreshes write straight
+into the array the per-slot gather reads.  The force step works on its
+x and y columns separately (``dx*dx + dy*dy`` rather than summing an
+``(m, 2)`` array along its short axis): the same operations in the same
+order, so coordinates are bit-identical to the row-wise form, at a
+fraction of the cost.
 Level-setup data (initial coordinates, ownership) is assembled once at
 the subtree root and shared by reference (see
 :mod:`repro.graph.distributed` for the simulator memory idiom); every
@@ -63,7 +70,8 @@ class _LevelSetup:
     """Per-rank precomputed structure for one level's smoothing."""
 
     own: np.ndarray            # global ids owned by this rank (sorted)
-    pos_own: np.ndarray        # (n_own, 2) current coordinates
+    pos_all: np.ndarray        # (n_own + n_ghost, 2): owned rows, then ghosts
+    pos_own: np.ndarray        # (n_own, 2) current coordinates (pos_all view)
     mass_own: np.ndarray
     src_pos: np.ndarray        # local row per adjacency slot
     w: np.ndarray              # slot weights
@@ -73,7 +81,7 @@ class _LevelSetup:
     near_recv: Dict[int, np.ndarray]   # nbr rank -> ghost slots to fill
     far_slots: np.ndarray      # ghost slots refreshed per block
     far_ids: np.ndarray        # their global ids
-    pos_ghost: np.ndarray      # (n_ghost, 2)
+    pos_ghost: np.ndarray      # (n_ghost, 2) (pos_all view)
 
 
 def _setup_level(
@@ -113,9 +121,13 @@ def _setup_level(
     far = ~np.isin(ghost_owner, sorted(nbrs))
     far_slots = np.flatnonzero(far)
     comm.charge(float(dst.shape[0]) + own.shape[0])
+    # one buffer for owned and ghost rows, so the per-slot gather needs
+    # no per-iteration concatenation
+    pos_all = pos_full[np.concatenate([own, ghost_ids])]
     return _LevelSetup(
         own=own,
-        pos_own=pos_full[own].copy(),
+        pos_all=pos_all,
+        pos_own=pos_all[: own.shape[0]],
         mass_own=graph.vwgt[own].copy(),
         src_pos=src_pos,
         w=w,
@@ -125,7 +137,7 @@ def _setup_level(
         near_recv=near_recv,
         far_slots=far_slots,
         far_ids=ghost_ids[far_slots],
-        pos_ghost=pos_full[ghost_ids].copy(),
+        pos_ghost=pos_all[own.shape[0]:],
     )
 
 
@@ -216,6 +228,9 @@ def _smooth_level(
     # collectives happen once per block; iterations use only
     # nearest-neighbour communication).
     step = step0
+    n_own = setup.pos_own.shape[0]
+    ax, ay = setup.pos_all[:, 0], setup.pos_all[:, 1]
+    ox, oy = setup.pos_own[:, 0], setup.pos_own[:, 1]
 
     for it in range(iters):
         # ---- halo exchange: boundary coordinates to grid neighbours ----
@@ -257,31 +272,34 @@ def _smooth_level(
             stats[comm.rank] = local_stats()[comm.rank]
 
         # ---- forces on owned vertices ----------------------------------
-        pos_all = np.vstack([setup.pos_own, setup.pos_ghost])
-        d = pos_all[setup.dst_slot] - setup.pos_own[setup.src_pos]
-        dist = np.sqrt((d * d).sum(axis=1))
-        mag = dist / k * setup.w
-        fa = d * mag[:, None]
-        n_own = setup.pos_own.shape[0]
+        dx = ax[setup.dst_slot] - ox[setup.src_pos]
+        dy = ay[setup.dst_slot] - oy[setup.src_pos]
+        mag = np.sqrt(dx * dx + dy * dy) / k * setup.w
         # per-source segment sum via bincount: bit-identical to the
         # np.add.at scatter it replaces, ~6x faster at scale
-        f = np.empty_like(setup.pos_own)
-        f[:, 0] = np.bincount(setup.src_pos, weights=fa[:, 0], minlength=n_own)
-        f[:, 1] = np.bincount(setup.src_pos, weights=fa[:, 1], minlength=n_own)
+        fx = np.bincount(setup.src_pos, weights=dx * mag, minlength=n_own)
+        fy = np.bincount(setup.src_pos, weights=dy * mag, minlength=n_own)
         field = _beta_force(stats, comm.rank, DEFAULT_C, k)
-        f += field[None, :] * setup.mass_own[:, None]
+        fx += field[0] * setup.mass_own
+        fy += field[1] * setup.mass_own
         # own-cell term: repulsion from the cell's other mass at its φ
         m_cell, com = stats[comm.rank, 0], stats[comm.rank, 1:]
-        dd = setup.pos_own - com
-        r2 = (dd * dd).sum(axis=1) + _EPS2
+        ddx = ox - com[0]
+        ddy = oy - com[1]
+        r2 = ddx * ddx + ddy * ddy + _EPS2
         m_other = np.maximum(m_cell - setup.mass_own, 0.0)
-        f += dd * (DEFAULT_C * k * k * setup.mass_own * m_other / r2)[:, None]
+        cell = DEFAULT_C * k * k * setup.mass_own * m_other / r2
+        fx += ddx * cell
+        fy += ddy * cell
         comm.charge(float(setup.w.shape[0] * 4 + setup.own.shape[0] * 6 + p))
 
         # ---- move owned vertices (communication-free cooling) ----------
-        norms = np.sqrt((f * f).sum(axis=1))
+        norms = np.sqrt(fx * fx + fy * fy)
+        # masked: an unmasked += 0.0 would turn a -0.0 coordinate into +0.0
         active = norms > 1e-300
-        setup.pos_own[active] += f[active] / norms[active, None] * step
+        nrm = norms[active]
+        ox[active] += fx[active] / nrm * step
+        oy[active] += fy[active] / nrm * step
         step *= _T
 
     comm.set_phase("embed/gather")

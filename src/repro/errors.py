@@ -17,7 +17,14 @@ class GraphError(ReproError):
 
 
 class PartitionError(ReproError):
-    """Raised for invalid partitions (non-covering, unbalanced, ...)."""
+    """Raised for invalid partitions (non-covering, unbalanced, ...).
+
+    When a recovery ladder runs out of rungs, ``recovery`` holds its
+    trail in the form a recovered run reports as
+    ``extras["recovery"]``: ``{"attempts": [...], "recovered": False}``.
+    """
+
+    recovery = None
 
 
 class EmbeddingError(ReproError):

@@ -140,7 +140,8 @@ _STAGE = "embed"
 
 def _json_safe_info(info: Dict[str, Any]) -> Dict[str, Any]:
     """Best-effort JSON projection of the embedding's info dict
-    (diagnostics only — nothing downstream recomputes from it)."""
+    (diagnostics only — nothing downstream recomputes from it): scalars,
+    and lists of integers such as the hierarchy sizes."""
     out: Dict[str, Any] = {}
     for key, value in info.items():
         if isinstance(value, (str, bool)) or value is None:
@@ -149,6 +150,9 @@ def _json_safe_info(info: Dict[str, Any]) -> Dict[str, Any]:
             out[key] = int(value)
         elif isinstance(value, (float, np.floating)):
             out[key] = float(value)
+        elif isinstance(value, (list, tuple)) and all(
+                isinstance(v, (int, np.integer)) for v in value):
+            out[key] = [int(v) for v in value]
     return out
 
 

@@ -21,7 +21,11 @@ import pytest
 from repro.embed import lattice, quadtree
 from repro.embed.box import Box
 from repro.embed.fdl import force_directed_layout
-from repro.embed.forces import AttractiveWorkspace, attractive_forces
+from repro.embed.forces import (
+    AttractiveWorkspace,
+    attractive_forces,
+    repulsive_forces_exact,
+)
 from repro.embed.lattice import (
     LatticeWorkspace,
     beta_force_field,
@@ -37,6 +41,7 @@ from tests.oracles.embed import (
     attractive_forces_reference,
     beta_force_field_reference,
     force_directed_layout_reference,
+    repulsive_forces_exact_reference,
     repulsive_forces_lattice_reference,
 )
 
@@ -225,6 +230,45 @@ def test_bh_matches_oracle(case):
     pos, masses = BH_CASES[case]
     got = repulsive_forces_bh(pos, masses, 0.2, 1.1)
     assert _bits_equal(got, repulsive_forces_bh_reference(pos, masses, 0.2, 1.1))
+
+
+def _exact_cases():
+    """Inputs at and around the exact kernel's sizes: the coarsest
+    layouts of the simulated sweep have 160 and 188 points, and
+    ``repulsion="auto"`` takes it up to 600 points."""
+    rng = np.random.default_rng(13)
+    cases = {n: (rng.random((n, 2)) * 9.0, 1.0 + rng.random(n))
+             for n in (1, 2, 3, 37, 300)}
+    for n in (160, 188, 500):
+        cases[f"clustered-{n}"] = _clustered(n, seed=2)
+    pos = rng.normal(size=(256, 2)) * 1e-7
+    cases["tiny-scale"] = (pos, rng.integers(1, 5, size=256) * 1.0)
+    pos = rng.random((200, 2)) * 5.0
+    cases["coincident"] = (np.vstack([pos[:120], np.repeat(pos[:1], 80, 0)]),
+                           1.0 + rng.random(200))
+    masses = 1.0 + rng.random(300)
+    masses[rng.random(300) < 0.4] = 0.0
+    cases["zero-mass"] = (rng.random((300, 2)) * 7.0, masses)
+    pos = rng.random((150, 2)) * 4.0 - 2.0
+    pos[rng.random((150, 2)) < 0.3] = -0.0
+    cases["signed-zeros"] = (pos, np.zeros(150))
+    for name in ("duplicates", "flat-x", "flat-y"):
+        cases[name] = BH_CASES[name]
+    return cases
+
+
+EXACT_CASES = _exact_cases()
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES, key=str))
+@pytest.mark.parametrize("c,k", [(0.2, 1.0), (0.2, 1.1), (1.0, 0.3)])
+def test_exact_matches_oracle(case, c, k):
+    pos, masses = EXACT_CASES[case]
+    got = repulsive_forces_exact(pos, masses, c, k)
+    assert _bits_equal(got, repulsive_forces_exact_reference(pos, masses, c, k))
+    # unit masses take the default path
+    got = repulsive_forces_exact(pos, None, c, k)
+    assert _bits_equal(got, repulsive_forces_exact_reference(pos, None, c, k))
 
 
 @pytest.mark.parametrize("block_elems", [1, 500, 4_099])

@@ -13,9 +13,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.embed.forces import DEFAULT_C, _EPS2, repulsive_forces_exact
+from repro.embed.forces import DEFAULT_C, _EPS2
 from repro.embed.quadtree import _EXACT_CUTOFF
 from repro.errors import EmbeddingError
+
+from .embed import repulsive_forces_exact_reference
 
 
 def repulsive_forces_bh_reference(
@@ -37,7 +39,7 @@ def repulsive_forces_bh_reference(
         masses = np.ones(n)
     masses = np.asarray(masses, dtype=np.float64)
     if n <= _EXACT_CUTOFF:
-        return repulsive_forces_exact(pos, masses, c, k)
+        return repulsive_forces_exact_reference(pos, masses, c, k)
 
     lo = pos.min(axis=0)
     span = float(max((pos.max(axis=0) - lo).max(), 1e-12)) * (1 + 1e-9)

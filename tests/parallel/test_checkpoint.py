@@ -49,7 +49,8 @@ STRIP_OP = 30
 
 def _artifact(n=32, seed=0):
     rng = np.random.default_rng(seed)
-    return EmbeddingArtifact(stage="embed", info={"levels": 3},
+    return EmbeddingArtifact(stage="embed",
+                             info={"levels": 3, "sizes": [n, 9, 3]},
                              coords=rng.standard_normal((n, 2)))
 
 
@@ -73,6 +74,7 @@ class TestStore:
         assert isinstance(back, EmbeddingArtifact)
         assert back.stage == "embed"
         assert back.info.get("levels") == 3
+        assert back.info.get("sizes") == [32, 9, 3]
         np.testing.assert_array_equal(back.coords, art.coords)
 
     def test_save_leaves_no_temp_files(self, tmp_path):
@@ -275,6 +277,22 @@ class TestElasticResume:
         assert second.extras["checkpoint"]["resumed_from"] == "embed"
         np.testing.assert_array_equal(first.parts, second.parts)
         assert first.cut_size == second.cut_size
+
+    @pytest.mark.parametrize("method,kw", [("ScalaPart", {"config": FAST}),
+                                           ("KWay-Geometric", {"k": 4})])
+    def test_resumed_run_reports_embedding_info(self, small_delaunay,
+                                                tmp_path, method, kw):
+        """The embedding's diagnostics survive the resume: they come
+        from the persisted artifact, not from a recomputation."""
+        g = small_delaunay.graph
+        first = run_parallel(method, g, 4, seed=3, checkpoint=str(tmp_path),
+                             **kw)
+        second = run_parallel(method, g, 4, seed=3, checkpoint=str(tmp_path),
+                              **kw)
+        assert second.extras["checkpoint"]["resumed_from"] == "embed"
+        assert first.extras["levels"] >= 2
+        for key in ("levels", "sizes", "smooth_iterations"):
+            assert second.extras[key] == first.extras[key], key
 
     def test_different_seed_does_not_resume(self, small_delaunay, tmp_path):
         g = small_delaunay.graph

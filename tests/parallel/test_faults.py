@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import ScalaPartConfig
-from repro.core import parallel as core_parallel
-from repro.core.methods import get_method
 from repro.core.parallel import RetryPolicy, run_parallel
 from repro.errors import (
     BudgetExceededError,
@@ -296,39 +294,39 @@ class TestRecoveryLadder:
         assert methods[0] == "RCB" and "ScalaPart" in methods
         out.bisection.validate(0.15)
 
-    def test_exhaustion_raises_typed_error(self, monkeypatch):
+    def test_exhaustion_raises_typed_error(self):
         """Every rung of the real ladder fails: rank 0 dies on every
         engine attempt, and no bisection can balance a graph whose one
-        vertex outweighs all the others ten times over."""
+        vertex outweighs all the others ten times over.  The error
+        carries the whole trail."""
         g0 = gen.random_delaunay(300, seed=3).graph
         vwgt = np.ones(g0.num_vertices)
         vwgt[0] = 10 * g0.num_vertices
         g = CSRGraph(g0.indptr, g0.indices, g0.ewgt, vwgt)
         plan = FaultPlan(seed=3, kills=(KillRank(rank=0, at_op=5,
                                                  attempts=None),))
-        engine_ranks = []
-        real_run_spmd = core_parallel.run_spmd
-
-        def recording(prog, nranks, **kwargs):
-            engine_ranks.append(nranks)
-            return real_run_spmd(prog, nranks, **kwargs)
-
-        monkeypatch.setattr(core_parallel, "run_spmd", recording)
-        ladder = core_parallel._ladder(get_method("ScalaPart"), 4,
-                                       RetryPolicy().retries, 2)
-        assert [(step, mode, spec.name, p)
-                for step, mode, spec, p in ladder] == [
+        with pytest.raises(PartitionError,
+                           match="recovery exhausted after 5 attempt") as exc:
+            run_parallel("ScalaPart", g, 4, config=FAST, seed=7, faults=plan,
+                         retry=RetryPolicy())
+        rec = exc.value.recovery
+        assert rec["recovered"] is False
+        trail = rec["attempts"]
+        assert [(a["step"], a["mode"], a["method"], a["nranks"])
+                for a in trail] == [
             ("primary", "engine", "ScalaPart", 4),
             ("retry", "engine", "ScalaPart", 4),
             ("shrink", "engine", "ScalaPart", 2),
             ("fallback", "sequential", "ScalaPart", 1),
             ("fallback", "sequential", "RCB", 1),
         ]
-        with pytest.raises(PartitionError,
-                           match="recovery exhausted after 5 attempt"):
-            run_parallel("ScalaPart", g, 4, config=FAST, seed=7, faults=plan,
-                         retry=RetryPolicy())
-        assert engine_ranks == [4, 4, 2]
+        assert [a["attempt"] for a in trail] == list(range(5))
+        assert all(a["status"] == "failed" for a in trail)
+        assert all(a["error"].startswith("RankFailure")
+                   for a in trail if a["mode"] == "engine")
+        assert all(a["error"].startswith("PartitionError")
+                   for a in trail if a["mode"] == "sequential")
+        assert trail[-1]["error"].split(": ", 1)[1] in str(exc.value)
 
     @pytest.mark.parametrize("kw", [
         {"retries": -1},

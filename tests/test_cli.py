@@ -330,6 +330,34 @@ class TestChaos:
         assert run["recovery"]["resumed_from"] == "embed"
         assert list(ckdir.glob("embed-*.npz"))
 
+    def test_failed_run_records_its_trail(self, tmp_path):
+        """A run that exhausts the ladder still reports every attempt:
+        no bisection balances a mesh whose one vertex outweighs the
+        rest ten times over."""
+        import json
+
+        from repro.graph.csr import CSRGraph
+
+        g = random_delaunay(150, seed=5).graph
+        vwgt = np.ones(g.num_vertices)
+        vwgt[0] = 10 * g.num_vertices
+        path = tmp_path / "heavy.graph"
+        write_metis(CSRGraph(g.indptr, g.indices, g.ewgt, vwgt), path,
+                    vertex_weights=True)
+        out = tmp_path / "report.json"
+        rc = main(["chaos", str(path), "--nranks", "4", "--plans", "1",
+                   "--retries", "0", "--out", str(out)])
+        assert rc == 1
+        (run,) = json.loads(out.read_text())["runs"]
+        assert run["status"] == "failed"
+        assert "recovery exhausted after 4 attempt" in run["error"]
+        trail = run["recovery"]["attempts"]
+        assert [a["step"] for a in trail] == ["primary", "shrink",
+                                              "fallback", "fallback"]
+        assert [a["attempt"] for a in trail] == [0, 1, 2, 3]
+        assert all(a["status"] == "failed" for a in trail)
+        assert run["recovery"]["recovered"] is False
+
     def test_negative_retries_rejected(self, tmp_path, capsys):
         rc = main(["chaos", "--n", "150", "--retries", "-1",
                    "--out", str(tmp_path / "report.json")])
