@@ -124,10 +124,11 @@ def _median_time(fn, repeats: int) -> float:
 
 
 def _delivery_program(payload_len: int, rounds: int):
-    """Rank program: ring sendrecv of an array payload, ``rounds`` times.
+    """Rank program: ring ``exchange`` of an array payload, ``rounds``
+    times — the op the distributed smoother posts every iteration.
 
     The engine moves read-only views of the array, so the time is the
-    per-message engine cost, not a payload copy.
+    per-exchange engine cost, not a payload copy.
     """
 
     def prog(comm):
@@ -136,8 +137,8 @@ def _delivery_program(payload_len: int, rounds: int):
         left = (comm.rank - 1) % comm.size
         acc = 0.0
         for _ in range(rounds):
-            got = yield from comm.sendrecv(arr, dest=right, source=left)
-            acc += float(got[0])
+            got = yield from comm.exchange({right: arr})
+            acc += float(got[left][0])
         return acc
 
     return prog

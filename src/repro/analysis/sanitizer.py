@@ -5,16 +5,15 @@ Runtime half of the correctness analyzer (the static half is
 
 * checksums every posted payload and raises
   :class:`~repro.errors.CommError` if the sender (or anyone aliasing
-  its memory) mutates the buffer before delivery — the bug class
-  zero-copy read-only delivery makes possible (the fix is to send
-  ``obj.copy()``);
+  its memory) mutates the buffer before the collective completes —
+  the bug class zero-copy read-only delivery makes possible (the fix is
+  to post ``obj.copy()``);
 * records a per-rank ledger of completed collectives and cross-checks
   the per-communicator op sequences on exit (and enriches the engine's
   mismatched-collective error with each rank's recent history);
 * reports communication generators that were created but never driven
   with ``yield from`` when their rank program returns (the dynamic
-  counterpart of lint rule SP101);
-* escalates the undelivered-messages-at-exit warning to an error.
+  counterpart of lint rule SP101).
 
 The sanitizer costs a checksum walk per payload per communication
 event, so it is strictly opt-in: ``run_spmd`` only consults it behind

@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--nranks", type=int, default=8)
     c.add_argument("--backend", default="sim", choices=["sim", "procs"],
                    help="executor to inject faults into (procs = one real "
-                        "worker process per rank; kills become SIGKILL)")
+                        "worker process per rank; a kill ends the worker)")
     c.add_argument("--checkpoint", metavar="DIR",
                    help="durable stage-checkpoint store: recovery retries "
                         "resume from the persisted embedding instead of "
@@ -158,10 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="schedule a transient kill of rank (plan %% nranks) "
                         "at this op ordinal in every plan (deterministic "
                         "recovery demo)")
-    c.add_argument("--drop-rate", type=float, default=2e-4)
-    c.add_argument("--duplicate-rate", type=float, default=1e-4)
-    c.add_argument("--delay-rate", type=float, default=1e-3)
-    c.add_argument("--corrupt-rate", type=float, default=0.0)
     c.add_argument("--retries", type=int, default=1,
                    help="full-P retries before shrinking (RetryPolicy)")
     c.add_argument("--max-steps", type=int, default=None,
@@ -405,13 +401,6 @@ def _cmd_chaos(args) -> int:
         graph, gcoords = random_delaunay(args.n, seed=args.seed)
         gname = f"delaunay{args.n}"
     retry = None if args.no_recovery else RetryPolicy(retries=args.retries)
-    rates = {
-        "kill_rate": args.kill_rate,
-        "drop_rate": args.drop_rate,
-        "duplicate_rate": args.duplicate_rate,
-        "delay_rate": args.delay_rate,
-        "corrupt_rate": args.corrupt_rate,
-    }
     runs = []
     for name in args.methods.split(","):
         spec = get_method(name.strip())
@@ -436,7 +425,7 @@ def _cmd_chaos(args) -> int:
 
                 kills = (KillRank(rank=i % args.nranks, at_op=args.kill_op),)
             plan = FaultPlan(seed=derive_seed(args.seed, _CHAOS_SALT, i),
-                             kills=kills, **rates)
+                             kills=kills, kill_rate=args.kill_rate)
             run = {"method": spec.name, "plan": i, "plan_seed": plan.seed}
             try:
                 res = run_parallel(
@@ -472,7 +461,7 @@ def _cmd_chaos(args) -> int:
         "parts": args.k,
         "seed": args.seed,
         "plans_per_method": args.plans,
-        "rates": rates,
+        "rates": {"kill_rate": args.kill_rate},
         "recovery_enabled": retry is not None,
         "runs": runs,
         "summary": counts,

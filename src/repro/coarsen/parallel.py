@@ -29,6 +29,7 @@ graph's redistribution volume).
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional
 
 import numpy as np
@@ -177,17 +178,17 @@ def dist_build_hierarchy(
     *,
     coarsest_size: int = 160,
     keep_every_other: bool = True,
-    max_levels: int = 50,
-    fold: bool = True,
     rounds: int = _ROUNDS,
 ):
     """Distributed analogue of :func:`repro.coarsen.build_hierarchy`.
 
     Returns ``(graphs, cmaps)`` — identical lists on every rank of
-    ``comm``.  With ``fold=True`` the active rank set quarters (halves
-    for ``keep_every_other=False``) per retained level, mirroring
+    ``comm``.  The active rank set quarters (halves for
+    ``keep_every_other=False``) per retained level, mirroring
     ``P^i ≈ P^{i-1}/4``; folded-out ranks idle until the final
     broadcast, exactly like processes outside ``G^i(P^i)`` in the paper.
+    Every retained level is strictly smaller than the one before, so the
+    level loop needs no cap.
     """
     if coarsest_size < 1:
         raise GraphError("coarsest_size must be >= 1")
@@ -198,7 +199,7 @@ def dist_build_hierarchy(
     steps = 2 if keep_every_other else 1
     shrink = 4 if keep_every_other else 2
 
-    for _level in range(max_levels):
+    for _level in itertools.count():
         if active is None:
             break
         current = graphs[-1]
@@ -231,7 +232,7 @@ def dist_build_hierarchy(
         cmaps.append(composed)
         if stalled:
             break
-        if fold and active.size >= 2 * shrink:
+        if active.size >= 2 * shrink:
             keep = max(1, active.size // shrink)
             sub = yield from active.split(0 if active.rank < keep else None)
             active = sub  # None for folded-out ranks: they exit the loop

@@ -10,10 +10,6 @@ of its net force; the step adapts with Hu's schedule — shrink by ``t``
 when the system's energy (Σ‖F‖², the standard cheap proxy) fails to
 decrease, grow by ``1/t`` after five consecutive decreases.  The layout
 converges when the step falls below ``tol · K``.
-
-``fixed`` freezes a vertex subset: the parallel lattice scheme keeps
-ghost vertices stationary during an iteration block (paper §3), and the
-tests use it to pin anchors.
 """
 
 from __future__ import annotations
@@ -92,7 +88,6 @@ def force_directed_layout(
     tol: float = 1e-3,
     step0: Optional[float] = None,
     repulsion: RepulsionLike = "auto",
-    fixed: Optional[np.ndarray] = None,
 ) -> LayoutResult:
     """Run Hu's adaptive FDL from ``pos0``.
 
@@ -109,12 +104,6 @@ def force_directed_layout(
     if masses is None:
         masses = graph.vwgt
     masses = np.asarray(masses, dtype=np.float64)
-    if fixed is not None:
-        fixed = np.asarray(fixed, dtype=bool)
-        if fixed.shape != (n,):
-            raise EmbeddingError("fixed mask must have one entry per vertex")
-        if fixed.all():
-            return LayoutResult(pos, 0, True, 0.0, 0.0)
     rep = _resolve_repulsion(repulsion, n)
 
     # Preallocated step workspace: at steady state one smoothing
@@ -125,7 +114,6 @@ def force_directed_layout(
     norms = np.empty(n)
     sq = np.empty(n)
     move = np.empty((n, 2))
-    fixed_rows = fixed[:, None] if fixed is not None else None
 
     step = float(step0) if step0 is not None else k
     energy_prev = np.inf
@@ -136,8 +124,6 @@ def force_directed_layout(
     for it in range(1, max_iters + 1):
         att = attractive_forces(graph, pos, k, workspace=att_ws)
         np.add(att, rep(pos, masses, c, k), out=f)
-        if fixed is not None:
-            np.copyto(f, 0.0, where=fixed_rows)
         # norms = ||f|| row-wise; fx² + fy² matches (f*f).sum(axis=1)
         np.multiply(f[:, 0], f[:, 0], out=norms)
         np.multiply(f[:, 1], f[:, 1], out=sq)

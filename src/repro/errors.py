@@ -43,8 +43,7 @@ class DeadlockError(CommError):
     """Raised when the SPMD engine detects that no rank can make progress.
 
     ``parked`` carries one dict per blocked rank — ``rank``, ``kind``
-    (the op the rank is parked on), ``peer`` (source rank for a recv,
-    ``None`` for collectives), ``tag``, ``comm`` and ``phase`` — so a
+    (the op the rank is parked on), ``comm`` and ``phase`` — so a
     deadlock is diagnosable without re-running under trace.
     """
 
@@ -57,9 +56,8 @@ class RankFailure(CommError):
     """A virtual rank was killed (fault injection) and the job depends
     on it.
 
-    Raised when a surviving rank communicates with a dead rank (blocked
-    recv with an empty mailbox, or a collective the dead rank can never
-    join), or at exit when a killed rank's result is missing.  Carries
+    Raised when a surviving rank waits on a collective the dead rank can
+    never join, or at exit when a killed rank's result is missing.  Carries
     the dead rank, the phase it died in, and the simulated clock at the
     point of detection.
     """
@@ -94,11 +92,9 @@ class BudgetExceededError(CommError):
 class CommWarning(UserWarning):
     """Suspicious but non-fatal SPMD communication outcome.
 
-    Emitted by :func:`~repro.parallel.engine.run_spmd` when a program
-    finishes with undelivered messages still queued; the warning text
-    lists every pending message (source→dest, tag, words).  The
-    sanitizer mode (``sanitize=True``) escalates the same condition to
-    :class:`CommError`.
+    Emitted by ``backend="procs"`` runs when ``REPRO_SANITIZE`` is set
+    (that backend cannot sanitize) and when a run sweeps stale
+    shared-memory segments left behind by dead processes.
     """
 
 

@@ -13,7 +13,7 @@ Format recap (see the METIS 5 manual):
   restricted to vertex and edge weights (no vsize, ncon = 1),
 * line ``i`` (1-based): optional vertex weight, then pairs/ids of
   neighbours (1-based), each followed by its weight when ``fmt`` ends
-  in 1.
+  in 1.  A blank vertex line is a vertex with no neighbours.
 * lines starting with ``%`` are comments.
 """
 
@@ -76,13 +76,13 @@ class _EdgeBuffer:
         self.size = need
 
 
-def _content_lines(fh):
-    """Yield stripped non-blank, non-comment lines; blank lines and
-    ``%`` comments are skipped anywhere in the file (trailing blanks
-    used to break the strict line-count check)."""
+def _uncommented_lines(fh):
+    """Yield stripped lines, skipping ``%`` comments anywhere in the
+    file.  Blank lines are kept: in the vertex section a blank line is a
+    vertex with no neighbours."""
     for ln in fh:
         ln = ln.strip()
-        if ln and not ln.startswith("%"):
+        if not ln.startswith("%"):
             yield ln
 
 
@@ -169,15 +169,17 @@ def read_metis(
     Only one chunk of text is resident at once — the reader never
     materialises the file in a Python list — so million-vertex graphs
     load in memory proportional to the edge arrays, not ~2× the text
-    size (DESIGN §11).  Vertex lines are counted as they stream, so
-    trailing blank lines and trailing comments are accepted.
+    size (DESIGN §11).  A blank line among the ``n`` vertex lines is a
+    vertex with no neighbours, as in METIS; blank lines before the
+    header or after the ``n``-th vertex line, and ``%`` comments
+    anywhere, are skipped.
     """
     if chunk_lines < 1:
         raise GraphError("chunk_lines must be >= 1")
     fh, owned = _open(path_or_file, "r")
     try:
-        lines = _content_lines(fh)
-        header_line = next(lines, None)
+        lines = _uncommented_lines(fh)
+        header_line = next((ln for ln in lines if ln), None)
         if header_line is None:
             raise GraphError("empty METIS file")
         n, m, has_vwgt, has_ewgt = _parse_header(header_line)
@@ -187,7 +189,9 @@ def read_metis(
         chunk: list = []
         for ln in lines:
             if seen + len(chunk) == n:
-                raise GraphError(f"expected {n} vertex lines, found more")
+                if ln:
+                    raise GraphError(f"expected {n} vertex lines, found more")
+                continue
             chunk.append(ln)
             if len(chunk) == chunk_lines:
                 _parse_chunk(chunk, seen, n, has_vwgt, has_ewgt, vwgt, buf)

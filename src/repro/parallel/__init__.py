@@ -1,4 +1,4 @@
-"""SPMD virtual machine: coroutine ranks, MPI-like API, Hockney costs."""
+"""SPMD virtual machine: coroutine ranks, six communicator ops, Hockney costs."""
 
 from .checkpoint import (
     CheckpointKey,
@@ -6,13 +6,7 @@ from .checkpoint import (
     graph_content_hash,
 )
 from .engine import Comm, payload_words, run_spmd
-from .faults import (
-    FaultEvent,
-    FaultPlan,
-    KillRank,
-    MessageFault,
-    corrupt_payload,
-)
+from .faults import FaultEvent, FaultPlan, KillRank
 from .machine import MachineModel, QDR_CLUSTER, ZERO_COST
 from .procs import procs_available, run_spmd_procs
 from .topology import ProcessGrid, grid_dims
@@ -36,8 +30,6 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "KillRank",
-    "MessageFault",
-    "corrupt_payload",
     "MachineModel",
     "QDR_CLUSTER",
     "ZERO_COST",

@@ -1,4 +1,4 @@
-"""SPMD coroutine engine: virtual ranks, MPI-like communicators, clocks.
+"""SPMD coroutine engine: virtual ranks, six-op communicators, clocks.
 
 This is the substrate that stands in for the paper's MPI cluster.  A
 *rank program* is a generator function
@@ -29,10 +29,10 @@ communication would cost on the modelled cluster.
 
 Semantics notes
 ---------------
-* ``send`` is buffered/eager (like MPI_Send under the eager protocol):
-  it never blocks the sender.  ``recv`` blocks until a matching message
-  (same source, tag and communicator) has been posted.  Messages between
-  a (src, dst, tag) pair are delivered FIFO.
+* :class:`Comm` offers the six operations the paper's rank programs
+  post — ``barrier``, ``bcast``, ``gather``, ``allreduce`` (named
+  reductions only), the nearest-neighbour ``exchange`` and ``split`` —
+  and nothing else: there is no point-to-point path.
 * A collective completes when *every* rank of its communicator has
   posted the *same* collective (kind, root and reduction op, checked
   by :mod:`repro.parallel.ops`); posting mismatched collectives raises
@@ -41,7 +41,7 @@ Semantics notes
   operations — both invaluable when debugging distributed algorithms.
 * Payloads are delivered zero-copy: NumPy arrays arrive as *read-only
   views* (``flags.writeable = False``) of the sender's buffer, so halo
-  exchanges, allgathers and β-refreshes cost O(1) per array instead of
+  exchanges, gathers and β-refreshes cost O(1) per array instead of
   a full copy.  Receivers that need to mutate call ``.copy()``
   explicitly (attempting in-place mutation raises ``ValueError``), and
   senders must not mutate a payload after posting it — a sender that
@@ -51,14 +51,12 @@ Semantics notes
   environment) enables the dynamic sanitizer
   (:mod:`repro.analysis.sanitizer`): posted payloads are checksummed
   and mutation before delivery raises :class:`CommError`, completed
-  collectives are ledgered per rank and cross-checked on exit,
+  collectives are ledgered per rank and cross-checked on exit, and
   communication generators created without ``yield from`` are reported
-  when their rank returns, and undelivered messages at exit become an
-  error instead of a :class:`~repro.errors.CommWarning`.
-* ``run_spmd(..., faults=FaultPlan(...))`` injects deterministic faults
-  (:mod:`repro.parallel.faults`): ranks die at scheduled op indices and
-  point-to-point messages are dropped, duplicated, delayed or
-  corrupted.  Surviving ranks that depend on a dead rank raise
+  when their rank returns.
+* ``run_spmd(..., faults=FaultPlan(...))`` injects deterministic rank
+  kills (:mod:`repro.parallel.faults`): a rank dies at a scheduled or
+  randomly drawn op index.  Surviving ranks that depend on it raise
   :class:`~repro.errors.RankFailure`; ``max_steps`` /
   ``max_sim_seconds`` convert runaway programs into a typed
   :class:`~repro.errors.BudgetExceededError`.  With ``faults=None``
@@ -69,9 +67,8 @@ from __future__ import annotations
 
 import inspect
 import os
-import warnings
 from collections import defaultdict, deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,7 +76,6 @@ from ..analysis.sanitizer import Sanitizer, payload_checksum
 from ..errors import (
     BudgetExceededError,
     CommError,
-    CommWarning,
     DeadlockError,
     RankFailure,
 )
@@ -87,13 +83,12 @@ from ..rng import SeedLike, spawn_streams
 from .faults import FaultEvent, FaultPlan
 from .machine import MachineModel, QDR_CLUSTER
 from .ops import (
-    _COLLECTIVES,
     _ROOTED,
     _Group,
     _Op,
     _op_words,
     _readonly_payload,
-    apply_message_fault,
+    check_reduction_op,
     check_run,
     collective_results,
     expect_op,
@@ -102,7 +97,6 @@ from .ops import (
     parked_entry,
     payload_words,
     plan_split,
-    resolve_peer,
 )
 from .trace import COLLECTIVE_KINDS, CommStats, DEFAULT_PHASE, PhaseBreakdown, SpmdResult
 
@@ -115,10 +109,10 @@ _BACKENDS = ("sim", "procs")
 class Comm:
     """Per-rank handle to a communicator of the virtual machine.
 
-    Mirrors the mpi4py surface (lower-case object API): ``rank``,
-    ``size``, collectives, ``send``/``recv``, ``split``.  Every
-    communication method is a generator and must be driven with
-    ``yield from``.
+    Mirrors the mpi4py lower-case object API for the six operations
+    the rank programs post: ``barrier``, ``bcast``, ``gather``,
+    ``allreduce``, ``exchange`` and ``split``.  Every communication
+    method is a generator and must be driven with ``yield from``.
     """
 
     def __init__(self, engine: "_Engine", group: _Group, grank: int) -> None:
@@ -176,25 +170,6 @@ class Comm:
         """Current simulated time on this rank (seconds)."""
         return float(self._engine.clocks[self._grank])
 
-    # -- point to point ----------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0, words: Optional[float] = None):
-        """Buffered send to local rank ``dest`` (never blocks)."""
-        yield _Op("send", self._group.cid, value=obj, dest=dest, tag=tag,
-                  words=words)
-
-    def recv(self, source: int, tag: int = 0):
-        """Blocking receive from local rank ``source``."""
-        result = yield _Op("recv", self._group.cid, source=source, tag=tag)
-        return result
-
-    def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0,
-                 words: Optional[float] = None):
-        """Exchange: send ``obj`` to ``dest`` and receive from ``source``."""
-        yield _Op("send", self._group.cid, value=obj, dest=dest, tag=tag,
-                  words=words)
-        result = yield _Op("recv", self._group.cid, source=source, tag=tag)
-        return result
-
     # -- collectives ---------------------------------------------------------
     def barrier(self):
         yield _Op("barrier", self._group.cid)
@@ -203,34 +178,15 @@ class Comm:
         result = yield _Op("bcast", self._group.cid, value=obj, root=root, words=words)
         return result
 
-    def reduce(self, value: Any, op="sum", root: int = 0, words: Optional[float] = None):
-        result = yield _Op("reduce", self._group.cid, value=value, op=op, root=root, words=words)
-        return result
-
-    def allreduce(self, value: Any, op="sum", words: Optional[float] = None):
+    def allreduce(self, value: Any, op: str = "sum", words: Optional[float] = None):
+        """Reduce with the named ``op`` (``"sum"``, ``"prod"``, ``"min"``
+        or ``"max"``); every rank gets the result."""
+        check_reduction_op(op)
         result = yield _Op("allreduce", self._group.cid, value=value, op=op, words=words)
         return result
 
     def gather(self, value: Any, root: int = 0, words: Optional[float] = None):
         result = yield _Op("gather", self._group.cid, value=value, root=root, words=words)
-        return result
-
-    def allgather(self, value: Any, words: Optional[float] = None):
-        result = yield _Op("allgather", self._group.cid, value=value, words=words)
-        return result
-
-    def scatter(self, values: Optional[Sequence[Any]], root: int = 0,
-                words: Optional[float] = None):
-        result = yield _Op("scatter", self._group.cid, value=values, root=root, words=words)
-        return result
-
-    def alltoall(self, values: Sequence[Any], words: Optional[float] = None):
-        result = yield _Op("alltoall", self._group.cid, value=values, words=words)
-        return result
-
-    def scan(self, value: Any, op="sum", words: Optional[float] = None):
-        """Inclusive prefix reduction."""
-        result = yield _Op("scan", self._group.cid, value=value, op=op, words=words)
         return result
 
     def exchange(self, messages: Dict[int, Any], words: Optional[float] = None):
@@ -257,10 +213,6 @@ class Comm:
 # sanitized communicator
 # ----------------------------------------------------------------------
 
-#: Comm methods wrapped by the sanitizer's undriven-generator tracking
-_TRACKED_METHODS = ("send", "recv", "sendrecv") + COLLECTIVE_KINDS
-
-
 class _SanitizedComm(Comm):
     """Comm whose communication generators register with the engine's
     sanitizer, so ops created without ``yield from`` can be reported
@@ -281,7 +233,8 @@ def _make_tracked_method(name: str):
     return method
 
 
-for _name in _TRACKED_METHODS:
+# every Comm communication method, wrapped for undriven-generator tracking
+for _name in COLLECTIVE_KINDS:
     setattr(_SanitizedComm, _name, _make_tracked_method(_name))
 del _name
 
@@ -320,9 +273,6 @@ class _Engine:
         self.max_sim_seconds = max_sim_seconds
         self.steps = 0
         self.op_counts = [0] * nranks if faults is not None else None
-        # sender-local send ordinals: the cross-backend fault site (the
-        # procs backend counts the same per-rank sequence)
-        self.send_counts = [0] * nranks if faults is not None else None
         self.fault_events: List[FaultEvent] = []
         self.dead: Dict[int, FaultEvent] = {}
         self.nranks = nranks
@@ -332,7 +282,6 @@ class _Engine:
         self.phase = [DEFAULT_PHASE] * nranks
         self.phase_acc: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self.rngs = spawn_streams(seed, nranks)
-        self.mailbox: Dict[Tuple[int, int, int, Any], deque] = {}
         self.groups: Dict[Any, _Group] = {}
         #: collectives completed per communicator (names split children)
         self.coll_seq: Dict[Any, int] = {}
@@ -406,15 +355,14 @@ def run_spmd(
     module docstring's semantics notes).
 
     ``sanitize`` enables the dynamic sanitizer (payload checksums, the
-    collective ledger, undriven-generator and undelivered-message
-    errors — see the module docstring).  ``None`` (default) reads the
-    ``REPRO_SANITIZE`` environment variable, so a test shard can turn
-    it on without touching call sites.  A correct rank program returns
+    collective ledger and undriven-generator errors — see the module
+    docstring).  ``None`` (default) reads the ``REPRO_SANITIZE``
+    environment variable, so a test shard can turn it on without
+    touching call sites.  A correct rank program returns
     identical results with and without it.
 
     ``faults`` is a deterministic :class:`~repro.parallel.faults.
-    FaultPlan` the scheduler consults to kill ranks and drop / duplicate
-    / delay / corrupt point-to-point messages; injected faults are
+    FaultPlan` the scheduler consults to kill ranks; injected kills are
     recorded on ``SpmdResult.faults`` and surviving ranks that depend on
     a dead rank raise :class:`~repro.errors.RankFailure`.  ``max_steps``
     / ``max_sim_seconds`` bound the run (communication ops posted /
@@ -475,10 +423,9 @@ def run_spmd(
         # 1. advance every runnable rank to its next blocking point
         while ready:
             st = ready.popleft()
-            _step(eng, states, st)
+            _step(eng, st)
         # 2. match parked requests
-        progress = _complete_recvs(eng, states, ready)
-        progress |= _complete_collectives(eng, states, ready)
+        progress = _complete_collectives(eng, states, ready)
         if eng.max_sim_seconds is not None \
                 and float(eng.clocks.max()) > eng.max_sim_seconds:
             raise BudgetExceededError(
@@ -505,7 +452,6 @@ def run_spmd(
             dead_rank=rank, phase=ev.phase,
             sim_time=float(eng.clocks.max()),
         )
-    _check_undelivered(eng)
     _check_ledgers(eng)
     phases = {
         name: PhaseBreakdown(comp, comm)
@@ -527,8 +473,8 @@ def run_spmd(
 def _check_undriven(eng: _Engine, grank: int) -> None:
     """Sanitizer: fail if ``grank`` returned with undriven comm generators.
 
-    Calling ``comm.send(...)`` without ``yield from`` builds a generator
-    that never runs — the message is silently never posted (lint rule
+    Calling ``comm.bcast(...)`` without ``yield from`` builds a generator
+    that never runs — the collective is silently never posted (lint rule
     SP101 catches the static pattern; this is the dynamic counterpart).
     """
     if eng.sanitizer is None:
@@ -542,37 +488,6 @@ def _check_undriven(eng: _Engine, grank: int) -> None:
             "communication methods must be driven with "
             "'yield from comm.<op>(...)' or the operation never executes"
         )
-
-
-def _check_undelivered(eng: _Engine) -> None:
-    """Report messages still queued when every rank has returned.
-
-    A leftover mailbox entry means some rank sent a message nobody
-    received — usually a tag/peer mismatch.  Warns by default
-    (:class:`~repro.errors.CommWarning`) with the full pending-message
-    list (source→dest, tag, words); the sanitizer escalates the same
-    condition to :class:`~repro.errors.CommError`.
-    """
-    leftovers = [
-        f"{len(q)} message(s) rank {src} -> rank {dst} "
-        f"(tag={tag}, comm={cid}, "
-        f"{sum(entry[1] for entry in q):.0f} words)"
-        # split children are named by path, the world by 0: order cids
-        # as text
-        for (src, dst, tag, cid), q in sorted(
-            eng.mailbox.items(), key=lambda kv: (*kv[0][:3], str(kv[0][3])))
-        if q
-    ]
-    if not leftovers:
-        return
-    msg = (
-        "SPMD program finished with undelivered messages: "
-        + "; ".join(leftovers)
-        + " — check for mismatched tags or a missing recv"
-    )
-    if eng.sanitizer is not None:
-        raise CommError("sanitizer: " + msg)
-    warnings.warn(msg, CommWarning, stacklevel=3)
 
 
 def _check_ledgers(eng: _Engine) -> None:
@@ -617,132 +532,46 @@ def _kill_rank(eng: _Engine, st: _RankState, op_index: int) -> None:
     st.status = _DEAD
 
 
-def _step(eng: _Engine, states: List[_RankState], st: _RankState) -> None:
-    """Run one rank until it parks on a blocking op or finishes."""
+def _step(eng: _Engine, st: _RankState) -> None:
+    """Run one rank until it parks on its next op or finishes."""
     value = st.send_value
     st.send_value = None
-    while True:
-        try:
-            op = st.gen.send(value)
-        except StopIteration as stop:
-            st.status = _DONE
-            st.result = stop.value
-            _check_undriven(eng, st.grank)
-            return
-        expect_op(st.grank, op)
-        if eng.max_steps is not None:
-            eng.steps += 1
-            if eng.steps > eng.max_steps:
-                raise BudgetExceededError(
-                    f"SPMD program posted more than max_steps="
-                    f"{eng.max_steps} communication operations",
-                    budget="steps", limit=eng.max_steps, used=eng.steps,
-                )
-        if eng.faults is not None:
-            op_index = eng.op_counts[st.grank]
-            eng.op_counts[st.grank] = op_index + 1
-            if eng.faults.kill_now(st.grank, op_index, len(eng.dead)):
-                _kill_rank(eng, st, op_index)
-                return
-        if op.kind == "send":
-            _do_send(eng, st.grank, op)
-            value = None
-            continue
-        st.op = op
-        st.status = _PARKED
-        if eng.sanitizer is not None and op.kind in _COLLECTIVES \
-                and op.value is not None:
-            # snapshot the payload at post time; verified when the
-            # collective completes (other ranks run in between and may
-            # alias this memory via the Shared idiom)
-            op.cksum = payload_checksum(op.value)
+    try:
+        op = st.gen.send(value)
+    except StopIteration as stop:
+        st.status = _DONE
+        st.result = stop.value
+        _check_undriven(eng, st.grank)
         return
-
-
-def _do_send(eng: _Engine, grank: int, op: _Op) -> None:
-    gdst = resolve_peer(eng.groups[op.cid], op.dest, "send dest")
-    words = _op_words(op)
-    t_post = float(eng.clocks[grank])
-    # sender pays the injection overhead; transfer overlaps
-    eng.charge_comm(grank, eng.machine.t_s)
-    arrival = t_post + eng.machine.message_cost(words)
-    cksum = None
-    if eng.sanitizer is not None and op.value is not None:
-        cksum = payload_checksum(op.value)
-    fault = None
-    if eng.faults is not None:
-        # the sender-local ordinal is the site shared with the procs
-        # backend, so faults fire on the same logical messages there
-        local_index = eng.send_counts[grank]
-        eng.send_counts[grank] = local_index + 1
-        fault = eng.faults.message_fault(grank, local_index)
-    q = eng.mailbox.setdefault((grank, gdst, op.tag, op.cid), deque())
-    if fault is None:
-        q.append((arrival, words, _readonly_payload(op.value), cksum))
-    else:
-        # cksum (taken at post time) is kept on every copy: under
-        # sanitize a corrupted payload is caught at delivery
-        def post(payload: Any, delay: float) -> None:
-            q.append((arrival + delay, words, _readonly_payload(payload),
-                      cksum))
-
-        eng.fault_events.append(apply_message_fault(
-            fault, op.value, local_index, post,
-            time=float(eng.clocks[grank]), rank=grank, dest=gdst,
-            tag=op.tag, msg_index=local_index, phase=eng.phase[grank],
-        ))
-    eng.stats_for(grank).book_send(grank, words)
-
-
-def _complete_recvs(eng: _Engine, states: List[_RankState], ready: deque) -> bool:
-    progress = False
-    for st in states:
-        if st.status != _PARKED or st.op is None or st.op.kind != "recv":
-            continue
-        gsrc = resolve_peer(eng.groups[st.op.cid], st.op.source, "recv source")
-        key = (gsrc, st.grank, st.op.tag, st.op.cid)
-        q = eng.mailbox.get(key)
-        if not q:
-            if states[gsrc].status == _DEAD:
-                # nothing queued and the source can never post again
-                ev = eng.dead[gsrc]
-                raise RankFailure(
-                    f"rank {st.grank} blocked on recv(source={st.op.source}, "
-                    f"tag={st.op.tag}, comm={st.op.cid}) from rank {gsrc}, "
-                    f"which was killed in phase {ev.phase!r} at "
-                    f"t={ev.time:.6g}s",
-                    dead_rank=gsrc, phase=ev.phase,
-                    sim_time=float(eng.clocks[st.grank]),
-                    detected_by=st.grank,
-                )
-            continue
-        arrival, words, payload, cksum = q.popleft()
-        if cksum is not None and payload_checksum(payload) != cksum:
-            raise CommError(
-                f"sanitizer: rank {gsrc} mutated a buffer it had posted to "
-                f"send(tag={st.op.tag}) before rank {st.grank} received it; "
-                "the receiver aliases the sender's memory — send "
-                "`obj.copy()` or delay the mutation until after the "
-                "matching receive"
+    expect_op(st.grank, op)
+    if eng.max_steps is not None:
+        eng.steps += 1
+        if eng.steps > eng.max_steps:
+            raise BudgetExceededError(
+                f"SPMD program posted more than max_steps="
+                f"{eng.max_steps} communication operations",
+                budget="steps", limit=eng.max_steps, used=eng.steps,
             )
-        # idle time: the receiver sat parked before the sender even
-        # posted; the transfer itself is the modelled message cost
-        wait = arrival - float(eng.clocks[st.grank]) - eng.machine.message_cost(words)
-        eng.stats_for(st.grank).book_recv(st.grank, words, wait)
-        eng.advance_to(st.grank, arrival)
-        st.send_value = payload
-        st.op = None
-        st.status = _READY
-        ready.append(st)
-        progress = True
-    return progress
+    if eng.faults is not None:
+        op_index = eng.op_counts[st.grank]
+        eng.op_counts[st.grank] = op_index + 1
+        if eng.faults.kill_now(st.grank, op_index, len(eng.dead)):
+            _kill_rank(eng, st, op_index)
+            return
+    st.op = op
+    st.status = _PARKED
+    if eng.sanitizer is not None and op.value is not None:
+        # snapshot the payload at post time; verified when the
+        # collective completes (other ranks run in between and may
+        # alias this memory via the Shared idiom)
+        op.cksum = payload_checksum(op.value)
 
 
 def _complete_collectives(eng: _Engine, states: List[_RankState], ready: deque) -> bool:
     # group parked collective ops by communicator
     by_cid: Dict[Any, List[_RankState]] = {}
     for st in states:
-        if st.status == _PARKED and st.op is not None and st.op.kind in _COLLECTIVES:
+        if st.status == _PARKED and st.op is not None:
             by_cid.setdefault(st.op.cid, []).append(st)
     progress = False
     for cid, parked in by_cid.items():
@@ -808,22 +637,12 @@ def _count_collective(eng: _Engine, kind: str, parked: List[_RankState]) -> None
 
 def _collective_words(kind: str, ops: List[_Op]) -> float:
     """Per-rank payload size the Hockney model charges a collective."""
-    p = len(ops)
     if kind == "barrier":
         return 0.0
     if kind == "split":
         return 1.0
     if kind == "bcast":
         return _op_words(ops[ops[0].root])
-    if kind == "scatter":
-        rop = ops[ops[0].root]
-        return (max(payload_words(v) for v in rop.value)
-                if rop.words is None else rop.words / p)
-    if kind == "alltoall":
-        return max(
-            max(payload_words(v) for v in o.value) if o.words is None else o.words / p
-            for o in ops
-        )
     return max(_op_words(o) for o in ops)
 
 
@@ -863,8 +682,7 @@ def _run_collective(eng: _Engine, group: _Group, kind: str, parked: List[_RankSt
 def _raise_deadlock(eng: _Engine, states: List[_RankState]) -> None:
     """No rank can progress: name every parked op with its context.
 
-    Each blocked rank contributes one entry (kind, peer, tag, comm,
-    phase) to both the message and the exception's ``parked`` list, so
+    Each blocked rank contributes one entry (kind, comm, phase) to both the message and the exception's ``parked`` list, so
     the deadlock is diagnosable without re-running under trace.
     """
     lines = []

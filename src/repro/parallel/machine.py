@@ -67,17 +67,13 @@ class MachineModel:
             raise ConfigError(f"negative work charge: {work}")
         return work * self.alpha
 
-    def message_cost(self, words: float) -> float:
-        """Point-to-point message of ``words`` 8-byte words."""
-        return self.t_s + self.t_w * max(0.0, words)
-
     def collective_cost(self, kind: str, p: int, words: float) -> float:
         """Cost of one collective over ``p`` ranks.
 
-        ``words`` is the per-rank contribution size (so an allgather
-        moves ``p * words`` in total).  Formulas are the standard
-        log-tree / recursive-doubling / pairwise-exchange costs found in
-        Grama et al. and used by the paper's §3.1 analysis.
+        ``words`` is the per-rank contribution size (so a gather moves
+        ``(p - 1) * words`` into the root).  Formulas are the standard
+        log-tree costs found in Grama et al. and used by the paper's
+        §3.1 analysis; ``exchange`` is priced by :meth:`exchange_cost`.
         """
         if p <= 0:
             raise ConfigError("collective over empty group")
@@ -85,18 +81,12 @@ class MachineModel:
         lg = math.log2(p) if p > 1 else 0.0
         if kind == "barrier":
             return self.t_s * lg
-        if kind in ("bcast", "reduce", "allreduce", "scan"):
+        if kind in ("bcast", "allreduce"):
             # binomial tree / butterfly: log p stages of the full payload
             return lg * (self.t_s + self.t_w * words)
-        if kind in ("gather", "scatter"):
+        if kind == "gather":
             # binomial tree, data doubling per stage: ts*log p + tw*(p-1)*m
             return self.t_s * lg + self.t_w * max(0, p - 1) * words
-        if kind in ("allgather", "reduce_scatter"):
-            # recursive doubling: ts*log p + tw*(p-1)*m
-            return self.t_s * lg + self.t_w * max(0, p - 1) * words
-        if kind == "alltoall":
-            # pairwise exchange: (p-1) rounds of m words
-            return max(0, p - 1) * (self.t_s + self.t_w * words)
         if kind == "split":
             # communicator creation ~ an allgather of one word
             return self.t_s * lg + self.t_w * max(0, p - 1)

@@ -2,22 +2,21 @@
 
 The simulator (:mod:`repro.parallel.engine`) and the process backend
 (:mod:`repro.parallel.procs`) move operations differently, but what an
-operation *means* — request records, payload sizing, peer checks,
-collective matching and results, split naming, message faults,
-deadlock context — is decided here, once.  Each executor keeps only
-its transport; the ledger format is :class:`~repro.parallel.trace.CommStats`'s.
+operation *means* — request records, payload sizing, collective
+matching and results, split naming, deadlock context — is decided
+here, once.  Each executor keeps only its transport; the ledger format
+is :class:`~repro.parallel.trace.CommStats`'s.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import CommError
-from .faults import FaultEvent, corrupt_payload
-from .trace import COLLECTIVE_KINDS
 
 # ----------------------------------------------------------------------
 # payload utilities
@@ -49,7 +48,7 @@ def payload_words(obj: Any) -> float:
 
 
 def _copy_payload(obj: Any) -> Any:
-    """Defensive copy of a message payload (arrays and containers)."""
+    """Defensive copy of a payload (arrays and containers)."""
     if isinstance(obj, np.ndarray):
         return obj.copy()
     if isinstance(obj, list):
@@ -84,39 +83,32 @@ def check_run(nranks: int) -> None:
         raise CommError(f"nranks must be >= 1, got {nranks}")
 
 
+#: pairwise fold per named op for scalar and container payloads
 _REDUCERS: Dict[str, Callable[[Any, Any], Any]] = {
-    "sum": lambda a, b: a + b,
-    "prod": lambda a, b: a * b,
-    "min": lambda a, b: (np.minimum(a, b) if isinstance(a, np.ndarray)
-                         or isinstance(b, np.ndarray) else min(a, b)),
-    "max": lambda a, b: (np.maximum(a, b) if isinstance(a, np.ndarray)
-                         or isinstance(b, np.ndarray) else max(a, b)),
+    "sum": operator.add, "prod": operator.mul, "min": min, "max": max,
 }
 
 #: one-shot ufunc per named op for the stacked-array fast path
 _ARRAY_REDUCERS = {"sum": np.sum, "prod": np.prod, "min": np.min, "max": np.max}
 
 
-def _reduce_values(values: Sequence[Any], op) -> Any:
+def check_reduction_op(op: Any) -> None:
+    """Reject a reduction op that is not one of the named ones."""
+    if not isinstance(op, str) or op not in _REDUCERS:
+        label = op if isinstance(op, str) else type(op).__name__
+        raise CommError(f"unknown reduction op {label!r}; named ops are "
+                        + ", ".join(_REDUCERS))
+
+
+def _reduce_values(values: Sequence[Any], op: str) -> Any:
     """Combine per-rank contributions into one reduction result.
 
-    Named ops on array payloads take a vectorised fast path: the
-    contributions are stacked and reduced with a single ufunc call
-    instead of a pairwise Python fold.  Shape-mismatched array
-    contributions (including scalars mixed with arrays) raise
-    :class:`CommError` — silently broadcasting them is never what a
-    distributed reduction means.
+    Array payloads take a vectorised fast path: the contributions are
+    stacked and reduced with a single ufunc call instead of a pairwise
+    Python fold.  Shape-mismatched array contributions (including
+    scalars mixed with arrays) raise :class:`CommError` — silently
+    broadcasting them is never what a distributed reduction means.
     """
-    if callable(op):
-        fn = op
-        acc = _copy_payload(values[0])
-        for v in values[1:]:
-            acc = fn(acc, v)
-        return acc
-    try:
-        fn = _REDUCERS[op]
-    except KeyError:
-        raise CommError(f"unknown reduction op {op!r}") from None
     if any(isinstance(v, np.ndarray) for v in values):
         shapes = {v.shape if isinstance(v, np.ndarray) else () for v in values}
         if len(shapes) != 1:
@@ -127,6 +119,7 @@ def _reduce_values(values: Sequence[Any], op) -> Any:
         return _ARRAY_REDUCERS[op](np.stack(values), axis=0)
     if len(values) == 1:
         return _copy_payload(values[0])
+    fn = _REDUCERS[op]
     acc = values[0]
     for v in values[1:]:
         acc = fn(acc, v)
@@ -137,17 +130,8 @@ def _reduce_values(values: Sequence[Any], op) -> Any:
 # requests and communicators
 # ----------------------------------------------------------------------
 
-_COLLECTIVES = set(COLLECTIVE_KINDS)
-
 #: collectives whose ranks must agree on ``root``
-_ROOTED = ("bcast", "reduce", "gather", "scatter")
-
-#: collectives whose ranks must agree on the reduction ``op``
-_REDUCING = ("reduce", "allreduce", "scan")
-
-#: how a callable reduction op is matched and shipped: every rank holds
-#: its own closure, so only "some callable" is comparable across ranks
-CALLABLE_OP = "<callable>"
+_ROOTED = ("bcast", "gather")
 
 
 @dataclass
@@ -158,10 +142,7 @@ class _Op:
     cid: Any
     value: Any = None
     root: int = 0
-    op: Any = "sum"
-    tag: int = 0
-    source: int = -1
-    dest: int = -1
+    op: str = "sum"
     color: Any = None
     key: int = 0
     words: Optional[float] = None
@@ -205,23 +186,8 @@ def expect_op(grank: int, op: Any) -> None:
         )
 
 
-def resolve_peer(group: _Group, peer: int, role: str) -> int:
-    """Global rank of local rank ``peer`` (``role`` names it in errors:
-    ``"send dest"`` or ``"recv source"``)."""
-    if not (0 <= peer < group.size):
-        raise CommError(f"{role} {peer} out of range for comm size {group.size}")
-    return group.members[peer]
-
-
-def op_label(op: Any) -> Any:
-    """Comparable, picklable stand-in of a reduction op."""
-    return CALLABLE_OP if callable(op) else op
-
-
 def op_desc(op: _Op) -> str:
     """One-line description of a parked request (deadlock reports)."""
-    if op.kind == "recv":
-        return f"recv(comm={op.cid}, source={op.source}, tag={op.tag})"
     return f"{op.kind}(comm={op.cid})"
 
 
@@ -229,12 +195,9 @@ def parked_entry(grank: int, op: Optional[_Op], phase: str) -> Dict[str, Any]:
     """The context a :class:`~repro.errors.DeadlockError` reports for
     one blocked (or, with ``op=None``, still running) rank."""
     if op is None:
-        return {"rank": grank, "kind": "running", "peer": None,
-                "tag": None, "comm": None, "phase": phase}
-    recv = op.kind == "recv"
-    return {"rank": grank, "kind": op.kind,
-            "peer": op.source if recv else None,
-            "tag": op.tag if recv else None, "comm": op.cid, "phase": phase}
+        return {"rank": grank, "kind": "running", "comm": None,
+                "phase": phase}
+    return {"rank": grank, "kind": op.kind, "comm": op.cid, "phase": phase}
 
 
 def match_collective(cid: Any, ops: Sequence[_Op]) -> str:
@@ -251,13 +214,15 @@ def match_collective(cid: Any, ops: Sequence[_Op]) -> str:
         roots = {o.root for o in ops}
         if len(roots) != 1:
             raise CommError(f"mismatched roots in {kind} on comm {cid}: {roots}")
-    if kind in _REDUCING:
-        labels = [op_label(o.op) for o in ops]
-        if any(label != labels[0] for label in labels):
-            raise CommError(
-                f"mismatched reduction ops in {kind} on comm {cid}: "
-                + ", ".join(f"rank {i}:{label}" for i, label in enumerate(labels))
-            )
+        root = ops[0].root
+        if not 0 <= root < len(ops):
+            raise CommError(f"{kind} root {root} out of range for comm "
+                            f"size {len(ops)}")
+    if kind == "allreduce" and any(o.op != ops[0].op for o in ops):
+        raise CommError(
+            f"mismatched reduction ops in {kind} on comm {cid}: "
+            + ", ".join(f"rank {i}:{o.op}" for i, o in enumerate(ops))
+        )
     return kind
 
 
@@ -268,9 +233,9 @@ def collective_results(kind: str, ops: Sequence[_Op],
 
     ``ops`` are in local-rank order.  ``deliver`` prepares each payload
     handed to a receiving rank: the simulator's zero-copy read-only
-    view, or the identity where the transport copies anyway.  Reductions fold
-    with local rank 0's op, in local-rank order, so every backend
-    computes bit-identical values.
+    view, or the identity where the transport copies anyway.  Reductions
+    fold in local-rank order, so every backend computes bit-identical
+    values.
     """
     p = len(ops)
     root = ops[0].root
@@ -279,38 +244,12 @@ def collective_results(kind: str, ops: Sequence[_Op],
     if kind == "bcast":
         # every rank gets its own container skeleton over the root's data
         return [deliver(ops[root].value) for _ in range(p)]
-    if kind in ("reduce", "allreduce"):
+    if kind == "allreduce":
         red = _reduce_values([o.value for o in ops], ops[0].op)
-        if kind == "reduce":
-            return [red if i == root else None for i in range(p)]
         return [deliver(red) for _ in range(p)]
-    if kind == "scan":
-        results: List[Any] = []
-        acc = None
-        for o in ops:
-            acc = _copy_payload(o.value) if acc is None \
-                else _reduce_values([acc, o.value], ops[0].op)
-            results.append(deliver(acc))
-        return results
     if kind == "gather":
         gathered = [deliver(o.value) for o in ops]
         return [gathered if i == root else None for i in range(p)]
-    if kind == "allgather":
-        return [[deliver(o.value) for o in ops] for _ in range(p)]
-    if kind == "scatter":
-        vals = ops[root].value
-        if vals is None or len(vals) != p:
-            raise CommError(
-                f"scatter root must supply exactly {p} values, got "
-                f"{None if vals is None else len(vals)}"
-            )
-        return [deliver(v) for v in vals]
-    if kind == "alltoall":
-        for o in ops:
-            if o.value is None or len(o.value) != p:
-                raise CommError(f"alltoall requires {p} values per rank")
-        return [[deliver(ops[src].value[dst]) for src in range(p)]
-                for dst in range(p)]
     if kind == "exchange":
         # per-rank payload dicts {dst_local_rank: payload}
         inboxes: List[Dict[int, Any]] = [dict() for _ in range(p)]
@@ -352,30 +291,3 @@ def plan_split(group: _Group, seq: int, ops: Sequence[_Op]
             plan[i] = child
     return plan
 
-
-def apply_message_fault(fault: Tuple[str, float], value: Any, salt: int,
-                        post: Callable[[Any, float], None],
-                        **event: Any) -> FaultEvent:
-    """Apply one injected fault to a posted send (the slow path).
-
-    ``post(payload, extra_delay)`` enqueues one copy of the message on
-    the backend's transport: drop posts nothing, duplicate posts twice,
-    delay posts ``extra_delay`` seconds late, and corrupt perturbs the
-    element chosen by ``salt`` (the sender-local send ordinal, so both
-    backends perturb the same one).  Returns the :class:`FaultEvent`;
-    ``event`` supplies its time, rank, dest, tag, msg_index and phase.
-    """
-    kind, delay = fault
-    detail = ""
-    if kind == "duplicate":
-        post(value, 0.0)
-        post(value, 0.0)
-    elif kind == "delay":
-        detail = f"delayed by {delay:.6g}s"
-        post(value, delay)
-    elif kind == "corrupt":
-        payload, detail = corrupt_payload(value, salt)
-        post(payload, 0.0)
-    elif kind != "drop":  # pragma: no cover - guarded by MessageFault
-        raise CommError(f"unhandled message-fault kind {kind!r}")
-    return FaultEvent(kind=kind, detail=detail, **event)

@@ -3,23 +3,23 @@
 :func:`run_spmd_procs` runs the *same* rank programs the simulated
 engine runs — unmodified generator functions driving the same
 :class:`~repro.parallel.engine.Comm` surface — but each rank is a real
-``multiprocessing`` worker (fork start method), point-to-point and
-collective payloads move over per-rank queues, and large NumPy arrays
-travel pickle-free through named ``shared_memory`` segments.  The
-simulated engine is the executable oracle: for a deterministic rank
-program, both backends must produce bit-identical per-rank results and
-identical communication ledgers (asserted by
+``multiprocessing`` worker (fork start method), collective payloads
+move over per-rank queues, and large NumPy arrays travel pickle-free
+through named ``shared_memory`` segments.  The simulated engine is the
+executable oracle: for a deterministic rank program, both backends
+must produce bit-identical per-rank results and identical
+communication ledgers (asserted by
 ``tests/parallel/test_backend_parity.py``).
 
 How parity is achieved
 ----------------------
 Workers drive the engine's :class:`Comm` and every rule of what an op
-means — matching, collective results, split naming, fault application,
-ledger booking — comes from :mod:`repro.parallel.ops`, the core the
-simulator uses too.  Each collective is computed by the communicator's
-first member (local rank 0) in local-rank order; every worker derives
-its ``comm.rng`` with :func:`~repro.rng.spawn_streams` from the one
-seed; the parent merges the per-rank ledger columns.
+means — matching, collective results, split naming, ledger booking —
+comes from :mod:`repro.parallel.ops`, the core the simulator uses too.
+Each collective is computed by the communicator's first member (local
+rank 0) in local-rank order; every worker derives its ``comm.rng``
+with :func:`~repro.rng.spawn_streams` from the one seed; the parent
+merges the per-rank ledger columns.
 
 What differs (and is documented in DESIGN §"Execution backends"):
 clocks are *measured wall seconds* (not Hockney-model estimates), so
@@ -29,21 +29,18 @@ payload); ``sanitize=True`` and ``max_sim_seconds`` are simulated-only and raise
 :class:`~repro.errors.ConfigError`; ``max_steps`` is enforced per rank
 rather than globally.
 
-Fault injection is real here.  Scheduled
-:class:`~repro.parallel.faults.KillRank` faults ``os._exit`` the worker
-and the parent surfaces a typed :class:`~repro.errors.RankFailure`.
-Message faults (drop / duplicate / delay / corrupt — scheduled via
-:class:`~repro.parallel.faults.MessageFault` or random rates) are
-injected by the *sender* at the :class:`_Router` queue layer, keyed on
-the sender-local send ordinal with the same counter-based hashing the
-simulator uses, so one plan lands its faults on the same logical
-messages under both backends.  ``max_kills`` caps random kills per
-*worker* rather than per run (no worker can observe another's death).  ``delay`` sleeps wall-clock
-seconds at the receiver.  Injected faults ship back with each
-surviving worker's result and land on ``SpmdResult.faults``
-(best-effort: a killed or failed worker's events are lost with it).
+Fault injection is real here: a scheduled or randomly drawn kill
+(:class:`~repro.parallel.faults.KillRank`, ``kill_rate``) ends the
+worker with ``os._exit`` and the parent surfaces a typed
+:class:`~repro.errors.RankFailure`.  The kill draws hash the same
+``(seed, attempt, rank, op)`` sites as on the simulator; ``max_kills``
+caps random kills per *worker* rather than per run (no worker can
+observe another's death).  A killed worker's
+:class:`~repro.parallel.faults.FaultEvent` dies with it, so
+``SpmdResult.faults`` is empty on this backend and the kill is
+reported by the :class:`~repro.errors.RankFailure` instead.
 
-Two layers of supervision bound a faulted run.  Per op: a blocked
+Two layers of supervision bound a stalled run.  Per op: a blocked
 operation polls its inbox with exponential backoff and raises
 :class:`~repro.errors.DeadlockError` (with the simulator's parked-op
 context dict) after ``op_timeout`` seconds.  Per run: every worker
@@ -51,8 +48,7 @@ publishes a heartbeat — ops completed, blocked/running state, and its
 parked-op context — through shared arrays; when *every* live
 unfinished worker has sat blocked for ``stall_timeout`` seconds the
 parent declares the run deadlocked immediately instead of waiting out
-the full per-op timeout (a dropped message stalls the whole job, and
-chaos sweeps cannot afford 120 s per injected drop).
+the full per-op timeout.
 
 On startup the parent also sweeps stale ``rpr``-prefixed ``/dev/shm``
 segments whose creating process is gone (a previously *crashed* parent
@@ -88,26 +84,22 @@ from ..errors import (
 from ..graph.distributed import Shared
 from ..rng import SeedLike, spawn_streams
 from .engine import _env_sanitize
-from .faults import FaultEvent, FaultPlan
+from .faults import FaultPlan
 from .machine import MachineModel, QDR_CLUSTER
 from .ops import (
-    _COLLECTIVES,
     _Group,
     _Op,
     _copy_payload,
     _op_words,
-    apply_message_fault,
     check_run,
     collective_results,
     expect_op,
     match_collective,
     op_desc,
-    op_label,
     parked_entry,
     plan_split,
-    resolve_peer,
 )
-from .trace import CommStats, DEFAULT_PHASE, PhaseBreakdown, SpmdResult
+from .trace import COLLECTIVE_KINDS, CommStats, DEFAULT_PHASE, PhaseBreakdown, SpmdResult
 
 __all__ = ["run_spmd_procs", "procs_available", "DEFAULT_OP_TIMEOUT",
            "DEFAULT_STALL_TIMEOUT"]
@@ -302,7 +294,7 @@ def _drain_segments(obj: Any) -> None:
 # ----------------------------------------------------------------------
 
 #: park-kind encoding for the heartbeat channel (fixed order)
-_PARK_KINDS: Tuple[str, ...] = ("recv",) + tuple(sorted(_COLLECTIVES))
+_PARK_KINDS: Tuple[str, ...] = tuple(sorted(COLLECTIVE_KINDS))
 
 #: bytes reserved per rank for the heartbeat's phase label and comm id
 _PHASE_BYTES = 24
@@ -341,18 +333,12 @@ class _Heartbeat:
         self.since = RawArray("d", [time.monotonic()] * nranks)
         self.ops = RawArray("q", nranks)
         self.kind = RawArray("i", [-1] * nranks)
-        self.peer = RawArray("i", [-1] * nranks)
-        self.tag = RawArray("i", [-1] * nranks)
         self.phase = RawArray("c", _PHASE_BYTES * nranks)
         self.comm = RawArray("c", _COMM_BYTES * nranks)
 
     # -- worker-side writers --------------------------------------------
     def blocked(self, rank: int, parked: Dict[str, Any]) -> None:
         self.kind[rank] = _PARK_KINDS.index(parked["kind"])
-        peer = parked.get("peer")
-        tag = parked.get("tag")
-        self.peer[rank] = -1 if peer is None else int(peer)
-        self.tag[rank] = -1 if tag is None else int(tag)
         _put_text(self.phase, rank, _PHASE_BYTES, str(parked.get("phase", "")))
         _put_text(self.comm, rank, _COMM_BYTES, str(parked["comm"]))
         self.since[rank] = time.monotonic()
@@ -372,15 +358,11 @@ class _Heartbeat:
     # -- parent-side reader ---------------------------------------------
     def parked_of(self, rank: int) -> Dict[str, Any]:
         ki = self.kind[rank]
-        peer = self.peer[rank]
-        tag = self.tag[rank]
         # the world communicator is 0, split children are path strings
         cid = _get_text(self.comm, rank, _COMM_BYTES)
         return {
             "rank": rank,
             "kind": _PARK_KINDS[ki] if 0 <= ki < len(_PARK_KINDS) else "?",
-            "peer": None if peer < 0 else int(peer),
-            "tag": None if tag < 0 else int(tag),
             "comm": int(cid) if cid.isdigit() else cid or None,
             "phase": _get_text(self.phase, rank, _PHASE_BYTES),
         }
@@ -389,11 +371,10 @@ class _Heartbeat:
 class _Router:
     """This worker's view of the message fabric.
 
-    One inbound queue per rank; messages are ``(key, words, encoded,
-    due)`` tuples (``due`` is a monotonic not-before time for delayed
-    messages, 0.0 otherwise).  Out-of-order arrivals are buffered per
-    key, preserving per-key FIFO order (the engine's (src, dst, tag,
-    comm) delivery contract).  Blocking fetches poll with per-op
+    One inbound queue per rank; messages are ``(key, encoded)`` pairs,
+    keyed by collective step (a member's contribution or the
+    coordinator's result).  Out-of-order arrivals are buffered per key,
+    preserving per-key FIFO order.  Blocking fetches poll with per-op
     exponential backoff — cheap sub-millisecond first polls for the
     common fast delivery, capped growth while parked — and publish
     their parked context on the heartbeat channel so the parent's
@@ -408,23 +389,14 @@ class _Router:
         self.hb = hb
         self._buffer: Dict[Tuple, deque] = {}
 
-    def post(self, dst_grank: int, key: Tuple, words: float,
-             encoded: Any, due: float = 0.0) -> None:
-        self.inboxes[dst_grank].put((key, words, encoded, due))
+    def post(self, dst_grank: int, key: Tuple, encoded: Any) -> None:
+        self.inboxes[dst_grank].put((key, encoded))
 
-    @staticmethod
-    def _honor_due(words: float, encoded: Any, due: float):
-        if due:
-            wait = due - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-        return words, encoded
-
-    def fetch(self, key: Tuple, desc: str, parked: Dict[str, Any]):
+    def fetch(self, key: Tuple, desc: str, parked: Dict[str, Any]) -> Any:
         """Blocking receive of the message filed under ``key``."""
         buf = self._buffer.get(key)
         if buf:
-            return self._honor_due(*buf.popleft())
+            return buf.popleft()
         deadline = time.monotonic() + self.timeout
         inbox = self.inboxes[self.grank]
         if self.hb is not None:
@@ -441,15 +413,13 @@ class _Router:
                         parked=[parked],
                     )
                 try:
-                    k, words, encoded, due = inbox.get(
-                        timeout=min(remaining, poll))
+                    k, encoded = inbox.get(timeout=min(remaining, poll))
                 except _queue.Empty:
                     poll = min(poll * 2.0, 0.25)
                     continue
                 if k == key:
-                    return self._honor_due(words, encoded, due)
-                self._buffer.setdefault(k, deque()).append(
-                    (words, encoded, due))
+                    return encoded
+                self._buffer.setdefault(k, deque()).append(encoded)
         finally:
             if self.hb is not None:
                 self.hb.running(self.grank)
@@ -457,12 +427,12 @@ class _Router:
     def drain(self) -> None:
         """Consume leftover segments so nothing leaks on normal exit."""
         for q in self._buffer.values():
-            for _, encoded, _ in q:
+            for encoded in q:
                 _drain_segments(encoded)
         inbox = self.inboxes[self.grank]
         while True:
             try:
-                _, _, encoded, _ = inbox.get_nowait()
+                _, encoded = inbox.get_nowait()
             except _queue.Empty:
                 return
             _drain_segments(encoded)
@@ -476,17 +446,13 @@ class _WorkerSide:
     def __init__(self, grank: int, nranks: int, machine: MachineModel,
                  seed: SeedLike, router: _Router,
                  seg: _SegmentFactory,
-                 faults: Optional[FaultPlan] = None,
                  hb: Optional[_Heartbeat] = None) -> None:
         self.grank = grank
         self.machine = machine
         self.rngs = spawn_streams(seed, nranks)
         self.router = router
         self.seg = seg
-        self.faults = faults
         self.hb = hb
-        self.send_count = 0
-        self.fault_events: List[FaultEvent] = []
         self.clocks = np.zeros(nranks)
         self.comp_time = 0.0
         self.comm_time = 0.0
@@ -541,59 +507,15 @@ class _WorkerSide:
         return Comm(self, group, grank)
 
 
-def _execute_op(side: _WorkerSide, op: _Op) -> Any:
-    """Execute one yielded op against the real fabric."""
-    group = side.groups[op.cid]
-    me = side.grank
-    if op.kind == "send":
-        gdst = resolve_peer(group, op.dest, "send dest")
-        words = _op_words(op)
-        key = ("p", me, op.tag, op.cid)
+def _collective(side: _WorkerSide, op: _Op) -> Any:
+    """One collective step, computed by the communicator's first member.
 
-        def post(payload: Any, delay: float) -> None:
-            # a delayed message carries a wall-clock not-before time
-            # the receiver honours
-            side.router.post(gdst, key, words,
-                             _encode_payload(payload, side.seg),
-                             due=time.monotonic() + delay if delay else 0.0)
-
-        fault = None
-        if side.faults is not None:
-            local_index = side.send_count
-            side.send_count = local_index + 1
-            fault = side.faults.message_fault(me, local_index)
-        if fault is None:
-            post(op.value, 0.0)
-        else:
-            side.fault_events.append(apply_message_fault(
-                fault, op.value, local_index, post,
-                time=float(side.clocks[me]), rank=me, dest=gdst, tag=op.tag,
-                msg_index=local_index, phase=side.phase,
-            ))
-        side.stats[side.phase].book_send(me, words)
-        return None
-    if op.kind == "recv":
-        gsrc = resolve_peer(group, op.source, "recv source")
-        words, encoded = side.router.fetch(
-            ("p", gsrc, op.tag, op.cid), op_desc(op),
-            parked_entry(me, op, side.phase),
-        )
-        side.stats[side.phase].book_recv(me, words)
-        return _decode_payload(encoded)
-    if op.kind in _COLLECTIVES:
-        return _collective(side, group, op)
-    raise CommError(f"unhandled op kind {op.kind!r}")  # pragma: no cover
-
-
-def _collective(side: _WorkerSide, group: _Group, op: _Op) -> Any:
-    """One collective step, computed by the group's first member.
-
-    Members ship their requests to the coordinator (callable reduction
-    ops as a picklable label; the coordinator folds with its own), which
-    matches and computes the results with :mod:`repro.parallel.ops` and
-    posts each member its share.
+    Members ship their requests to the coordinator, which matches and
+    computes the results with :mod:`repro.parallel.ops` and posts each
+    member its share.
     """
-    cid = group.cid
+    cid = op.cid
+    group = side.groups[cid]
     seq = side.coll_seq.get(cid, 0)
     side.coll_seq[cid] = seq + 1
     me = side.grank
@@ -601,15 +523,15 @@ def _collective(side: _WorkerSide, group: _Group, op: _Op) -> Any:
     coord = group.members[0]
     desc, parked = op_desc(op), parked_entry(me, op, side.phase)
     if me != coord:
-        contrib = (op.kind, op.root, op.color, op.key, op_label(op.op),
+        contrib = (op.kind, op.root, op.color, op.key, op.op,
                    _encode_payload(op.value, side.seg))
-        side.router.post(coord, ("cc", me, seq, cid), 0.0, contrib)
-        _, encoded = side.router.fetch(("cr", cid, seq), desc, parked)
-        result = _decode_payload(encoded)
+        side.router.post(coord, ("cc", me, seq, cid), contrib)
+        result = _decode_payload(
+            side.router.fetch(("cr", cid, seq), desc, parked))
     else:
         ops: List[_Op] = [op]
         for member in group.members[1:]:
-            _, contrib = side.router.fetch(("cc", member, seq, cid), desc, parked)
+            contrib = side.router.fetch(("cc", member, seq, cid), desc, parked)
             kind, root, color, key, redop, encoded = contrib
             ops.append(_Op(kind, cid, value=_decode_payload(encoded), root=root,
                            op=redop, color=color, key=key))
@@ -621,7 +543,7 @@ def _collective(side: _WorkerSide, group: _Group, op: _Op) -> Any:
             results = collective_results(kind, ops, lambda v: v)
         side.stats[side.phase].book_collective_op(kind)
         for member, res in zip(group.members[1:], results[1:]):
-            side.router.post(member, ("cr", cid, seq), 0.0,
+            side.router.post(member, ("cr", cid, seq),
                              _encode_payload(res, side.seg))
         result = _copy_payload(results[0])
     if op.kind == "split" and result is not None:
@@ -654,7 +576,7 @@ def _drive(side: _WorkerSide, gen, plan: Optional[FaultPlan],
         if plan is not None and plan.kill_now(side.grank, op_index, 0):
             os._exit(_KILLED_EXIT)
         op_index += 1
-        value = _execute_op(side, op)
+        value = _collective(side, op)
         if side.hb is not None:
             side.hb.op_done(side.grank)
         side.mark_comm()
@@ -670,8 +592,7 @@ def _worker_entry(rank: int, nranks: int, fn, args, kwargs,
 
     seg = _SegmentFactory(prefix, rank)
     router = _Router(inboxes, rank, op_timeout, hb=hb)
-    side = _WorkerSide(rank, nranks, machine, seed, router, seg,
-                       faults=plan, hb=hb)
+    side = _WorkerSide(rank, nranks, machine, seed, router, seg, hb=hb)
     world = _Group(0, tuple(range(nranks)))
     side.groups[0] = world
     comm = side.make_comm(world, rank)
@@ -690,7 +611,6 @@ def _worker_entry(rank: int, nranks: int, fn, args, kwargs,
             "comm": side.comm_time,
             "phase_acc": dict(side.phase_acc),
             "stats": {name: s.to_dict() for name, s in side.stats.items()},
-            "faults": [ev.to_dict() for ev in side.fault_events],
         }, seg)
         results_q.put(("done", rank, payload))
     except BaseException as exc:  # noqa: BLE001 - reconstructed in parent
@@ -989,7 +909,6 @@ def run_spmd_procs(
         comm_time=np.array([rec["comm"] for rec in recs], dtype=np.float64),
         phases=dict(phases),
         comm_stats=comm_stats,
-        faults=[FaultEvent(**d) for rec in recs for d in rec["faults"]],
         backend="procs",
         pids=[rec["pid"] for rec in recs],
         **comm_stats.run_totals(),

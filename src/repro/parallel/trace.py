@@ -19,9 +19,9 @@ The paper's central claims are *communication* claims — ScalaPart wins
 by replacing global collectives with blocked (stale-tolerant) β-refresh
 and nearest-neighbour ghost exchange.  Clock seconds alone cannot
 verify that, so the engine additionally maintains a :class:`CommStats`
-ledger: per-rank, per-phase counts of point-to-point messages, words
-moved, collective invocations by kind, and wait/idle seconds (time a
-rank sat parked because of skew, beyond the modelled transfer cost).
+ledger: per-rank, per-phase collective invocations by kind, words
+moved, and wait/idle seconds (time a rank sat parked because of skew,
+beyond the modelled transfer cost).
 :func:`trace_records` / :func:`write_trace_jsonl` serialise the full
 account as JSON-lines so benchmarks and external tools can assert
 communication-volume claims (e.g. the Fig. 8 block-size ablation)
@@ -52,10 +52,10 @@ DEFAULT_PHASE = "main"
 #: Separator of hierarchical phase labels ("embed/refresh" ⊂ "embed").
 PHASE_SEP = "/"
 
-#: Every collective kind the engine can complete.
+#: Every operation a :class:`~repro.parallel.engine.Comm` can post — all
+#: of them collectives over a communicator.
 COLLECTIVE_KINDS: Tuple[str, ...] = (
-    "barrier", "bcast", "reduce", "allreduce", "gather", "allgather",
-    "scatter", "alltoall", "scan", "split", "exchange",
+    "barrier", "bcast", "allreduce", "gather", "split", "exchange",
 )
 
 #: Collectives that synchronise the whole communicator and move data
@@ -63,10 +63,7 @@ COLLECTIVE_KINDS: Tuple[str, ...] = (
 #: β-refresh exists to amortise.  ``exchange`` is deliberately *not*
 #: here: it is the nearest-neighbour halo pattern whose per-iteration
 #: use is the point of the algorithm.
-GLOBAL_COLLECTIVES: Tuple[str, ...] = (
-    "bcast", "reduce", "allreduce", "gather", "allgather",
-    "scatter", "alltoall", "scan",
-)
+GLOBAL_COLLECTIVES: Tuple[str, ...] = ("bcast", "allreduce", "gather")
 
 
 def _subphases(phases: Dict[str, Any], name: str) -> List[str]:
@@ -131,11 +128,10 @@ class CommStats:
 
     Attributes
     ----------
-    sends / recvs:
-        point-to-point messages posted (per sender rank) and delivered
-        (per receiver rank).
-    words_sent / words_received:
-        8-byte words moved point-to-point, attributed like the counts.
+    sends / recvs / words_sent / words_received:
+        point-to-point message and word counts.  :class:`~repro.parallel.
+        engine.Comm` has no point-to-point operation, so these stay 0;
+        they are kept so ledgers and JSONL traces keep one schema.
     collectives:
         kind -> per-rank participation counts; a collective over a
         sub-communicator only increments its members.
@@ -185,16 +181,6 @@ class CommStats:
 
     # -- mutation (engine-facing) -----------------------------------------
     # ``wait`` is idle time beyond the modelled cost of the op itself
-    def book_send(self, rank: int, words: float) -> None:
-        self.sends[rank] += 1
-        self.words_sent[rank] += words
-
-    def book_recv(self, rank: int, words: float, wait: float = 0.0) -> None:
-        self.recvs[rank] += 1
-        self.words_received[rank] += words
-        if wait > 0:
-            self.wait_time[rank] += wait
-
     def book_collective(self, rank: int, kind: str, words: float,
                         wait: float = 0.0) -> None:
         """``rank``'s participation in one collective."""
@@ -328,14 +314,16 @@ class SpmdResult:
         per-phase :class:`PhaseBreakdown` (phase labels are set by the
         algorithms via ``comm.set_phase``; hierarchical via ``/``).
     messages / collectives:
-        counts of point-to-point messages and collective operations.
+        counts of point-to-point messages (always 0: there is no
+        point-to-point operation) and of collective operations.
     words_sent:
-        total 8-byte words moved by point-to-point messages.
+        total 8-byte words moved by point-to-point messages (always 0).
     comm_stats:
         full per-rank, per-phase communication ledger (:class:`CommStats`).
     faults:
         injected :class:`~repro.parallel.faults.FaultEvent` records, in
-        injection order (empty when the run had no fault plan).
+        injection order (empty when the run had no fault plan, and on
+        ``backend="procs"``, where a killed worker's event dies with it).
     backend:
         which executor produced the result: ``"sim"`` (clocks are
         Hockney-model estimates) or ``"procs"`` (clocks are measured

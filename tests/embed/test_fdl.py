@@ -45,21 +45,6 @@ class TestFDL:
         mean, std = edge_length_stats(g, res.pos)
         assert std / mean < 0.5  # near-uniform springs
 
-    def test_fixed_vertices_do_not_move(self):
-        g = path_graph(5).graph
-        p0 = random_positions(5, seed=3)
-        fixed = np.array([True, False, False, False, True])
-        res = force_directed_layout(g, p0, fixed=fixed, max_iters=50)
-        assert np.allclose(res.pos[fixed], p0[fixed])
-        assert not np.allclose(res.pos[~fixed], p0[~fixed])
-
-    def test_all_fixed_noop(self):
-        g = path_graph(3).graph
-        p0 = random_positions(3, seed=4)
-        res = force_directed_layout(g, p0, fixed=np.ones(3, dtype=bool))
-        assert res.iterations == 0
-        assert np.allclose(res.pos, p0)
-
     def test_input_not_mutated(self):
         g = path_graph(4).graph
         p0 = random_positions(4, seed=5)
@@ -80,8 +65,6 @@ class TestFDL:
             force_directed_layout(g, np.zeros((2, 2)))
         with pytest.raises(EmbeddingError):
             force_directed_layout(g, np.zeros((3, 2)), repulsion="magic")
-        with pytest.raises(EmbeddingError):
-            force_directed_layout(g, np.zeros((3, 2)), fixed=np.ones(2, dtype=bool))
 
     def test_custom_repulsion_callable(self):
         g = path_graph(4).graph

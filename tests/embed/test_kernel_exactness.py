@@ -307,15 +307,3 @@ class TestLayoutLoopExactness:
             g, pos, masses=masses, max_iters=4
         )
         assert np.array_equal(got.pos, ref.pos)
-
-    def test_fixed_vertices_match_reference(self, name, g):
-        pos, masses = _pos_masses(g, 5)
-        fixed = np.zeros(g.num_vertices, dtype=bool)
-        fixed[:: max(1, g.num_vertices // 7)] = True
-        got = force_directed_layout(
-            g, pos, masses=masses, max_iters=4, fixed=fixed
-        )
-        ref = force_directed_layout_reference(
-            g, pos, masses=masses, max_iters=4, fixed=fixed
-        )
-        assert np.array_equal(got.pos, ref.pos)

@@ -129,9 +129,30 @@ class TestMetisStreaming:
         assert g.num_edges == 2
 
     def test_interior_comments_and_blanks(self):
-        text = "% head\n3 2\n\n2\n% mid\n1 3\n\n2\n"
+        # comments are skipped anywhere and blanks before the header;
+        # a blank vertex line is a vertex with no neighbours
+        text = "% head\n\n4 2\n2\n% mid\n1 4\n\n2\n"
         g = read_metis(io.StringIO(text))
-        assert sorted(g.neighbors(1).tolist()) == [0, 2]
+        assert sorted(g.neighbors(1).tolist()) == [0, 3]
+        assert g.neighbors(2).tolist() == []
+        assert g.neighbors(3).tolist() == [1]
+
+    @pytest.mark.parametrize("chunk_lines", [1, 3, 65536])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_isolated_vertex_round_trips(self, chunk_lines, where):
+        # a 6-vertex path with one vertex left out of it
+        iso = {"first": 0, "middle": 3, "last": 6}[where]
+        path = [v for v in range(7) if v != iso]
+        g = CSRGraph.from_edges(7, np.column_stack([path[:-1], path[1:]]))
+        for kw in ({}, {"vertex_weights": True}, {"edge_weights": True}):
+            text = self._text(g, **kw)
+            got = read_metis(io.StringIO(text), chunk_lines=chunk_lines)
+            assert got == g
+            assert got.neighbors(iso).tolist() == []
+
+    def test_two_vertex_edge_plus_isolated_vertex(self):
+        g = CSRGraph.from_edges(3, [[0, 1]])
+        assert read_metis(io.StringIO(self._text(g))) == g
 
     def test_rejects_extra_vertex_lines(self):
         with pytest.raises(GraphError):

@@ -94,7 +94,6 @@ def force_directed_layout_reference(
     tol: float = 1e-3,
     step0: Optional[float] = None,
     repulsion: RepulsionLike = "auto",
-    fixed: Optional[np.ndarray] = None,
 ) -> LayoutResult:
     """Pre-optimisation layout loop (fresh temporaries every iteration,
     ``np.add.at`` attraction): the workspace-backed loop must match it."""
@@ -107,12 +106,6 @@ def force_directed_layout_reference(
     if masses is None:
         masses = graph.vwgt
     masses = np.asarray(masses, dtype=np.float64)
-    if fixed is not None:
-        fixed = np.asarray(fixed, dtype=bool)
-        if fixed.shape != (n,):
-            raise EmbeddingError("fixed mask must have one entry per vertex")
-        if fixed.all():
-            return LayoutResult(pos, 0, True, 0.0, 0.0)
     rep = _resolve_repulsion(repulsion, n)
 
     step = float(step0) if step0 is not None else k
@@ -123,8 +116,6 @@ def force_directed_layout_reference(
     energy = 0.0
     for it in range(1, max_iters + 1):
         f = attractive_forces_reference(graph, pos, k) + rep(pos, masses, c, k)
-        if fixed is not None:
-            f[fixed] = 0.0
         norms = np.sqrt((f * f).sum(axis=1))
         energy = float((norms * norms).sum())
         move = np.zeros_like(pos)

@@ -19,7 +19,8 @@ from repro.graph.io import PathLike, _open
 
 def read_metis_reference(path_or_file: Union[PathLike, TextIO]) -> CSRGraph:
     """Pre-streaming reader: materialises every line, per-edge Python
-    loop."""
+    loop.  It skips blank lines, so it only reads graphs without
+    isolated vertices (a blank vertex line is one)."""
     fh, owned = _open(path_or_file, "r")
     try:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("%")]

@@ -1,15 +1,39 @@
-"""Unit tests for the SPMD coroutine engine and communicator API."""
+"""Unit tests for the SPMD coroutine engine and communicator API.
+
+:class:`~repro.parallel.engine.Comm` offers six operations.  The
+collectives MPI has beyond them (reduce, allgather, scatter, alltoall,
+scan) are tested here as the compositions of the six that a rank
+program uses instead.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import CommError, DeadlockError
 from repro.parallel import MachineModel, ZERO_COST, payload_words, run_spmd
+from repro.parallel.patterns import allgather_concat
 
 
 def run0(fn, p, *args, **kw):
     """Run with the zero-cost machine and return per-rank values."""
     return run_spmd(fn, p, *args, machine=ZERO_COST, **kw).values
+
+
+def _alltoall(comm, values):
+    """Rank ``r`` gets element ``r`` of every rank's list: one
+    ``exchange`` to every other rank plus the rank's own element."""
+    me = comm.rank
+    got = yield from comm.exchange(
+        {d: v for d, v in enumerate(values) if d != me})
+    return [values[me] if src == me else got[src] for src in range(comm.size)]
+
+
+def _scan(comm, value):
+    """Inclusive prefix sum: one allreduce of a vector that holds
+    ``value`` at this rank's position and after it."""
+    masked = np.where(np.arange(comm.size) >= comm.rank, value, 0)
+    prefix = yield from comm.allreduce(masked, op="sum")
+    return int(prefix[comm.rank])
 
 
 class TestBasics:
@@ -69,9 +93,10 @@ class TestCollectives:
         assert run0(prog, 4) == [1, 1, 1, 1]
 
     def test_reduce_sum_at_root(self):
+        # a reduction to one root is a gather there
         def prog(comm):
-            out = yield from comm.reduce(comm.rank + 1, op="sum", root=2)
-            return out
+            parts = yield from comm.gather(comm.rank + 1, root=2)
+            return None if parts is None else sum(parts)
 
         vals = run0(prog, 4)
         assert vals == [None, None, 10, None]
@@ -94,11 +119,13 @@ class TestCollectives:
         assert vals[0] == ([2.0, 0.0], [0.0, -2.0])
 
     def test_allreduce_callable_op(self):
+        # reductions are named: a callable is rejected when posted
         def prog(comm):
             return (yield from comm.allreduce((comm.rank, comm.rank * 2),
                                               op=lambda a, b: (a[0] + b[0], max(a[1], b[1]))))
 
-        assert run0(prog, 3) == [(3, 4)] * 3
+        with pytest.raises(CommError, match="unknown reduction op 'function'"):
+            run0(prog, 3)
 
     def test_unknown_reduce_op(self):
         def prog(comm):
@@ -117,31 +144,36 @@ class TestCollectives:
         assert vals[1:] == [None, None, None]
 
     def test_allgather_order(self):
+        # an allgather is a gather plus a broadcast of the gathered list
         def prog(comm):
-            return (yield from comm.allgather(chr(ord("a") + comm.rank)))
+            parts = yield from comm.gather(chr(ord("a") + comm.rank), root=0)
+            return (yield from comm.bcast(parts, root=0))
 
         assert run0(prog, 3) == [["a", "b", "c"]] * 3
 
     def test_scatter(self):
+        # a scatter is a broadcast of the list, each rank taking its slot
         def prog(comm):
             data = [i * 10 for i in range(comm.size)] if comm.rank == 0 else None
-            return (yield from comm.scatter(data, root=0))
+            data = yield from comm.bcast(data, root=0)
+            return data[comm.rank]
 
         assert run0(prog, 4) == [0, 10, 20, 30]
 
     def test_scatter_wrong_length(self):
+        # with the broadcast composition a root list that is too short
+        # fails on the rank left without a slot
         def prog(comm):
-            data = [1, 2] if comm.rank == 0 else None
-            return (yield from comm.scatter(data, root=0))
+            data = yield from comm.bcast([1, 2] if comm.rank == 0 else None, root=0)
+            return data[comm.rank]
 
-        with pytest.raises(CommError, match="scatter"):
+        with pytest.raises(IndexError):
             run0(prog, 3)
 
     def test_alltoall(self):
         def prog(comm):
-            out = yield from comm.alltoall(
-                [comm.rank * 10 + j for j in range(comm.size)]
-            )
+            out = yield from _alltoall(
+                comm, [comm.rank * 10 + j for j in range(comm.size)])
             return out
 
         vals = run0(prog, 3)
@@ -150,7 +182,7 @@ class TestCollectives:
 
     def test_scan_inclusive(self):
         def prog(comm):
-            return (yield from comm.scan(comm.rank + 1))
+            return (yield from _scan(comm, comm.rank + 1))
 
         assert run0(prog, 4) == [1, 3, 6, 10]
 
@@ -173,54 +205,56 @@ class TestCollectives:
 
 
 class TestPointToPoint:
+    """Pairwise delivery, which the six ops carry through ``exchange``."""
+
     def test_ring_pass(self):
         def prog(comm):
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
-            got = yield from comm.sendrecv(comm.rank, dest=right, source=left)
-            return got
+            got = yield from comm.exchange({right: comm.rank})
+            return got[left]
 
         assert run0(prog, 5) == [4, 0, 1, 2, 3]
 
     def test_fifo_between_pair(self):
         def prog(comm):
-            if comm.rank == 0:
-                yield from comm.send("first", dest=1)
-                yield from comm.send("second", dest=1)
-                return None
-            a = yield from comm.recv(source=0)
-            b = yield from comm.recv(source=0)
-            return (a, b)
+            out = []
+            for msg in ("first", "second"):
+                got = yield from comm.exchange({1: msg} if comm.rank == 0 else {})
+                out.extend(got.values())
+            return tuple(out)
 
         vals = run0(prog, 2)
         assert vals[1] == ("first", "second")
 
     def test_tags_disambiguate(self):
+        # exchange has no tags: each payload arrives keyed by its sender
         def prog(comm):
-            if comm.rank == 0:
-                yield from comm.send("low", dest=1, tag=1)
-                yield from comm.send("high", dest=1, tag=2)
-                return None
-            hi = yield from comm.recv(source=0, tag=2)
-            lo = yield from comm.recv(source=0, tag=1)
-            return (hi, lo)
+            got = yield from comm.exchange({2: f"from {comm.rank}"} if comm.rank < 2 else {})
+            return got
 
-        assert run0(prog, 2)[1] == ("high", "low")
+        assert run0(prog, 3)[2] == {0: "from 0", 1: "from 1"}
 
     def test_deadlock_detected(self):
         def prog(comm):
-            # deliberate: nobody sends  # repro: lint-ok[SP107]
-            got = yield from comm.recv(source=(comm.rank + 1) % comm.size)
-            return got
+            # reversed key order: rank 1 is local rank 0 of the child
+            sub = yield from comm.split(color=0, key=-comm.rank)
+            # deliberate: each rank waits on a communicator the other
+            # never posts to
+            if comm.rank == 0:
+                yield from comm.barrier()  # repro: lint-ok[SP102] deliberate deadlock
+            else:
+                yield from sub.barrier()  # repro: lint-ok[SP108]
+            return sub.rank
 
         with pytest.raises(DeadlockError, match="rank 0"):
             run0(prog, 2)
 
     def test_send_out_of_range(self):
         def prog(comm):
-            yield from comm.send(1, dest=99)
+            yield from comm.exchange({99: 1})
 
-        with pytest.raises(CommError, match="dest"):
+        with pytest.raises(CommError, match="neighbour 99 out of range"):
             run0(prog, 2)
 
     def test_finished_rank_leaves_collective_hanging(self):
@@ -250,7 +284,7 @@ class TestSplit:
             sub = yield from comm.split(color=0 if comm.rank < 2 else None)
             if sub is None:
                 return "out"
-            return (yield from sub.allgather(comm.rank))
+            return (yield from allgather_concat(sub, np.array([comm.rank]))).tolist()
 
         vals = run0(prog, 4)
         assert vals == [[0, 1], [0, 1], "out", "out"]
@@ -267,7 +301,7 @@ class TestSplit:
         def prog(comm):
             sub = yield from comm.split(color=comm.rank // 2)
             subsub = yield from sub.split(color=sub.rank)
-            return (yield from subsub.allgather(comm.world_rank))
+            return (yield from subsub.gather(comm.world_rank))
 
         vals = run0(prog, 4)
         assert vals == [[0], [1], [2], [3]]
@@ -382,7 +416,7 @@ class TestCollectiveProperties:
         data = np.random.default_rng(41 + p).integers(-50, 50, size=p)
 
         def prog(comm):
-            return (yield from comm.scan(int(data[comm.rank])))
+            return (yield from _scan(comm, int(data[comm.rank])))
 
         assert run0(prog, p) == np.cumsum(data).tolist()
 
@@ -391,7 +425,7 @@ class TestCollectiveProperties:
         data = np.random.default_rng(7 * p).integers(0, 1000, size=(p, p))
 
         def prog(comm):
-            return (yield from comm.alltoall(data[comm.rank].tolist()))
+            return (yield from _alltoall(comm, data[comm.rank].tolist()))
 
         vals = run0(prog, p)
         for r in range(p):
@@ -402,17 +436,17 @@ class TestCollectiveProperties:
         data = np.random.default_rng(13 * p).normal(size=(p, 3))
 
         def prog(comm):
-            return (yield from comm.allgather(data[comm.rank].copy()))
+            return (yield from allgather_concat(comm, data[comm.rank].copy()))
 
         for got in run0(prog, p):
-            np.testing.assert_allclose(np.stack(got), data)
+            np.testing.assert_allclose(got.reshape(p, 3), data)
 
     def test_mismatched_kinds_raise_commerror(self):
         def prog(comm):
             if comm.rank == 0:
                 # deliberate bug: ranks disagree on the collective kind
-                return (yield from comm.allgather(comm.rank))  # repro: lint-ok[SP102]
-            return (yield from comm.alltoall([0] * comm.size))
+                return (yield from comm.gather(comm.rank))  # repro: lint-ok[SP102]
+            return (yield from comm.bcast(None))
 
         with pytest.raises(CommError, match="mismatch"):
             run0(prog, 2)
@@ -420,11 +454,12 @@ class TestCollectiveProperties:
     def test_parked_recv_without_sender_names_op(self):
         def prog(comm):
             if comm.rank == 0:
-                got = yield from comm.recv(source=1, tag=7)  # repro: lint-ok[SP107]
+                # deliberate: rank 1 never contributes to the gather
+                got = yield from comm.gather(0, root=0)  # repro: lint-ok[SP102]
                 return got
             return None
 
-        with pytest.raises(DeadlockError, match=r"recv\(comm=.*source=1, tag=7\)"):
+        with pytest.raises(DeadlockError, match=r"rank 0: waiting on gather\(comm=0\)"):
             run0(prog, 2)
 
 
@@ -456,18 +491,20 @@ class TestCommStats:
         assert stats.collective_ops["allreduce"] == 1
 
     def test_point_to_point_counters_and_words(self):
+        # pairwise traffic is an exchange: the point-to-point counters
+        # stay 0 and the words are booked as collective contributions
         def prog(comm):
-            if comm.rank == 0:
-                yield from comm.send(np.zeros(10), dest=1)
-                return None
-            return (yield from comm.recv(source=0))
+            sender = comm.rank == 0
+            return (yield from comm.exchange({1: np.zeros(10)} if sender else {},
+                                             words=10 if sender else 0))
 
-        stats = run_spmd(prog, 2, machine=ZERO_COST).comm_stats
-        np.testing.assert_array_equal(stats.sends, [1, 0])
-        np.testing.assert_array_equal(stats.recvs, [0, 1])
-        np.testing.assert_array_equal(stats.words_sent, [10, 0])
-        np.testing.assert_array_equal(stats.words_received, [0, 10])
-        assert stats.total_messages == 1
+        res = run_spmd(prog, 2, machine=ZERO_COST)
+        stats = res.comm_stats
+        for counter in (stats.sends, stats.recvs, stats.words_sent,
+                        stats.words_received):
+            np.testing.assert_array_equal(counter, [0, 0])
+        np.testing.assert_array_equal(stats.collective_words, [10, 0])
+        assert stats.total_messages == 0 and res.messages == 0
         assert stats.total_words == 10
 
     def test_exchange_not_a_global_collective(self):
@@ -520,9 +557,7 @@ class TestCommStats:
         def prog(comm):
             if comm.rank == 0:
                 comm.charge(3.0)
-                yield from comm.send(1, dest=1)
-                return None
-            return (yield from comm.recv(source=0))
+            return (yield from comm.exchange({1: 1} if comm.rank == 0 else {}))
 
         stats = run_spmd(prog, 2, machine=m).comm_stats
         assert stats.wait_time[1] == pytest.approx(3.0)
@@ -553,11 +588,11 @@ class TestCopyModes:
 
     def test_readonly_send_delivers_readonly_view(self):
         def prog(comm):
+            arr = np.arange(4.0)
+            got = yield from comm.exchange({1: arr} if comm.rank == 0 else {})
             if comm.rank == 0:
-                arr = np.arange(4.0)
-                yield from comm.send(arr, dest=1)
                 return arr.base is None  # sender keeps its own array
-            got = yield from comm.recv(source=0)
+            got = got[0]
             assert not got.flags.writeable
             with pytest.raises(ValueError):
                 got[0] = 99.0
@@ -570,7 +605,9 @@ class TestCopyModes:
         def prog(comm):
             arr = np.full(3, float(comm.rank))
             got = yield from comm.bcast(arr, root=0)
-            gathered = yield from comm.allgather(arr)
+            # allgather: gather at the root, broadcast the list
+            gathered = yield from comm.gather(arr, root=0)
+            gathered = yield from comm.bcast(gathered, root=0)
             assert not got.flags.writeable
             assert all(not g.flags.writeable for g in gathered)
             # container structure is private per rank: mutating my list
@@ -593,12 +630,11 @@ class TestCopyModes:
 
     def test_readonly_delivery_shares_sender_memory(self):
         def prog(comm):
+            arr = np.arange(8.0)
+            got = yield from comm.exchange({1: arr} if comm.rank == 0 else {})
             if comm.rank == 0:
-                arr = np.arange(8.0)
-                yield from comm.send(arr, dest=1)
                 return None
-            got = yield from comm.recv(source=0)
-            return got.base is not None  # a view, not a copy
+            return got[0].base is not None  # a view, not a copy
 
         assert run0(prog, 2)[1] is True
 
@@ -606,12 +642,12 @@ class TestCopyModes:
         def prog(comm):
             if comm.rank == 0:
                 arr = np.arange(4.0)
-                yield from comm.send(arr.copy(), dest=1)
-                # mutate after post: legal, the posted buffer is a copy
+                yield from comm.exchange({1: arr.copy()})  # repro: lint-ok[SP102] both arms exchange+barrier
+                # mutate after delivery: legal, the posted buffer is a copy
                 arr[:] = -1.0
-                yield from comm.barrier()  # repro: lint-ok[SP102] both arms barrier
+                yield from comm.barrier()  # repro: lint-ok[SP102]
                 return None
-            got = yield from comm.recv(source=0)
+            got = (yield from comm.exchange({}))[0]
             yield from comm.barrier()
             return float(got.sum())
 
@@ -620,11 +656,11 @@ class TestCopyModes:
 
     def test_nested_containers_rebuilt_arrays_shared(self):
         def prog(comm):
+            payload = {"xs": [np.ones(2), np.zeros(2)], "tag": "t"}
+            got = yield from comm.exchange({1: payload} if comm.rank == 0 else {})
             if comm.rank == 0:
-                payload = {"xs": [np.ones(2), np.zeros(2)], "tag": "t"}
-                yield from comm.send(payload, dest=1)
                 return None
-            got = yield from comm.recv(source=0)
+            got = got[0]
             # dict/list skeleton is mine to mutate; leaves are read-only
             got["extra"] = 1
             got["xs"].append(None)

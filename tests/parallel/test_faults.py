@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.analysis import payload_checksum
 from repro.core.config import ScalaPartConfig
 from repro.core.parallel import RetryPolicy, run_parallel
 from repro.errors import (
@@ -26,15 +27,8 @@ from repro.errors import (
 )
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
-from repro.parallel import (
-    FaultPlan,
-    KillRank,
-    MessageFault,
-    ZERO_COST,
-    corrupt_payload,
-    run_spmd,
-    trace_records,
-)
+from repro.parallel import FaultPlan, KillRank, ZERO_COST, run_spmd
+from repro.parallel.patterns import share_from_root
 
 FAST = ScalaPartConfig(coarsest_iters=80, smooth_iters=6)
 
@@ -44,12 +38,26 @@ def run0(fn, p, *args, **kw):
 
 
 def ring(comm):
-    """Each rank sends to its successor, then allreduces the sum."""
+    """Each rank passes an array to its successor, then allreduces the sum."""
     dst = (comm.rank + 1) % comm.size
     src = (comm.rank - 1) % comm.size
-    yield from comm.send(np.full(4, comm.rank, dtype=np.int64), dest=dst, tag=7)
-    got = yield from comm.recv(source=src, tag=7)
-    total = yield from comm.allreduce(int(got[0]), op="sum")
+    got = yield from comm.exchange({dst: np.full(4, comm.rank, dtype=np.int64)})
+    total = yield from comm.allreduce(int(got[src][0]), op="sum")
+    return total
+
+
+def _corrupting_ring(comm):
+    """The ring, with rank 1 corrupting rank 0's posted payload (which
+    it aliases through a shared buffer) before the exchange completes."""
+    buf = yield from share_from_root(
+        comm, np.zeros(4, dtype=np.int64) if comm.rank == 0 else None)
+    if comm.rank == 1:
+        buf[0] ^= 1
+    dst = (comm.rank + 1) % comm.size
+    src = (comm.rank - 1) % comm.size
+    payload = buf if comm.rank == 0 else np.full(4, comm.rank, dtype=np.int64)
+    got = yield from comm.exchange({dst: payload})
+    total = yield from comm.allreduce(int(got[src][0]), op="sum")
     return total
 
 
@@ -59,19 +67,17 @@ def ring(comm):
 
 class TestFaultPlan:
     def test_decisions_are_deterministic(self):
-        plan = FaultPlan(seed=42, kill_rate=0.1, drop_rate=0.1)
+        plan = FaultPlan(seed=42, kill_rate=0.1)
         kills = [plan.kill_now(r, i, 0) for r in range(4) for i in range(50)]
-        msgs = [plan.message_fault(r, i) for r in range(4) for i in range(50)]
-        again = FaultPlan(seed=42, kill_rate=0.1, drop_rate=0.1)
+        again = FaultPlan(seed=42, kill_rate=0.1)
         assert kills == [again.kill_now(r, i, 0)
                          for r in range(4) for i in range(50)]
-        assert msgs == [again.message_fault(r, i)
-                        for r in range(4) for i in range(50)]
+        assert any(kills) and not all(kills)
 
     def test_attempt_epoch_redraws_random_faults(self):
-        plan = FaultPlan(seed=42, drop_rate=0.2)
-        first = [plan.message_fault(0, i) for i in range(100)]
-        second = [plan.for_attempt(1).message_fault(0, i) for i in range(100)]
+        plan = FaultPlan(seed=42, kill_rate=0.2)
+        first = [plan.kill_now(0, i, 0) for i in range(100)]
+        second = [plan.for_attempt(1).kill_now(0, i, 0) for i in range(100)]
         assert first != second
 
     def test_scheduled_faults_are_transient_by_default(self):
@@ -87,47 +93,51 @@ class TestFaultPlan:
         assert plan.kill_now(0, 0, killed_so_far=0)
         assert not plan.kill_now(0, 0, killed_so_far=1)
 
-    def test_message_fault_needs_a_sender(self):
-        # faults key on the sender-local ordinal: there is no global one
-        with pytest.raises(TypeError):
-            MessageFault("drop", 0)
-
     def test_bad_rate_and_kind_raise(self):
         with pytest.raises(CommError):
-            FaultPlan(seed=0, drop_rate=1.5)
-        with pytest.raises(CommError):
-            MessageFault("teleport", 0, rank=0)
+            FaultPlan(seed=0, kill_rate=1.5)
+        # kills are the one fault kind: there are no message-fault rates
+        with pytest.raises(TypeError):
+            FaultPlan(seed=0, drop_rate=0.1)
 
     def test_describe_mentions_active_knobs(self):
-        text = FaultPlan(seed=9, drop_rate=0.25,
+        text = FaultPlan(seed=9, kill_rate=0.25,
                          kills=(KillRank(0),)).describe()
-        assert "drop_rate=0.25" in text and "kills=1" in text
+        assert "kill_rate=0.25" in text and "kills=1" in text
         assert not FaultPlan(seed=9).is_active
 
 
 class TestCorruptPayload:
+    """A payload corrupted in flight — one element perturbed — is what
+    the sanitizer's post-time checksum must notice."""
+
     def test_int_array_bit_flip(self):
         arr = np.arange(8)
-        out, desc = corrupt_payload(arr, 3)
-        assert desc and (out != arr).sum() == 1
-        assert np.array_equal(arr, np.arange(8))  # original untouched
+        out = arr.copy()
+        out[3] ^= 1
+        assert payload_checksum(out) != payload_checksum(arr)
 
     def test_readonly_flag_preserved(self):
+        # zero-copy delivery hands out read-only views: the flag alone
+        # is not a corruption
         arr = np.arange(4.0)
-        arr.flags.writeable = False
-        out, desc = corrupt_payload(arr, 1)
-        assert desc and not out.flags.writeable
+        view = arr.view()
+        view.flags.writeable = False
+        assert payload_checksum(view) == payload_checksum(arr)
+        out = arr.copy()
+        out[1] += 1.0
+        assert payload_checksum(out) != payload_checksum(view)
 
     def test_scalars_and_containers(self):
-        assert corrupt_payload(True, 0)[0] is False
-        assert corrupt_payload(7, 0)[0] == 6
-        assert corrupt_payload(1.5, 0)[0] == 2.5
-        out, desc = corrupt_payload({"n": 4, "s": "x"}, 0)
-        assert out["n"] == 5 and "key 'n'" in desc
+        for clean, bad in ((True, False), (7, 6), (1.5, 2.5),
+                           ({"n": 4, "s": "x"}, {"n": 5, "s": "x"}),
+                           ([np.ones(2), 3], [np.ones(2), 4])):
+            assert payload_checksum(clean) != payload_checksum(bad)
 
     def test_uncorruptible_returns_empty_desc(self):
-        assert corrupt_payload("just a string", 0) == ("just a string", "")
-        assert corrupt_payload(np.array([], dtype=np.int64), 0)[1] == ""
+        # payloads with nothing to perturb checksum stably
+        for obj in ("just a string", np.array([], dtype=np.int64), None):
+            assert payload_checksum(obj) == payload_checksum(obj)
 
 
 # ----------------------------------------------------------------------
@@ -149,56 +159,31 @@ class TestEngineInjection:
         assert ei.value.sim_time >= 0.0
 
     def test_drop_becomes_deadlock_with_context(self):
-        plan = FaultPlan(seed=0, messages=(MessageFault("drop", 0, rank=0),))
+        def dropping_ring(comm):
+            # rank 0 drops its contribution: it returns without posting
+            if comm.rank == 0:
+                return None
+            return (yield from ring(comm))
+
         with pytest.raises(DeadlockError) as ei:
-            run0(ring, 3, faults=plan)
+            run0(dropping_ring, 3)
         parked = ei.value.parked
         assert parked and all(
-            set(p) >= {"rank", "kind", "peer", "tag", "phase"}
-            for p in parked
+            set(p) == {"rank", "kind", "comm", "phase"} for p in parked
         )
-        assert any(p["kind"] == "recv" and p["tag"] == 7 for p in parked)
-
-    def test_duplicate_delivers_twice(self):
-        def prog(comm):
-            if comm.rank == 0:
-                yield from comm.send(5, dest=1, tag=2)
-                return 0
-            a = yield from comm.recv(source=0, tag=2)
-            b = yield from comm.recv(source=0, tag=2)
-            return (a, b)
-
-        plan = FaultPlan(seed=0,
-                         messages=(MessageFault("duplicate", 0, rank=0),))
-        res = run0(prog, 2, faults=plan)
-        assert res.values[1] == (5, 5)
-
-    def test_delay_completes_and_is_recorded(self):
-        plan = FaultPlan(seed=0,
-                         messages=(MessageFault("delay", 0, rank=0,
-                                                delay=1e-3),))
-        res = run0(ring, 4, seed=3, faults=plan)
-        assert res.values == run0(ring, 4, seed=3).values
-        kinds = [ev.kind for ev in res.faults]
-        assert kinds == ["delay"]
-        recs = [r for r in trace_records(res) if r["record"] == "fault"]
-        assert recs and recs[0]["kind"] == "delay"
+        assert [(p["rank"], p["kind"]) for p in parked] == [
+            (1, "exchange"), (2, "exchange")]
 
     def test_corrupt_without_sanitizer_changes_payload(self):
-        plan = FaultPlan(seed=0,
-                         messages=(MessageFault("corrupt", 0, rank=0),))
-        clean = run0(ring, 3, faults=None, sanitize=False)
-        res = run0(ring, 3, faults=plan, sanitize=False)
-        assert res.values != clean.values  # silent corruption flowed through
+        res = run0(_corrupting_ring, 3, sanitize=False)
+        assert res.values != run0(ring, 3).values  # the corruption flowed through
 
     def test_corrupt_with_sanitizer_raises(self):
-        plan = FaultPlan(seed=0,
-                         messages=(MessageFault("corrupt", 0, rank=0),))
-        with pytest.raises(CommError, match="checksum|sanitizer|corrupt"):
-            run0(ring, 3, faults=plan, sanitize=True)
+        with pytest.raises(CommError, match="sanitizer.*exchange payload mutated"):
+            run0(_corrupting_ring, 3, sanitize=True)
 
     def test_random_rates_fire_deterministically(self):
-        plan = FaultPlan(seed=11, drop_rate=0.5)
+        plan = FaultPlan(seed=11, kill_rate=0.5)
 
         def outcome():
             try:
@@ -209,18 +194,6 @@ class TestEngineInjection:
                 return ("err", type(exc).__name__, str(exc))
 
         assert outcome() == outcome()
-
-    def test_undelivered_warning_lists_pending_messages(self):
-        def prog(comm):
-            if comm.rank == 0:
-                yield from comm.send(np.zeros(4), dest=1, tag=9)
-            yield from comm.barrier()
-            return None
-
-        # un-sanitized contract: sanitize escalates this warning to a
-        # CommError, which test_sanitizer.py's TestUndelivered asserts
-        with pytest.warns(CommWarning, match=r"rank 0 -> rank 1.*tag=9"):
-            run0(prog, 2, sanitize=False)
 
 
 class TestBudgets:

@@ -26,8 +26,9 @@ class TestMachineModel:
 
     def test_message_cost(self):
         m = MachineModel(alpha=0, t_s=5.0, t_w=1.0)
-        assert m.message_cost(10) == 15.0
-        assert m.message_cost(0) == 5.0
+        # one message is a one-neighbour exchange: t_s + t_w * words
+        assert m.exchange_cost(1, 10, 0) == 15.0
+        assert m.exchange_cost(1, 0, 0) == 5.0
 
     def test_collective_costs_scale_log(self):
         m = MachineModel(alpha=0, t_s=1.0, t_w=0.0)
@@ -37,16 +38,19 @@ class TestMachineModel:
 
     def test_allgather_volume_term(self):
         m = MachineModel(alpha=0, t_s=0.0, t_w=1.0)
-        # recursive doubling moves (p-1)*m words
-        assert m.collective_cost("allgather", 4, 10) == pytest.approx(30.0)
+        # the root of a gather takes in (p-1)*m words, as a
+        # recursive-doubling allgather moves
+        assert m.collective_cost("gather", 4, 10) == pytest.approx(30.0)
 
     def test_alltoall_pairwise(self):
         m = MachineModel(alpha=0, t_s=1.0, t_w=1.0)
-        assert m.collective_cost("alltoall", 4, 2) == pytest.approx(3 * 3.0)
+        # an alltoall is an exchange with the p-1 other ranks
+        assert m.exchange_cost(3, 6, 6) == pytest.approx(3 * 1.0 + 6.0)
 
     def test_unknown_collective(self):
-        with pytest.raises(ConfigError):
-            QDR_CLUSTER.collective_cost("gossip", 4, 1)
+        for kind in ("gossip", "alltoall", "scan"):
+            with pytest.raises(ConfigError):
+                QDR_CLUSTER.collective_cost(kind, 4, 1)
 
     def test_with_params(self):
         m = QDR_CLUSTER.with_params(t_s=1.0)
@@ -89,29 +93,29 @@ class TestClockSemantics:
         def prog(comm):
             if comm.rank == 0:
                 comm.charge(10)
-                yield from comm.send(np.zeros(4), dest=1)  # arrival 10+3+4=17
-                return comm.clock
-            yield from comm.recv(source=0)
+            # one neighbour, 4 words out or in: ts + 4 tw after the
+            # later rank posts
+            yield from comm.exchange({1 - comm.rank: None}, words=4)
             return comm.clock
 
         res = run_spmd(prog, 2, machine=m)
-        assert res.values[1] == pytest.approx(17.0)
-        # sender only pays injection overhead t_s
-        assert res.values[0] == pytest.approx(13.0)
+        assert res.values == [pytest.approx(17.0)] * 2
 
     def test_recv_after_arrival_costs_nothing_extra(self):
         m = MachineModel(alpha=1.0, t_s=1.0, t_w=0.0)
 
         def prog(comm):
-            if comm.rank == 0:
-                yield from comm.send("x", dest=1)
-                return comm.clock
-            comm.charge(100)  # receiver is late; message already arrived
-            yield from comm.recv(source=0)
+            if comm.rank == 1:
+                comm.charge(100)  # the receiver is the late rank
+            yield from comm.exchange({1: "x"} if comm.rank == 0 else {})
             return comm.clock
 
         res = run_spmd(prog, 2, machine=m)
+        # the late receiver pays neither a wait nor a send latency; the
+        # sender waits out the skew, then pays its one latency
         assert res.values[1] == pytest.approx(100.0)
+        assert res.values[0] == pytest.approx(101.0)
+        assert res.comm_stats.wait_time.tolist() == [100.0, 0.0]
 
     def test_elapsed_is_max_clock(self):
         m = MachineModel(alpha=1.0, t_s=0, t_w=0)
@@ -165,16 +169,13 @@ class TestPhases:
 
     def test_message_and_collective_counters(self):
         def prog(comm):
-            if comm.rank == 0:
-                yield from comm.send(1, dest=1)
-            else:
-                yield from comm.recv(source=0)
+            yield from comm.exchange({1 - comm.rank: 1})
             yield from comm.barrier()
             return None
 
         res = run_spmd(prog, 2, machine=ZERO_COST)
-        assert res.messages == 1
-        assert res.collectives == 1
+        assert res.messages == 0  # no point-to-point operation exists
+        assert res.collectives == 2
 
     def test_summary_mentions_ranks(self):
         def prog(comm):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import glob
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from repro.graph.distributed import Shared
 from repro.graph.generators import random_delaunay
 from repro.parallel import ZERO_COST, procs_available, run_spmd
 from repro.parallel import procs as procs_mod
-from repro.parallel.faults import FaultPlan, KillRank, MessageFault
+from repro.parallel.faults import FaultPlan, KillRank
 from repro.parallel.procs import (
     _LAST_RUN,
     _SHM_THRESHOLD,
@@ -47,10 +46,9 @@ needs_procs = pytest.mark.skipif(
 def _ring(comm):
     """Minimal rank program: one big-array ring exchange."""
     arr = np.full(20_000, float(comm.rank))
-    got = yield from comm.sendrecv(
-        arr, dest=(comm.rank + 1) % comm.size, source=(comm.rank - 1) % comm.size
-    )
-    total = yield from comm.allreduce(float(got[0]), op="sum")
+    got = yield from comm.exchange({(comm.rank + 1) % comm.size: arr})
+    total = yield from comm.allreduce(
+        float(got[(comm.rank - 1) % comm.size][0]), op="sum")
     return total
 
 
@@ -151,10 +149,10 @@ class TestProcsLifecycle:
     def test_no_segments_survive_an_error_exit(self):
         def prog(comm):
             arr = np.arange(40_000, dtype=np.float64)
-            yield from comm.send(arr, dest=1)  # parked, never received
             if comm.rank == 0:
                 raise RuntimeError("boom")
-            yield from comm.recv(source=0)
+            # parked in rank 0's inbox, never collected
+            yield from comm.exchange({0: arr})
 
         with pytest.raises(CommError):
             run_spmd(prog, 2, backend="procs", op_timeout=3.0)
@@ -187,16 +185,16 @@ class TestProcsLifecycle:
     def test_deadlock_carries_parked_context(self):
         def prog(comm):
             if comm.rank == 0:
-                yield from comm.recv(source=1, tag=7)  # nobody sends  # repro: lint-ok[SP107]
+                # deliberate: rank 1 never joins the gather
+                yield from comm.gather(comm.rank, root=0)  # repro: lint-ok[SP102]
             return comm.rank
 
         with pytest.raises(DeadlockError) as ei:
             run_spmd(prog, 2, backend="procs", op_timeout=1.0)
         parked = ei.value.parked
         assert parked and parked[0]["rank"] == 0
-        assert parked[0]["kind"] == "recv"
-        assert parked[0]["peer"] == 1
-        assert parked[0]["tag"] == 7
+        assert parked[0]["kind"] == "gather"
+        assert parked[0]["comm"] == 0
 
     def test_max_steps_is_budget_error(self):
         def prog(comm):
@@ -247,112 +245,68 @@ class TestSimOnlyGates:
 
 
 # ----------------------------------------------------------------------
-# message-fault injection on real processes
+# fault injection on real processes
 # ----------------------------------------------------------------------
 
-def _chatty_ring(comm):
-    """Five send/recv ring rounds — enough p2p traffic for message
-    faults to land — then an allreduce over everything received."""
-    vals = []
-    dst = (comm.rank + 1) % comm.size
-    src = (comm.rank - 1) % comm.size
-    for i in range(5):
-        yield from comm.send(np.full(8, comm.rank * 10 + i, dtype=np.int64),
-                             dest=dst, tag=i)
-        got = yield from comm.recv(source=src, tag=i)
-        vals.append(int(got.sum()))  # whole payload: corruption shows
-    total = yield from comm.allreduce(float(sum(vals)), op="sum")
-    return total
+def _dropping_ring(comm):
+    """Ring exchange in which rank 0 drops out: it returns without
+    posting its share, so every other rank waits for it forever."""
+    if comm.rank == 0:
+        return None
+    got = yield from comm.exchange({(comm.rank + 1) % comm.size: comm.rank})
+    return got
 
 
-def _event_sites(res):
-    """Backend-comparable view of injected faults (everything but the
-    time, which is modelled on sim and measured on procs)."""
-    return sorted((ev.kind, ev.rank, ev.dest, ev.tag, ev.msg_index)
-                  for ev in res.faults)
+#: a kill_rate plan whose only draw that fires is rank 2's first op
+#: (_ring posts two ops per rank)
+_RANK2_KILL = FaultPlan(seed=13, kill_rate=0.15)
+
+
+def _dead_rank(backend):
+    with pytest.raises(RankFailure) as ei:
+        run_spmd(_ring, 4, machine=ZERO_COST, faults=_RANK2_KILL,
+                 backend=backend, op_timeout=60.0)
+    return ei.value.dead_rank
 
 
 @needs_procs
 class TestProcsMessageFaults:
-    def test_scheduled_corrupt_matches_sim(self):
-        """A rank-scoped corrupt fault lands on the same message on
-        both backends and produces identical (corrupted) results."""
-        plan = FaultPlan(seed=9, messages=(
-            MessageFault("corrupt", 2, rank=1),))
-        # the procs side is never sanitized, so parity compares against
-        # an un-sanitized simulator run (sanitize would reject the
-        # corrupted payload as a mutated send buffer)
-        sim = run_spmd(_chatty_ring, 4, machine=ZERO_COST, faults=plan,
-                       sanitize=False)
-        prc = run_spmd(_chatty_ring, 4, machine=ZERO_COST, faults=plan,
-                       backend="procs", op_timeout=60.0)
-        assert sim.values == prc.values
-        assert _event_sites(sim) == _event_sites(prc) != []
-        clean = run_spmd(_chatty_ring, 4, machine=ZERO_COST)
-        assert sim.values != clean.values  # the corruption was observed
-
-    def test_scheduled_delay_is_harmless_and_recorded(self):
-        plan = FaultPlan(seed=9, mean_delay=0.01, messages=(
-            MessageFault("delay", 1, rank=2),))
-        clean = run_spmd(_chatty_ring, 4, machine=ZERO_COST)
-        prc = run_spmd(_chatty_ring, 4, machine=ZERO_COST, faults=plan,
-                       backend="procs", op_timeout=60.0)
-        assert prc.values == clean.values
-        (ev,) = prc.faults
-        assert ev.kind == "delay" and ev.rank == 2 and ev.msg_index == 1
-        assert "delayed by" in ev.detail
+    """Fault injection on real processes.  Kills are the one fault kind
+    (the rank programs post no point-to-point message a drop, delay or
+    corruption could land on)."""
 
     def test_random_rates_match_sim(self):
-        """Rate-drawn duplicate/delay faults hash the same
-        ``(sender, sender_index)`` sites on both backends."""
-        plan = FaultPlan(seed=31, duplicate_rate=0.2, delay_rate=0.3,
-                         mean_delay=0.005)
-        with warnings.catch_warnings():
-            # sim warns about undelivered duplicate copies at completion
-            warnings.simplefilter("ignore", CommWarning)
-            # the procs side is never sanitized, so parity compares
-            # against an un-sanitized simulator run (sanitize would turn
-            # the undelivered duplicates into a CommError)
-            sim = run_spmd(_chatty_ring, 4, machine=ZERO_COST, faults=plan,
-                           sanitize=False)
-        prc = run_spmd(_chatty_ring, 4, machine=ZERO_COST, faults=plan,
-                       backend="procs", op_timeout=60.0)
-        assert sim.values == prc.values
-        assert _event_sites(sim) == _event_sites(prc) != []
+        """A random kill draws the same ``(rank, op)`` site on both
+        backends."""
+        assert [(r, i) for r in range(4) for i in range(2)
+                if _RANK2_KILL.kill_now(r, i, 0)] == [(2, 0)]
+        assert _dead_rank("sim") == _dead_rank("procs") == 2
 
     def test_procs_fault_injection_is_deterministic(self):
-        plan = FaultPlan(seed=5, corrupt_rate=0.25)
-        runs = [run_spmd(_chatty_ring, 4, machine=ZERO_COST, faults=plan,
-                         backend="procs", op_timeout=60.0)
-                for _ in range(2)]
-        assert runs[0].values == runs[1].values
-        assert _event_sites(runs[0]) == _event_sites(runs[1])
+        assert _dead_rank("procs") == _dead_rank("procs") == 2
 
     def test_dropped_message_trips_stall_supervision(self):
-        """A dropped send parks the receiver forever; the heartbeat
-        supervisor raises DeadlockError with parked context well before
-        the per-op timeout."""
-        plan = FaultPlan(seed=9, messages=(
-            MessageFault("drop", 0, rank=0),))
+        """A dropped contribution parks the other ranks forever; the
+        heartbeat supervisor raises DeadlockError with parked context
+        well before the per-op timeout."""
         with pytest.raises(DeadlockError) as ei:
-            run_spmd(_chatty_ring, 4, machine=ZERO_COST, faults=plan,
+            run_spmd(_dropping_ring, 4, machine=ZERO_COST,
                      backend="procs", op_timeout=120.0, stall_timeout=2.0)
         parked = ei.value.parked
-        assert parked  # every pending rank reports where it sits
-        kinds = {p["kind"] for p in parked}
-        assert kinds <= {"recv", "allreduce"} and "recv" in kinds
+        assert sorted((p["rank"], p["kind"], p["comm"]) for p in parked) == [
+            (1, "exchange", 0), (2, "exchange", 0), (3, "exchange", 0)]
 
     def test_registered_methods_survive_message_rates(self):
-        """Registered methods are collective-only (zero p2p sends), so
-        message-fault rates are a no-op on them — the partition matches
-        the fault-free run exactly."""
+        """Registered methods post no point-to-point message — the reason
+        message-fault rates never fired on them and were removed — and
+        the partition is the simulator's."""
         mesh = random_delaunay(200, seed=7)
-        plan = FaultPlan(seed=3, drop_rate=0.5, corrupt_rate=0.5)
-        clean = run_parallel("RCB", mesh.graph, 4, coords=mesh.coords,
-                             seed=7, backend="procs")
-        faulty = run_parallel("RCB", mesh.graph, 4, coords=mesh.coords,
-                              seed=7, backend="procs", faults=plan)
-        assert np.array_equal(clean.parts, faulty.parts)
+        sim = run_parallel("RCB", mesh.graph, 4, coords=mesh.coords, seed=7)
+        prc = run_parallel("RCB", mesh.graph, 4, coords=mesh.coords, seed=7,
+                           backend="procs")
+        trace = prc.extras["trace"]
+        assert (trace.messages, trace.words_sent) == (0, 0.0)
+        assert np.array_equal(sim.parts, prc.parts)
 
 
 # ----------------------------------------------------------------------

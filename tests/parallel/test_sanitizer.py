@@ -9,6 +9,7 @@ from repro.analysis import Sanitizer, payload_checksum
 from repro.errors import CommError, CommWarning
 from repro.graph.distributed import Shared
 from repro.parallel import ZERO_COST, run_spmd
+from repro.parallel.patterns import share_from_root
 
 
 def run0(fn, p, *args, **kw):
@@ -67,17 +68,20 @@ class TestPayloadChecksum:
 # sender-mutation detection
 # ----------------------------------------------------------------------
 
+def _shared_buffer(comm):
+    """One writable array every rank aliases (the Shared idiom)."""
+    return (yield from share_from_root(
+        comm, np.arange(4, dtype=float) if comm.rank == 0 else None))
+
+
 def _mutating_sender(comm):
-    """Seeded bug: rank 0 mutates its send buffer before delivery."""
-    if comm.rank == 0:
-        buf = np.arange(4, dtype=float)
-        yield from comm.send(buf, dest=1, tag=3)
-        buf[0] = -1.0  # repro: lint-ok[SP104] deliberate bug under test
-        yield from comm.barrier()  # repro: lint-ok[SP102] both arms barrier
-        return None
-    yield from comm.barrier()
-    got = yield from comm.recv(source=0, tag=3)
-    return float(got[0])
+    """Seeded bug: rank 1 writes into the buffer rank 0 has posted to an
+    exchange, before the exchange completes."""
+    buf = yield from _shared_buffer(comm)
+    if comm.rank == 1:
+        buf[0] = -1.0  # deliberate bug under test
+    got = yield from comm.exchange({1: buf} if comm.rank == 0 else {})
+    return float(got[0][0]) if comm.rank == 1 else None
 
 
 class TestSendMutation:
@@ -85,7 +89,7 @@ class TestSendMutation:
         with pytest.raises(CommError) as exc:
             run0(_mutating_sender, 2, sanitize=True)
         msg = str(exc.value)
-        assert "rank 0" in msg and "rank 1" in msg
+        assert "rank 0" in msg and "exchange payload" in msg
         assert "mutated" in msg and "copy" in msg
 
     def test_without_sanitize_the_bug_goes_unnoticed(self, monkeypatch):
@@ -96,17 +100,14 @@ class TestSendMutation:
         assert vals[1] == -1.0
 
     def test_sending_a_copy_passes_sanitize(self):
-        # the fix the error message names: send a copy, then mutate
+        # the fix the error message names: post a copy
         def copying_sender(comm):
-            if comm.rank == 0:
-                buf = np.arange(4, dtype=float)
-                yield from comm.send(buf.copy(), dest=1, tag=3)
+            buf = yield from _shared_buffer(comm)
+            posted = buf.copy() if comm.rank == 0 else None
+            if comm.rank == 1:
                 buf[0] = -1.0
-                yield from comm.barrier()  # repro: lint-ok[SP102] both arms barrier
-                return None
-            yield from comm.barrier()
-            got = yield from comm.recv(source=0, tag=3)
-            return float(got[0])
+            got = yield from comm.exchange({1: posted} if comm.rank == 0 else {})
+            return float(got[0][0]) if comm.rank == 1 else None
 
         vals = run0(copying_sender, 2, sanitize=True)
         assert vals[1] == 0.0
@@ -148,12 +149,12 @@ class TestCollectiveLedger:
             if comm.rank == 0:
                 yield from comm.allreduce(1)  # repro: lint-ok[SP102] bug under test
             else:
-                yield from comm.allgather(1)  # repro: lint-ok[SP102]
+                yield from comm.gather(1)  # repro: lint-ok[SP102]
 
         with pytest.raises(CommError) as exc:
             run0(prog, 2, sanitize=True)
         msg = str(exc.value)
-        assert "rank 0:allreduce" in msg and "rank 1:allgather" in msg
+        assert "rank 0:allreduce" in msg and "rank 1:gather" in msg
         # sanitize mode appends each rank's recent collective history
         assert "recent collectives" in msg
         assert "barrier" in msg
@@ -183,7 +184,7 @@ class TestCollectiveLedger:
 
 
 # ----------------------------------------------------------------------
-# undriven generators and undelivered messages
+# undriven generators
 # ----------------------------------------------------------------------
 
 class TestUndriven:
@@ -207,31 +208,13 @@ class TestUndriven:
         assert run0(prog, 2) == [0, 1]
 
 
-def _orphan_sender(comm):
-    if comm.rank == 0:
-        yield from comm.send(1.0, dest=1, tag=9)
-    return comm.rank
-
-
 class TestUndelivered:
-    def test_warns_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        with pytest.warns(CommWarning, match="undelivered.*tag=9"):
-            vals = run0(_orphan_sender, 2)
-        assert vals == [0, 1]
-
-    def test_raises_under_sanitize(self):
-        with pytest.raises(CommError, match="undelivered"):
-            run0(_orphan_sender, 2, sanitize=True)
-
     def test_no_warning_when_all_delivered(self):
         import warnings
 
         def prog(comm):
-            if comm.rank == 0:
-                yield from comm.send(1.0, dest=1, tag=9)
-                return None
-            return (yield from comm.recv(source=0, tag=9))
+            got = yield from comm.exchange({1: 1.0} if comm.rank == 0 else {})
+            return got.get(0)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", CommWarning)
@@ -263,7 +246,8 @@ class TestActivation:
             rng = comm.rng
             local = rng.random(16)
             total = yield from comm.allreduce(local.sum())
-            parts = yield from comm.allgather(comm.rank * 2)
+            parts = yield from comm.gather(comm.rank * 2)
+            parts = yield from comm.bcast(parts)
             yield from comm.barrier()
             return (round(float(total), 12), parts)
 

@@ -158,24 +158,27 @@ class TestJsonlTrace:
             comm.set_phase("work")
             yield from comm.allreduce(comm.rank)
             comm.set_phase("finish")
-            if comm.rank == 0:
-                yield from comm.send(np.zeros(5), dest=1)
-            elif comm.rank == 1:
-                yield from comm.recv(source=0)
+            yield from comm.exchange({1: np.zeros(5)} if comm.rank == 0 else {},
+                                     words=5 if comm.rank == 0 else 0)
 
-        return run_spmd(prog, 2, machine=ZERO_COST)
+        # a non-zero latency books each phase's time, so every phase
+        # gets a record
+        return run_spmd(prog, 2, machine=ZERO_COST.with_params(t_s=1e-6))
 
     def test_records_structure(self):
         res = self._run()
         recs = list(trace_records(res))
         assert recs[0]["record"] == "run"
         assert recs[0]["nranks"] == 2
-        assert recs[0]["comm"]["collective_ops"] == {"allreduce": 1}
+        assert recs[0]["comm"]["collective_ops"] == {"allreduce": 1, "exchange": 1}
         names = [r["phase"] for r in recs[1:]]
         assert names == sorted(names)
         by_name = {r["phase"]: r for r in recs[1:]}
-        assert by_name["finish"]["comm_stats"]["sends"] == [1, 0]
-        assert by_name["finish"]["comm_stats"]["words_sent"] == [5, 0]
+        # the point-to-point columns stay in the schema, always 0
+        assert by_name["finish"]["comm_stats"]["sends"] == [0, 0]
+        assert by_name["finish"]["comm_stats"]["words_sent"] == [0, 0]
+        assert by_name["finish"]["comm_stats"]["collective_words"] == [5, 0]
+        assert by_name["finish"]["comm_stats"]["collective_ops"] == {"exchange": 1}
 
     def test_file_roundtrip(self, tmp_path):
         res = self._run()

@@ -1,9 +1,10 @@
 """The option surface, pinned.
 
-Every field of the run-configuration dataclasses and every keyword of
-the two launch functions is listed here, so adding or removing an
-option shows up as a diff of this file in review.  Change a list only
-together with the option it names, and with a caller that sets it.
+Every field of the run-configuration dataclasses, every keyword of the
+two launch functions, the communicator's operations and the chaos
+sweep's flags are listed here, so adding or removing an option shows up
+as a diff of this file in review.  Change a list only together with the
+option it names, and with a caller that sets it.
 """
 
 import dataclasses
@@ -17,8 +18,10 @@ from repro.core.methods import MethodSpec
 from repro.core.parallel import RetryPolicy, run_parallel
 from repro.embed.multilevel import multilevel_embedding
 from repro.embed.parallel import dist_multilevel_embedding
-from repro.parallel.engine import run_spmd
-from repro.parallel.faults import FaultPlan, MessageFault
+from repro.cli import _build_parser
+from repro.parallel.engine import Comm, run_spmd
+from repro.parallel.faults import FaultEvent, FaultPlan
+from repro.parallel.trace import COLLECTIVE_KINDS
 
 FIELDS = {
     ScalaPartConfig: [
@@ -31,13 +34,25 @@ FIELDS = {
         "seed_salt", "default_max_imbalance", "balance_bound", "kway",
         "resume_method", "description",
     ],
-    FaultPlan: [
-        "seed", "kills", "messages", "kill_rate", "drop_rate",
-        "duplicate_rate", "delay_rate", "corrupt_rate", "mean_delay",
-        "max_kills", "attempt",
-    ],
-    MessageFault: ["kind", "index", "rank", "delay", "attempts"],
+    FaultPlan: ["seed", "kills", "kill_rate", "max_kills", "attempt"],
+    FaultEvent: ["kind", "time", "rank", "op_index", "phase", "detail"],
 }
+
+#: the six operations a rank program can post
+COMM_OPS = ["allreduce", "barrier", "bcast", "exchange", "gather", "split"]
+
+#: every public name of a communicator handle: the six ops plus the
+#: rank-local accessors
+COMM_SURFACE = sorted(COMM_OPS + [
+    "charge", "charge_comm_seconds", "clock", "machine", "rank", "rng",
+    "set_phase", "size", "world_rank",
+])
+
+CHAOS_FLAGS = [
+    "--n", "--methods", "--parts", "--k", "--nranks", "--backend",
+    "--checkpoint", "--op-timeout", "--plans", "--seed", "--kill-rate",
+    "--kill-op", "--retries", "--max-steps", "--no-recovery", "--out",
+]
 
 KEYWORDS = {
     run_parallel: [
@@ -72,3 +87,16 @@ def test_keyword_parameters(fn):
 
 def test_checkpoint_takes_a_path_or_store_only():
     assert not hasattr(checkpoint, "CheckpointPolicy")
+
+
+def test_comm_offers_six_ops():
+    assert sorted(COLLECTIVE_KINDS) == COMM_OPS
+    assert sorted(n for n in dir(Comm) if not n.startswith("_")) == COMM_SURFACE
+
+
+def test_chaos_flags():
+    sub = next(a for a in _build_parser()._actions
+               if a.dest == "command").choices["chaos"]
+    flags = [f for a in sub._actions for f in a.option_strings
+             if f not in ("-h", "--help")]
+    assert flags == CHAOS_FLAGS
