@@ -4,8 +4,10 @@ Times the library's hot paths — matching (sequential and distributed),
 contraction, k-way assignment and refinement, engine payload delivery,
 one embed smoothing iteration, the β field at the production lattice
 side, Barnes–Hut at 100k points and at the production ~1k-point
-clustered shape, the exact repulsion on a 188-point coarsest layout
-and the Radon reduction of a 1,000-point centerpoint sample — on
+clustered shape, the exact repulsion on a 188-point coarsest layout,
+the Radon reduction of a 1,000-point centerpoint sample, the
+distributed circle selection and the strip-restricted FM of ScalaPart's
+partition phase — on
 generated graphs, reports per-kernel medians, and
 persists them (plus the sequential ÷ vectorised matching speedup) to
 ``BENCH_kernels.json``.
@@ -73,12 +75,14 @@ from repro.geometric.centerpoint import (  # noqa: E402
     approx_centerpoint,
 )
 from repro.geometric.kway import kway_geometric_assign  # noqa: E402
+from repro.geometric.parallel import dist_geometric  # noqa: E402
 from repro.geometric.stereo import lift  # noqa: E402
 from repro.graph.generators import grid2d  # noqa: E402
-from repro.graph.partition import KWayPartition  # noqa: E402
+from repro.graph.partition import Bisection, KWayPartition  # noqa: E402
 from repro.graph.io import read_metis  # noqa: E402
 from repro.parallel import ZERO_COST, procs_available, run_spmd  # noqa: E402
 from repro.refine.kway import kway_refine  # noqa: E402
+from repro.refine.strip import strip_refine  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
 SCHEMA = 1
@@ -103,6 +107,8 @@ TIMED_KERNELS = (
     "embed/bh-coarse",
     "embed/exact-coarse",
     "geometric/centerpoint",
+    "geometric/dist-select",
+    "refine/strip-fm",
     "io/read-metis",
 )
 
@@ -354,6 +360,21 @@ def run_benchmarks(quick: bool = False, repeats: int = 5,
     cp_sample = lift(mesh.coords[cp_rows])
     record("geometric/centerpoint",
            lambda: approx_centerpoint(cp_sample, seed=7))
+
+    # ---- ScalaPart's partition phase ----------------------------------
+    # the circle selection on the mesh coordinates at P = 2, both ranks
+    # (sampling, the two reductions and each rank's cut contributions
+    # over its owned rows and ghosts); then the strip-restricted FM
+    # rank 0 runs on the winning circle's signed distances
+    def dist_select_prog(comm):
+        return (yield from dist_geometric(comm, g, mesh.coords, seed=7))
+
+    record("geometric/dist-select",
+           lambda: run_spmd(dist_select_prog, 2, machine=ZERO_COST))
+    selection = run_spmd(dist_select_prog, 2, machine=ZERO_COST).values
+    strip_sd = np.concatenate([sel.sd_own for sel in selection])
+    strip_input = Bisection(g, (strip_sd > 0).astype(np.int8))
+    record("refine/strip-fm", lambda: strip_refine(strip_input, strip_sd))
 
     # ---- streaming METIS reader ---------------------------------------
     import tempfile

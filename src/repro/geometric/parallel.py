@@ -13,7 +13,12 @@ paper §3 exactly:
   quality for all separators, before a reduction involving all
   processors to select the best cut" — a histogram allreduce fixes the
   balanced threshold of every candidate, then one allreduce sums the
-  per-rank cut contributions and part weights.
+  per-rank cut contributions and part weights.  A rank's contribution
+  costs its owned rows, its slots and its ghosts: each candidate's
+  side is taken once per vertex (owned rows from the projections the
+  histogram already used, ghost endpoints mapped to the sphere like
+  the owned block) and every slot reads its two endpoints' sides by
+  gather, so no rank touches the other ranks' vertices.
 
 Only sphere separators are computed ("avoids the eigenvector
 calculation needed for a line separator in the interests of parallel
@@ -27,11 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..core.config import ScalaPartConfig
 from ..graph.csr import CSRGraph
 from ..graph.distributed import adjacency_slots, block_of, block_starts
 from ..graph.partition import Bisection
@@ -42,6 +46,9 @@ from ..rng import SeedLike, derive_seed
 from .centerpoint import CENTERPOINT_SAMPLE, approx_centerpoint
 from .circles import random_unit_vectors
 from .stereo import lift, project, rotation_to_south
+
+if TYPE_CHECKING:
+    from ..core.config import ScalaPartConfig
 
 __all__ = ["DistGeoSelection", "dist_geometric", "dist_strip_refine"]
 
@@ -79,6 +86,8 @@ def dist_geometric(
     per-rank *work* touches only the owned block).  Returns a
     :class:`DistGeoSelection` for :func:`dist_strip_refine`.
     """
+    from ..core.config import ScalaPartConfig
+
     cfg = config or ScalaPartConfig()
     n = graph.num_vertices
     p = comm.size
@@ -145,21 +154,30 @@ def dist_geometric(
     thresholds = smin + (kbin + 1) / _HIST_BINS * span
 
     # ---- per-rank cut contributions, one reduction -------------------
-    # side of any endpoint is a pure function of its coordinates and the
+    # the side of a vertex is a pure function of its coordinates and the
     # shared (threshold, normal) data, so ghost sides need no extra
-    # communication beyond the coordinates the embedding already holds
-    full_norm = (pos_full - centre) / scale
-    src_pos, src, dst, w = adjacency_slots(graph, owned)
-    dst_u = lift(project(lift(full_norm[dst]) @ rot.T) * alpha) if dst.size else np.zeros((0, 3))
+    # communication beyond the coordinates the embedding already holds.
+    # Sides are taken once per vertex — owned rows from ``sval_own``,
+    # then the rank's ghosts mapped like the owned block — and every
+    # adjacency slot reads its two endpoints' sides by gather.
+    src_pos, _, dst, w = adjacency_slots(graph, owned)
+    ghost = (dst < lo) | (dst >= hi)
+    ghost_ids, ghost_row = np.unique(dst[ghost], return_inverse=True)
+    dst_row = dst - lo
+    dst_row[ghost] = (hi - lo) + ghost_row
+    ghost_u = lift(project(lift((pos_full[ghost_ids] - centre) / scale)
+                           @ rot.T) * alpha)
     comm.charge(float(dst.shape[0]) * 12)
+    above = np.ascontiguousarray(
+        (np.vstack([sval_own, ghost_u @ normals.T]) > thresholds).T
+    )
+    own_w = graph.vwgt[lo:hi]
     cuts = np.zeros(cfg.ncircles)
     bal = np.zeros(cfg.ncircles)
     for cidx in range(cfg.ncircles):
-        side_src = sval_own[:, cidx][src_pos] > thresholds[cidx]
-        side_dst = (dst_u @ normals[cidx]) > thresholds[cidx]
-        cuts[cidx] = float(w[side_src != side_dst].sum()) / 2.0
-        own_side = sval_own[:, cidx] > thresholds[cidx]
-        bal[cidx] = float(graph.vwgt[lo:hi][own_side].sum())
+        side = above[cidx]
+        cuts[cidx] = float(w[side[src_pos] != side[dst_row]].sum()) / 2.0
+        bal[cidx] = float(own_w[side[: hi - lo]].sum())
     comm.charge(float(dst.shape[0] + (hi - lo)) * cfg.ncircles)
     totals = yield from comm.allreduce(
         np.vstack([cuts, bal]), words=2 * cfg.ncircles
@@ -190,6 +208,8 @@ def dist_strip_refine(
     gathers the (small) strip to the subtree root, runs FM there and
     broadcasts the result.  Returns ``(side, info)``.
     """
+    from ..core.config import ScalaPartConfig
+
     cfg = config or ScalaPartConfig()
     p = comm.size
     comm.set_phase("partition/strip")

@@ -35,11 +35,12 @@ def lift(points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
         raise GeometryError(f"lift expects (n, 2) points, got {points.shape}")
-    r2 = (points * points).sum(axis=1)
+    x, y = points[:, 0], points[:, 1]
+    r2 = x * x + y * y
     denom = r2 + 1.0
     out = np.empty((points.shape[0], 3))
-    out[:, 0] = 2.0 * points[:, 0] / denom
-    out[:, 1] = 2.0 * points[:, 1] / denom
+    out[:, 0] = 2.0 * x / denom
+    out[:, 1] = 2.0 * y / denom
     out[:, 2] = (r2 - 1.0) / denom
     return out
 

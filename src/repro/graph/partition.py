@@ -126,8 +126,9 @@ class Bisection:
 
     def boundary_vertices(self) -> np.ndarray:
         """Vertices incident to at least one cut edge."""
-        sep = self.separator_edges()
-        return np.unique(sep.ravel())
+        g = self.graph
+        src = g.edge_sources()
+        return np.unique(src[self.side[src] != self.side[g.indices]])
 
     def external_degrees(self) -> np.ndarray:
         """Per-vertex weight of edges to the *other* side (FM's ED)."""

@@ -40,7 +40,7 @@ land on.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -158,18 +158,3 @@ class FaultPlan:
             return _uniform(self.seed, self.attempt, _SALT_KILL,
                             rank, op_index) < self.kill_rate
         return False
-
-    # -- introspection --------------------------------------------------
-    @property
-    def is_active(self) -> bool:
-        """Can this plan inject anything at all?"""
-        return bool(self.kills or self.kill_rate)
-
-    def describe(self) -> str:
-        """One-line human-readable summary (chaos CLI reports)."""
-        parts: List[str] = [f"seed={self.seed}", f"attempt={self.attempt}"]
-        if self.kills:
-            parts.append(f"kills={len(self.kills)}")
-        if self.kill_rate:
-            parts.append(f"kill_rate={self.kill_rate:g}")
-        return "FaultPlan(" + ", ".join(parts) + ")"

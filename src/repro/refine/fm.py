@@ -10,20 +10,28 @@ This implementation is *boundary FM* with balance constraints:
 * the gain of moving ``v`` to the other side is ``ED(v) − ID(v)``
   (external minus internal incident edge weight);
 * candidates start at the cut boundary and grow as moves create new
-  boundary vertices — interior vertices are never examined, keeping a
-  pass near ``O(cut · log n)`` instead of ``O(n log n)``;
+  boundary vertices — interior vertices are never examined, so the
+  scalar loop of a pass is near ``O(cut · log n)`` instead of
+  ``O(n log n)``;
 * a pass tentatively moves vertices in best-gain-first order (each
   vertex at most once per pass), tracking the best prefix that satisfies
   the balance constraint, then rolls back to it;
 * gains live in a lazy max-heap (stale entries are skipped on pop),
   which supports the float edge weights produced by contraction without
   the integer-bucket restriction of the original FM;
-* the pass starts from vectorised gains and boundary (one
-  ``edge_sources()``), then runs as a scalar loop over Python lists.
+* the pass starts from vectorised gains and boundary, then runs as a
+  scalar loop over Python lists.
 
 ``movable`` restricts moves to a vertex subset — exactly what the strip
 refinement needs (only strip vertices may move; the rest of the graph
-is frozen but still contributes to gains through its edges).
+is frozen but still contributes to gains through its edges).  The pass
+then sets up only the movable rows and their adjacency slots, in a
+local id space (see :func:`_fm_pass`), so a whole pass is near
+``O(strip · log n)``, and the strip is a small multiple of the cut.
+What stays ``O(n)`` per pass is three vectorised scans (the mask, the
+global-to-local id map and the side-1 weight sum), no per-vertex
+Python work.  Without a mask the set-up covers every slot, as a k-way
+pair refinement, where every vertex may move, needs anyway.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import numpy as np
 
 from ..errors import PartitionError
 from ..graph.csr import CSRGraph
+from ..graph.distributed import adjacency_slots
 from ..graph.partition import Bisection
 
 __all__ = ["FMResult", "fm_refine"]
@@ -132,11 +141,9 @@ def fm_refine(
     )
 
 
-def _gains(g: CSRGraph, side: np.ndarray, src=None) -> np.ndarray:
-    """ED − ID for every vertex (vectorised); ``src`` is
-    ``g.edge_sources()`` when the caller already has it."""
-    if src is None:
-        src = g.edge_sources()
+def _gains(g: CSRGraph, side: np.ndarray) -> np.ndarray:
+    """ED − ID for every vertex (vectorised)."""
+    src = g.edge_sources()
     ext = side[src] != side[g.indices]
     signed = np.where(ext, g.ewgt, -g.ewgt)
     return np.bincount(src, weights=signed, minlength=g.num_vertices)
@@ -149,32 +156,59 @@ def _fm_pass(
 
     Returns ``(improvement, accepted_moves)``.
 
+    The pass works in a local id space: the rows that may move, in
+    ascending global order (every vertex when ``movable`` is None), so
+    its set-up — gains, boundary and the side/gain/stamp/lock lists —
+    touches only those rows and their adjacency slots.  A neighbour
+    outside the row set maps to the sentinel id ``m``, whose lock is
+    set, so the gain update skips it exactly as it skips a moved
+    vertex (a frozen vertex's gain is never read).  Local ids keep the
+    global order, so the heap pops in the same total order on
+    ``(-gain, v, stamp)``, and each gain is the same sequential sum
+    over the row's slots, so the moves are those of a pass over every
+    vertex.  Kept moves are written back by global id.
+
     Gain, side, stamp and lock live in Python lists for the pass and
     the heap holds Python scalars: the pass is one scalar loop, and
     indexing a list is several times cheaper than indexing a numpy
-    array.  Vertex weights and ``movable`` stay numpy, because they
-    are read once per pop or push, and converting all ``n`` of them
-    would cost more on a strip pass over a large graph.  The arithmetic
-    is the same IEEE double, and the heap pops in the same total order
-    on ``(-gain, v, stamp)``, so the moves are those of an array-backed
-    pass.  Only the kept prefix of moves is written back to ``side``.
+    array.  Without a mask the vertex weights stay numpy: they are read
+    once per pop, and converting all ``n`` would cost more than the
+    pops.
     """
-    src = g.edge_sources()
-    gain = _gains(g, side, src).tolist()
-    sd = side.tolist()
+    if movable is None:
+        rows = None
+        m = g.num_vertices
+        lptr, nbr, wts = indptr, indices, ewgt
+        src = g.edge_sources()
+        ext = side[src] != side[indices]
+        sd = side.tolist()
+        vw = vwgt
+    else:
+        rows = np.flatnonzero(movable)
+        m = rows.shape[0]
+        src, _, dst, wts = adjacency_slots(g, rows)
+        lptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(indptr[rows + 1] - indptr[rows], out=lptr[1:])
+        row_side = side[rows]
+        ext = row_side[src] != side[dst]
+        local = np.full(g.num_vertices, m, dtype=np.int64)
+        local[rows] = np.arange(m)
+        nbr = local[dst]
+        sd = row_side.tolist()
+        vw = vwgt[rows].tolist()
+    gain = np.bincount(
+        src, weights=np.where(ext, wts, -wts), minlength=m
+    ).tolist()
     w1 = float(vwgt[side == 1].sum())
     w0 = total_w - w1
 
     # candidate heap entries: (-gain, v, stamp); stale entries are
     # skipped via stamp.  All entries are distinct, so the pop order
     # does not depend on how the heap was built.
-    n = g.num_vertices
-    stamp = [0] * n
-    locked = [False] * n
+    stamp = [0] * m
+    locked = [False] * m + [True]
     # seed with current boundary vertices
-    bnd = np.unique(src[side[src] != side[indices]])
-    if movable is not None:
-        bnd = bnd[movable[bnd]]
+    bnd = np.unique(src[ext])
     heap = [(-gain[v], v, 0) for v in bnd.tolist()]
     heapify(heap)
 
@@ -196,7 +230,7 @@ def _fm_pass(
         gv = -ng
         # balance feasibility of moving v off its side
         old = sd[v]
-        cv = float(vwgt[v])
+        cv = float(vw[v])
         if old == 0:
             nw0, nw1 = w0 - cv, w1 + cv
         else:
@@ -212,8 +246,8 @@ def _fm_pass(
         cum += gv
         moves.append(v)
         # update neighbour gains
-        beg, end = indptr[v], indptr[v + 1]
-        for u, w in zip(indices[beg:end].tolist(), ewgt[beg:end].tolist()):
+        beg, end = lptr[v], lptr[v + 1]
+        for u, w in zip(nbr[beg:end].tolist(), wts[beg:end].tolist()):
             if locked[u]:
                 continue
             if sd[u] == old:
@@ -222,8 +256,7 @@ def _fm_pass(
                 gu = gain[u] - 2.0 * w
             gain[u] = gu
             stamp[u] += 1
-            if movable is None or movable[u]:
-                heappush(heap, (-gu, u, stamp[u]))
+            heappush(heap, (-gu, u, stamp[u]))
         feasible = max(w0, w1) <= w_limit
         record = False
         if feasible:
@@ -243,6 +276,8 @@ def _fm_pass(
 
     # keep the best prefix (each vertex moves at most once per pass)
     kept = np.asarray(moves[:best_idx], dtype=np.int64)
+    if rows is not None:
+        kept = rows[kept]
     side[kept] = 1 - side[kept]
     improvement = max(best, init_maxw - best_maxw)
     return improvement, best_idx

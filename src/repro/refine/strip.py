@@ -11,6 +11,13 @@ separator" (5.6× in Figure 2), so the refinement cost is negligible.
 This differs from Pt-Scotch's band graph only in how the band is
 selected: by *coordinate distance* to the separator instead of by hop
 count from cut edges.
+
+The FM passes run over the strip alone: :func:`repro.refine.fm.fm_refine`
+with a ``movable`` mask sets up gains, boundary and its working lists
+for the movable rows and their adjacency slots only, so a pass costs
+the strip, not the graph.  Selecting the strip (one ``argpartition`` of
+the distances and the boundary) and checking the cut before and after
+stay whole-graph vectorised scans, once per refinement.
 """
 
 from __future__ import annotations

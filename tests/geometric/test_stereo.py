@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometric import conformal_to_center, lift, project, rotation_to_south
+from tests.oracles.geometric import lift_reference
 
 
 class TestLiftProject:
@@ -26,6 +27,17 @@ class TestLiftProject:
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(100, 2))
         assert np.allclose(project(lift(pts)), pts, atol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 3.0, 1e6])
+    def test_matches_row_sum_oracle(self, scale):
+        """Column-wise ``x*x + y*y`` adds the same two products as the
+        row sum, so the lift is byte-identical."""
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(5000, 2)) * scale
+        pts[:3] = [[0.0, 0.0], [-0.0, 1e-300], [1e150, -1e-200]]
+        fortran = np.asfortranarray(pts)
+        for p in (pts, fortran, pts[::3], pts[:0]):
+            assert lift(p).tobytes() == lift_reference(p).tobytes()
 
     def test_shape_validation(self):
         with pytest.raises(GeometryError):

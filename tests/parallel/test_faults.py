@@ -100,12 +100,6 @@ class TestFaultPlan:
         with pytest.raises(TypeError):
             FaultPlan(seed=0, drop_rate=0.1)
 
-    def test_describe_mentions_active_knobs(self):
-        text = FaultPlan(seed=9, kill_rate=0.25,
-                         kills=(KillRank(0),)).describe()
-        assert "kill_rate=0.25" in text and "kills=1" in text
-        assert not FaultPlan(seed=9).is_active
-
 
 class TestCorruptPayload:
     """A payload corrupted in flight — one element perturbed — is what

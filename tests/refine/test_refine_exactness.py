@@ -2,7 +2,9 @@
 
 The pre-optimisation bodies live in :mod:`tests.oracles.refine`; a
 test installs them with ``monkeypatch`` and reruns the same public call.
-The list-backed pass must make the same moves as the array-backed one,
+The list-backed pass must make the same moves as the array-backed one
+— also with a ``movable`` mask, where it works over the movable rows
+only, in a local id space —
 and skipping a pair whose parts did not change since its last rejected
 try must not change any k-way result: parts, moves and passes are
 compared exactly, cuts through ``.view(np.int64)``.
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import band_mask
 from repro.geometric.kway import kway_geometric_assign
 from repro.graph import Bisection, CSRGraph
 from repro.graph.generators import grid2d, random_delaunay
@@ -21,6 +24,7 @@ from repro.refine import fm as fm_module
 from repro.refine import kway as kway_module
 from repro.refine.fm import fm_refine
 from repro.refine.kway import kway_refine
+from repro.refine.strip import strip_mask
 from tests.oracles.refine import fm_pass_reference, pairwise_fm_reference
 
 
@@ -97,6 +101,85 @@ class TestFMPassExactness:
         g = _weighted_mesh(700, 7)
         b = Bisection(g, _noisy_halves(g, 7))
         assert_same_fm(*_fm_both(monkeypatch, b, stall_limit=3))
+
+
+def _strip_input(seed: int):
+    """A straight cut of a mesh and its signed distance, as the
+    strip refinement receives them."""
+    mesh = random_delaunay(1500, seed=seed)
+    c = mesh.coords - mesh.coords.mean(axis=0)
+    sd = c[:, 0] * 0.8 + c[:, 1] * 0.6
+    return Bisection(mesh.graph, (sd > 0).astype(np.int8)), sd
+
+
+class TestMovableFMExactness:
+    """The movable pass against the whole-graph oracle pass."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_strip_mask(self, monkeypatch, seed):
+        b, sd = _strip_input(seed)
+        mask = strip_mask(sd, b)
+        assert 0 < mask.sum() < b.graph.num_vertices
+        new, ref = _fm_both(monkeypatch, b, movable=mask, max_passes=6)
+        assert_same_fm(new, ref)
+        assert new.moves > 0
+
+    @pytest.mark.parametrize("hops", [0, 1, 3])
+    def test_band_mask(self, monkeypatch, hops):
+        b, _ = _strip_input(hops + 3)
+        mask = band_mask(b, hops)
+        assert 0 < mask.sum() < b.graph.num_vertices // 2
+        n = b.graph.num_vertices
+        new, ref = _fm_both(monkeypatch, b, movable=mask, max_imbalance=0.03,
+                            stall_limit=max(64, 4 * n // 50))
+        assert_same_fm(new, ref)
+        assert new.moves > 0
+
+    def test_all_false_mask(self, monkeypatch):
+        g = _weighted_mesh(500, 9)
+        b = Bisection(g, _noisy_halves(g, 9))
+        mask = np.zeros(g.num_vertices, dtype=bool)
+        new, ref = _fm_both(monkeypatch, b, movable=mask)
+        assert_same_fm(new, ref)
+        assert new.moves == 0
+        assert new.bisection.side.tobytes() == b.side.tobytes()
+
+    def test_all_true_mask_equals_none(self, monkeypatch):
+        g = _weighted_mesh(900, 10)
+        b = Bisection(g, _noisy_halves(g, 10))
+        mask = np.ones(g.num_vertices, dtype=bool)
+        new, ref = _fm_both(monkeypatch, b, movable=mask, max_imbalance=0.03)
+        assert_same_fm(new, ref)
+        assert_same_fm(new, fm_refine(b, max_imbalance=0.03))
+
+    def test_movable_isolated_vertices(self, monkeypatch):
+        mesh = random_delaunay(700, seed=11)
+        edges, _ = mesh.graph.edge_list()
+        g = CSRGraph.from_edges(750, edges)
+        b = Bisection(g, _noisy_halves(g, 11))
+        mask = np.random.default_rng(11).random(750) < 0.5
+        mask[700:] = True
+        assert_same_fm(*_fm_both(monkeypatch, b, movable=mask))
+
+    def test_zero_weight_vertices(self, monkeypatch):
+        b, sd = _strip_input(12)
+        g = b.graph
+        vwgt = np.random.default_rng(12).integers(0, 3, size=g.num_vertices)
+        g = CSRGraph(g.indptr, g.indices, g.ewgt, vwgt.astype(float))
+        b = Bisection(g, b.side)
+        new, ref = _fm_both(monkeypatch, b, movable=strip_mask(sd, b),
+                            max_imbalance=0.02)
+        assert_same_fm(new, ref)
+        assert new.moves > 0
+
+    def test_infeasible_start(self, monkeypatch):
+        g = grid2d(30, 30).graph
+        b = Bisection(g, _noisy_halves(g, 13, left=0.85))
+        assert b.imbalance > 0.5
+        mask = band_mask(b, 3)
+        new, ref = _fm_both(monkeypatch, b, movable=mask, max_imbalance=0.05)
+        assert_same_fm(new, ref)
+        assert new.bisection.imbalance < b.imbalance
 
 
 def _kway_input(n: int, k: int, seed: int) -> KWayPartition:

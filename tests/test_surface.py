@@ -1,8 +1,8 @@
 """The option surface, pinned.
 
 Every field of the run-configuration dataclasses, every keyword of the
-two launch functions, the communicator's operations and the chaos
-sweep's flags are listed here, so adding or removing an option shows up
+two launch functions, the communicator's operations, the fault plan's
+public names and the chaos sweep's flags are listed here, so adding or removing an option shows up
 as a diff of this file in review.  Change a list only together with the
 option it names, and with a caller that sets it.
 """
@@ -48,6 +48,12 @@ COMM_SURFACE = sorted(COMM_OPS + [
     "set_phase", "size", "world_rank",
 ])
 
+#: a fault plan's fields plus the two queries the engines make
+FAULT_PLAN_SURFACE = [
+    "attempt", "for_attempt", "kill_now", "kill_rate", "kills", "max_kills",
+    "seed",
+]
+
 CHAOS_FLAGS = [
     "--n", "--methods", "--parts", "--k", "--nranks", "--backend",
     "--checkpoint", "--op-timeout", "--plans", "--seed", "--kill-rate",
@@ -92,6 +98,12 @@ def test_checkpoint_takes_a_path_or_store_only():
 def test_comm_offers_six_ops():
     assert sorted(COLLECTIVE_KINDS) == COMM_OPS
     assert sorted(n for n in dir(Comm) if not n.startswith("_")) == COMM_SURFACE
+
+
+def test_fault_plan_surface():
+    plan = FaultPlan(seed=0)
+    assert sorted(n for n in dir(plan) if not n.startswith("_")) == \
+        FAULT_PLAN_SURFACE
 
 
 def test_chaos_flags():
