@@ -1,16 +1,16 @@
 """Static AST lint for SPMD rank programs (``repro lint``).
 
 The paper's algorithms live or die on disciplined SPMD communication:
-every rank must post the same collectives in the same order, senders
-must not mutate buffers they have already posted (the zero-copy
-read-only delivery contract), and all randomness must
-flow through seeded per-rank streams so runs are reproducible.  The
-checks below are the *static* half of the correctness analyzer — the
-dynamic half is the engine's sanitizer mode
-(:mod:`repro.analysis.sanitizer`).  They encode the bug classes MPI
-verification tools such as MUST and ThreadSanitizer catch at runtime,
-tuned to this codebase's rank-program idiom (generator rank programs
-driven by :func:`repro.parallel.engine.run_spmd`).
+every rank must post the same collectives in the same order, and all
+randomness must flow through seeded per-rank streams so runs are
+reproducible.  The checks below are the *static* half of the
+correctness analyzer — the dynamic half is the engine's sanitizer mode
+(:mod:`repro.analysis.sanitizer`), which also catches payloads mutated
+while their collective is in flight.  They encode the bug classes MPI
+verification tools such as MUST catch at runtime, tuned to this
+codebase's rank-program idiom (generator rank programs driven by
+:func:`repro.parallel.engine.run_spmd`, posting the six collective ops
+a ``Comm`` offers).
 
 ``repro lint`` runs two passes over the same parsed files.  This module
 holds the rule table, suppressions, serialisers and API, plus the
@@ -19,12 +19,14 @@ syntactic rules, which judge one call, import or handler at a time:
 ======  ================================================================
 SP000   the file does not parse, so it was not analysed
 SP099   a ``# repro: lint-ok[CODE]`` suppression whose rule no longer
-        fires on the suppressed line — stale suppressions hide future
-        regressions, so they must be removed when the code is fixed
-SP101   a ``Comm`` communication method (``send``/``recv``/
-        ``allreduce``/...) or a :mod:`repro.parallel.patterns` helper
-        called without ``yield from`` — the call builds a generator that
-        is never driven, so the operation silently does not happen
+        fires on the suppressed line, or that names no rule — stale
+        suppressions hide future regressions, so they must be removed
+        when the code is fixed
+SP101   a ``Comm`` operation (``barrier``/``bcast``/``allreduce``/
+        ``gather``/``exchange``/``split``) or a
+        :mod:`repro.parallel.patterns` helper called without
+        ``yield from`` — the call builds a generator that is never
+        driven, so the operation silently does not happen
 SP103   global RNG state (``np.random.*`` module-level functions,
         stdlib ``random.*``) instead of seeded :mod:`repro.rng` streams
         — breaks run-to-run determinism and rank independence
@@ -35,16 +37,17 @@ SP106   an ``except`` clause catches :class:`~repro.errors.CommError` /
         silent wrong answer
 ======  ================================================================
 
-Every rule that follows data or control flow — SP102, SP104, SP105 and
-SP107–SP112 — is computed by the whole-program pass in
+Every rule that follows data or control flow — SP102, SP105, SP108 and
+SP112 — is computed by the whole-program pass in
 :mod:`repro.analysis.protocol`.
 
 Suppression
 -----------
-Append ``# repro: lint-ok[SP104]`` (codes comma-separated, or a bare
+Append ``# repro: lint-ok[SP102]`` (codes comma-separated, or a bare
 ``# repro: lint-ok`` for all codes) to the offending line, or put the
 comment alone on the line directly above it.  A suppression whose rule
-does not fire is itself reported as SP099.
+does not fire, or that names a code no rule has, is itself reported as
+SP099.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Union
+
+from ..errors import ConfigError
 
 __all__ = [
     "Finding",
@@ -119,12 +124,6 @@ RULES: Dict[str, Rule] = {
             "(default_rng/derive_seed) elsewhere",
         ),
         Rule(
-            "SP104",
-            "buffer mutated after being posted to a send",
-            "send `obj.copy()`, or delay the mutation until after the "
-            "matching receive",
-        ),
-        Rule(
             "SP105",
             "iteration over a set feeds communication",
             "iterate 'sorted(the_set)' so payload order is deterministic",
@@ -137,37 +136,11 @@ RULES: Dict[str, Rule] = {
             "faults become silent wrong answers",
         ),
         Rule(
-            "SP107",
-            "point-to-point op has no matching counterpart",
-            "pair every recv with a send posting the same tag (and vice "
-            "versa) somewhere in the same rank program",
-        ),
-        Rule(
             "SP108",
             "collective count diverges across ranks",
             "issue the same collectives the same number of times on every "
             "rank of the communicator; guard subcommunicator collectives "
             "only with the membership test 'if sub is not None:'",
-        ),
-        Rule(
-            "SP109",
-            "message tag/peer depends on unordered iteration",
-            "derive tags and peers from sorted() or indexed order, never "
-            "from set iteration order",
-        ),
-        Rule(
-            "SP110",
-            "blocking recv posted before any matching send",
-            "post the matching send before the unconditional recv (or use "
-            "sendrecv) — every rank blocks on the recv, so nobody reaches "
-            "the send",
-        ),
-        Rule(
-            "SP111",
-            "posted payload aliases a buffer mutated before delivery",
-            "send `obj.copy()`, or delay the mutation until after the "
-            "matching receive — the receiver aliases the sender's memory, "
-            "views included",
         ),
         Rule(
             "SP112",
@@ -189,17 +162,12 @@ SWALLOWABLE_ERRORS = frozenset({
     "BudgetExceededError",
 })
 
-#: every Comm method that must be driven with ``yield from``
+#: the operations a ``Comm`` offers (``repro.parallel.trace.
+#: COLLECTIVE_KINDS``, not imported: the engine imports this package).
+#: Each is a collective every rank of the communicator must post, and
+#: each must be driven with ``yield from``
 COMM_METHODS = frozenset({
-    "send", "isend", "recv", "sendrecv", "barrier", "bcast", "reduce",
-    "allreduce", "gather", "allgather", "scatter", "alltoall", "scan",
-    "exchange", "split",
-})
-
-#: Comm methods that are collectives (every rank must participate)
-COLLECTIVE_METHODS = frozenset({
-    "barrier", "bcast", "reduce", "allreduce", "gather", "allgather",
-    "scatter", "alltoall", "scan", "exchange", "split",
+    "barrier", "bcast", "allreduce", "gather", "exchange", "split",
 })
 
 #: generator helpers from repro.parallel.patterns (collective inside)
@@ -363,8 +331,8 @@ def _is_comm_receiver(name: Optional[str]) -> bool:
 
 
 def _comm_call_op(call: ast.Call) -> Optional[str]:
-    """If ``call`` is a Comm communication method or pattern helper,
-    return the op name, else None."""
+    """If ``call`` is a Comm operation or pattern helper, return the op
+    name, else None."""
     func = call.func
     if isinstance(func, ast.Attribute):
         if func.attr in COMM_METHODS and _is_comm_receiver(_receiver_name(func)):
@@ -442,7 +410,8 @@ class Suppressions:
 
         ``checked`` is the set of rule codes this run reports: a
         suppression for a rule left out by ``--select``/``--ignore`` is
-        never reported.
+        never reported.  A code that names no rule is reported on every
+        run.
         """
         full_run = checked >= _CHECKABLE
         out: List[Finding] = []
@@ -457,6 +426,14 @@ class Suppressions:
                         "no rule fires on this line",
                     ))
                 continue
+            unknown = sorted(entry.codes - RULES.keys())
+            if unknown:
+                codes = ", ".join(unknown)
+                out.append(Finding(
+                    path, entry.line, entry.col, "SP099",
+                    f"suppression 'lint-ok[{codes}]' names no rule — "
+                    "it can never silence anything",
+                ))
             if "SP099" in entry.codes:
                 continue  # explicitly kept
             stale = sorted(c for c in entry.codes
@@ -718,10 +695,17 @@ def lint_paths(
 
     The whole-program pass sees *all* the files at once, so cross-module
     rank programs (stage singletons, registry entry points) resolve.
-    ``select``/``ignore`` restrict the reported rule codes.
+    ``select``/``ignore`` restrict the reported rule codes; a code no
+    rule has raises :class:`~repro.errors.ConfigError`, so a typo cannot
+    turn the run into one that checks nothing.
     """
-    selected = {c.upper() for c in select} if select else None
-    ignored = {c.upper() for c in ignore} if ignore else set()
+    selected = {c.strip().upper() for c in select} if select else None
+    ignored = {c.strip().upper() for c in ignore} if ignore else set()
+    unknown = sorted(((selected or set()) | ignored) - RULES.keys())
+    if unknown:
+        raise ConfigError(
+            f"unknown lint rule code(s): {', '.join(unknown)} "
+            f"(known: {', '.join(sorted(RULES))})")
     checked = set(_CHECKABLE) if selected is None else _CHECKABLE & selected
     checked -= ignored
 

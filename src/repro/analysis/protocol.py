@@ -5,41 +5,25 @@ This is the half of ``repro lint`` that follows data and control flow
 index over every parsed file, resolves ``yield from helper(...)`` calls
 across modules (including the stage singletons like
 ``EMBED_STAGE.run_dist`` and the registry's distributed entry points),
-and abstract-interprets each root rank program into an ordered
-**communication summary** — the sequence of comm ops it posts, with
-tag/peer expressions and the loop/branch structure they sit under.
-The summaries are then model-checked; an alias scan of each function
-and a scan of the hot kernels complete the pass:
+and abstract-interprets each root rank program in execution order,
+with the loop/branch structure every collective sits under.  Every op
+a ``Comm`` offers is a collective, so the walk checks that all ranks
+post the same collectives; a scan of the hot kernels completes the
+pass:
 
 ======  ================================================================
 SP102   a collective on the function's own communicator posted inside a
         branch of the same function that depends on ``comm.rank`` —
         ranks disagree on the collective schedule
-SP104   the sent name itself mutated later in the function than it was
-        posted to ``send``/``isend``/``sendrecv`` — delivery is
-        zero-copy, so the receiver aliases the sender's memory
 SP105   a ``for`` loop over a set (or a list/tuple built from one)
         inside a generator that communicates — set order is
         hash-dependent, so payload order can differ between runs.
         Dicts are not flagged: they iterate in insertion order
-SP107   a point-to-point op with no tag-compatible counterpart anywhere
-        in the program — the recv blocks forever (or the send is never
-        consumed)
 SP108   the other collective-count divergences: a *subcommunicator*
         collective inside a rank-dependent branch that is not its
         membership guard, a collective reached through a call under a
         rank-dependent branch, or a collective inside a loop whose trip
         count depends on ``comm.rank``
-SP109   a send/recv tag or peer expression that depends on unordered
-        (set-derived) iteration — rank A and rank B can disagree on who
-        talks to whom
-SP110   an unconditional recv whose every matching send occurs later in
-        program order — the static twin of the runtime
-        :class:`~repro.errors.DeadlockError` (all ranks block on the
-        recv, nobody reaches the send)
-SP111   a posted payload mutated later in the function through another
-        name — a view, reshape, ``np.asarray`` alias or second binding;
-        the static twin of the sanitizer's checksum catch
 SP112   perf discipline in the committed hot kernels: ``np.add.at``
         where ``np.bincount`` is the established bit-identical fast
         path, and array allocation inside the iteration loops of
@@ -53,25 +37,21 @@ Known unsoundness (by design, to keep the shipped tree clean):
   rank-consistent — data-dependent branches on allreduce results *are*
   consistent, arbitrary data may not be;
 * results of symmetric collectives (``allreduce``/``bcast``/
-  ``allgather`` and the pattern helpers) cleanse rank taint;
-* unresolved calls are assumed to post no communication;
-* SP110 only fires on recvs outside any branch, and tag matching is
-  existence-based (constant tags compared, everything else a wildcard);
-* SP104/SP111 know no types: a mutator is recognised by method name,
-  and subscripts alias only when a slice is present (``a[mask]``
-  copies; ``a[0]`` row views are missed).
+  ``barrier`` and the pattern helpers) cleanse rank taint;
+* unresolved calls are assumed to post no communication.
+
+A payload mutated while its collective is in flight is caught at run
+time by the sanitizer (:mod:`repro.analysis.sanitizer`), not here.
 """
 
 from __future__ import annotations
 
 import ast
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .lint import (
-    COLLECTIVE_METHODS,
     PATTERN_HELPERS,
     Finding,
     LintUnit,
@@ -87,7 +67,6 @@ from .lint import (
 __all__ = [
     "check_units",
     "check_registry",
-    "program_ops",
     "HOT_KERNELS",
     "ProgramIndex",
 ]
@@ -96,8 +75,7 @@ __all__ = [
 #: rank — assigning from one *cleanses* rank taint (the canonical
 #: "everyone agrees on the break" idiom in dist_kway_geometric etc.)
 SYMMETRIC_OPS = frozenset({
-    "allreduce", "bcast", "allgather", "barrier",
-    "allgather_concat", "share_from_root",
+    "allreduce", "bcast", "barrier", "allgather_concat", "share_from_root",
 })
 
 #: functions whose inner loops are locked in by BENCH_kernels.json —
@@ -118,34 +96,7 @@ _ALLOC_FUNCS = frozenset({
     "zeros_like", "ones_like", "empty_like", "full_like",
 })
 
-#: positional index of the tag argument per p2p op
-_TAG_POS = {"send": 2, "isend": 2, "recv": 1, "sendrecv": 3}
-#: positional indices of peer (dest/source) arguments per p2p op
-_PEER_POS = {"send": (1,), "isend": (1,), "recv": (0,), "sendrecv": (1, 2)}
-_PEER_KWARGS = frozenset({"dest", "source"})
-
-#: point-to-point sends whose payload the sender must not mutate
-SEND_METHODS = frozenset({"send", "isend", "sendrecv"})
-
-#: in-place mutators of the payload types delivery shares with the
-#: sender: ndarray methods and set methods.  Lists, tuples and dicts are
-#: rebuilt when the message is posted (``parallel.ops._readonly_payload``),
-#: so their own methods (``append``, ``setdefault``, ...) are absent
-_MUTATOR_METHODS = frozenset({
-    "fill", "sort", "put", "resize", "itemset", "partition", "setflags",
-    "setfield", "byteswap",
-    "add", "discard", "remove", "pop", "clear", "update",
-    "difference_update", "intersection_update",
-    "symmetric_difference_update",
-})
-
-#: numpy functions that write into their first argument
-_MUTATOR_FUNCS = frozenset({"at", "copyto", "put", "place", "putmask"})
-
 _MAX_INLINE_DEPTH = 12
-
-#: a constant tag that matches anything (non-constant tag expressions)
-_WILDCARD = "*"
 
 
 # ----------------------------------------------------------------------
@@ -475,17 +426,6 @@ def _is_unordered_expr(expr: ast.AST, unordered: Set[str]) -> bool:
     return False
 
 
-def _reads_unordered(expr: ast.AST, unordered: Set[str]) -> bool:
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id == "sorted":
-            return False
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
-                and node.id in unordered:
-            return True
-    return False
-
-
 def _func_env(fn: ast.AST) -> FuncEnv:
     env = FuncEnv()
     own = [n for n in _own_walk(fn)]
@@ -550,19 +490,6 @@ def _membership_guard(test: ast.AST,
 # whole-program traversal
 # ----------------------------------------------------------------------
 
-@dataclass
-class CommOp:
-    """One op in a flattened communication summary."""
-
-    op: str
-    kind: str            # "send" | "recv" | "sendrecv" | "collective"
-    tag: object
-    conditional: bool
-    index: int
-    node: ast.AST
-    path: str
-
-
 class _Cond:
     """One active rank-dependent branch or loop during traversal."""
 
@@ -604,34 +531,23 @@ class _ProtoChecker:
         return env
 
     def check_root(self, fi: FuncInfo) -> None:
-        run = _RootRun(self)
-        run.extract(fi)
-        run.finish()
-
-    def summarize(self, fi: FuncInfo) -> List[CommOp]:
-        run = _RootRun(self, report=False)
-        run.extract(fi)
-        return run.ops
+        _RootRun(self).extract(fi)
 
 
 class _RootRun:
-    """Extraction + checks for one root rank program."""
+    """Execution-order walk + checks for one root rank program."""
 
-    def __init__(self, checker: _ProtoChecker, report: bool = True) -> None:
+    def __init__(self, checker: _ProtoChecker) -> None:
         self.checker = checker
         self.index = checker.index
-        self.report = report
-        self.ops: List[CommOp] = []
         self.conds: List[_Cond] = []
         self.stack: List[int] = []       # FuncInfo ids, recursion guard
         self._sp108_seen: Set[Tuple[int, str, int]] = set()
 
     # -- plumbing -------------------------------------------------------
     def _add(self, node: ast.AST, path: str, code: str, message: str) -> None:
-        if self.report:
-            self.checker.add(path, getattr(node, "lineno", 1),
-                             getattr(node, "col_offset", 0) + 1,
-                             code, message)
+        self.checker.add(path, getattr(node, "lineno", 1),
+                         getattr(node, "col_offset", 0) + 1, code, message)
 
     def extract(self, fi: FuncInfo) -> None:
         frame = _Frame(fi, self.checker.env_of(fi), None, None, set())
@@ -711,7 +627,7 @@ class _RootRun:
         call = yf.value
         op = _comm_call_op(call)
         if op is not None:
-            self._record_op(yf, op, frame)
+            self._check_collective(yf, op, frame)
             return
         callee = self.index.resolve_call(call, frame.fi)
         if callee is None or id(callee) in self.stack \
@@ -745,7 +661,7 @@ class _RootRun:
         for cond in self.conds:
             cond.guarded = {k for k in cond.guarded if k[0] != id(new)}
 
-    def _op_receiver(self, call: ast.Call, op: str) -> Optional[str]:
+    def _op_receiver(self, call: ast.Call) -> Optional[str]:
         if isinstance(call.func, ast.Attribute):
             return _receiver_name(call.func)
         # pattern helper: the communicator is the first argument
@@ -753,44 +669,13 @@ class _RootRun:
             return call.args[0].id
         return None
 
-    def _record_op(self, yf: ast.YieldFrom, op: str, frame: _Frame) -> None:
-        call = yf.value
-        conditional = any(not c.is_loop for c in self.conds)
-        if op in COLLECTIVE_METHODS or op in PATTERN_HELPERS:
-            self._check_collective(yf, op, frame)
-            self.ops.append(CommOp(op, "collective", None, conditional,
-                                   len(self.ops), call, frame.fi.unit.path))
-            return
-        self._check_sp109(call, op, frame)
-        kind = "sendrecv" if op == "sendrecv" else (
-            "recv" if op == "recv" else "send")
-        self.ops.append(CommOp(op, kind, self._tag_of(call, op), conditional,
-                               len(self.ops), call, frame.fi.unit.path))
-
-    @staticmethod
-    def _tag_of(call: ast.Call, op: str):
-        expr = None
-        for kw in call.keywords:
-            if kw.arg == "tag":
-                expr = kw.value
-        if expr is None:
-            pos = _TAG_POS.get(op)
-            if pos is not None and len(call.args) > pos:
-                expr = call.args[pos]
-        if expr is None:
-            return 0  # engine default
-        try:
-            return ast.literal_eval(expr)
-        except (ValueError, SyntaxError):
-            return _WILDCARD
-
     # -- SP102 / SP108 --------------------------------------------------
     def _check_collective(self, yf: ast.YieldFrom, op: str, frame: _Frame) -> None:
         """SP102 for a collective on this function's own communicator
         under a rank branch of this function; SP108 for every other
         way the collective count can diverge."""
         call = yf.value
-        receiver = self._op_receiver(call, op)
+        receiver = self._op_receiver(call)
         is_sub = receiver is not None and (
             receiver in frame.env.subcomms or receiver in frame.sub_params)
         for cond in self.conds:
@@ -836,246 +721,6 @@ class _RootRun:
         if f.parent is cond.frame and f.callsite is not None:
             return f.callsite, cond.frame.fi.unit.path
         return f.callsite or f.fi.node, f.fi.unit.path
-
-    # -- SP109 ----------------------------------------------------------
-    def _check_sp109(self, call: ast.Call, op: str, frame: _Frame) -> None:
-        exprs: List[ast.AST] = []
-        for kw in call.keywords:
-            if kw.arg in _PEER_KWARGS or kw.arg == "tag":
-                exprs.append(kw.value)
-        for pos in _PEER_POS.get(op, ()) + (_TAG_POS.get(op, -1),):
-            if 0 <= pos < len(call.args):
-                exprs.append(call.args[pos])
-        for expr in exprs:
-            if _reads_unordered(expr, frame.env.unordered):
-                self._add(call, frame.fi.unit.path, "SP109",
-                          f"'{op}' peer/tag depends on unordered (set-"
-                          "derived) iteration — ranks can disagree on "
-                          "the matching order")
-                return
-
-    # -- SP107 / SP110 ---------------------------------------------------
-    def finish(self) -> None:
-        sends = [o for o in self.ops if o.kind in ("send", "sendrecv")]
-        recvs = [o for o in self.ops if o.kind in ("recv", "sendrecv")]
-
-        def compat(a: CommOp, b: CommOp) -> bool:
-            return _WILDCARD in (a.tag, b.tag) or a.tag == b.tag
-
-        for r in self.ops:
-            if r.kind != "recv":
-                continue
-            matches = [s for s in sends if compat(r, s)]
-            if not matches:
-                self._add(r.node, r.path, "SP107",
-                          f"'recv' (tag {r.tag!r}) has no matching send "
-                          "anywhere in this rank program")
-            elif not r.conditional and all(s.index > r.index for s in matches):
-                self._add(r.node, r.path, "SP110",
-                          "every matching send is posted after this "
-                          "unconditional recv — all ranks block here "
-                          "(runtime would raise DeadlockError)")
-        for s in self.ops:
-            if s.kind != "send" or not recvs:
-                continue
-            if not any(compat(s, r) for r in recvs):
-                self._add(s.node, s.path, "SP107",
-                          f"'{s.op}' (tag {s.tag!r}) has no matching recv "
-                          "anywhere in this rank program")
-
-
-# ----------------------------------------------------------------------
-# SP104 / SP111: post-send mutation, direct and through aliases
-# ----------------------------------------------------------------------
-
-#: ndarray methods returning views of the receiver
-_VIEW_METHODS = frozenset({"reshape", "ravel", "view", "transpose",
-                           "swapaxes", "squeeze"})
-#: numpy namespace functions that may return their argument (no copy)
-_VIEW_FUNCS = frozenset({"asarray", "ascontiguousarray", "atleast_1d",
-                         "atleast_2d", "atleast_3d"})
-#: wrappers that hold a reference to their argument
-_REF_WRAPPERS = frozenset({"Shared"})
-
-
-def _alias_base(expr: ast.AST) -> Optional[str]:
-    """Name whose memory ``expr`` can alias, or None for fresh values."""
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Subscript):
-        if any(isinstance(n, ast.Slice) for n in ast.walk(expr.slice)) \
-                or isinstance(expr.slice, ast.Slice):
-            return _alias_base(expr.value)
-        return None
-    if isinstance(expr, ast.Attribute) and expr.attr == "T":
-        return _alias_base(expr.value)
-    if isinstance(expr, ast.Call):
-        func = expr.func
-        if isinstance(func, ast.Attribute) and func.attr in _VIEW_METHODS:
-            return _alias_base(func.value)
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None)
-        if name in _VIEW_FUNCS | _REF_WRAPPERS and expr.args:
-            return _alias_base(expr.args[0])
-    return None
-
-
-def _buffers(held: Dict[str, FrozenSet[str]], name: str) -> FrozenSet[str]:
-    """Buffers ``name`` may hold: its incoming value unless rebound."""
-    return held.get(name) or frozenset((name,))
-
-
-class _AliasScan:
-    """Execution-order scan of one function for payloads posted to a
-    send and mutated later: through the name they were sent under
-    (SP104) or through any other alias of their memory (SP111).
-
-    ``held`` maps a local name to the buffers it may hold (a name absent
-    from it holds its own incoming value); ``posted`` maps a buffer to
-    ``(send line, op, name it was sent under or None)``.
-    """
-
-    def __init__(self, path: str,
-                 add: Callable[[str, int, int, str, str], None],
-                 numpy_names: FrozenSet[str]) -> None:
-        self.path = path
-        self.add = add
-        #: names the module binds to numpy itself (``import numpy as np``)
-        self.numpy_names = numpy_names
-        self._fresh = itertools.count()
-
-    def run(self, fn: ast.AST) -> None:
-        self._scan(getattr(fn, "body", []), {}, {})
-
-    def _scan(self, body: Sequence[ast.stmt],
-              held: Dict[str, FrozenSet[str]],
-              posted: Dict[str, Tuple[int, str, Optional[str]]]) -> None:
-        for stmt in body:
-            if isinstance(stmt, _SCOPE_NODES):
-                continue
-            if isinstance(stmt, ast.If):
-                # the arms are alternatives: scan each from the same
-                # state, then keep everything either arm may leave
-                self._exprs(stmt.test, held, posted)
-                then_held, then_posted = dict(held), dict(posted)
-                self._scan(stmt.body, then_held, then_posted)
-                self._scan(stmt.orelse, held, posted)
-                for name in then_held.keys() | held.keys():
-                    held[name] = _buffers(then_held, name) | _buffers(held, name)
-                posted.update(then_posted)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                header = stmt.iter if isinstance(stmt, (ast.For, ast.AsyncFor)) \
-                    else stmt.test
-                self._exprs(header, held, posted)
-                # twice: a mutation textually before a send still
-                # follows it on the next iteration
-                for _pass in range(2):
-                    self._scan(stmt.body, held, posted)
-                self._scan(stmt.orelse, held, posted)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                for item in stmt.items:
-                    self._exprs(item.context_expr, held, posted)
-                self._scan(stmt.body, held, posted)
-            elif isinstance(stmt, ast.Try):
-                self._scan(stmt.body, held, posted)
-                for handler in stmt.handlers:
-                    self._scan(handler.body, held, posted)
-                self._scan(stmt.orelse, held, posted)
-                self._scan(stmt.finalbody, held, posted)
-            else:
-                self._simple(stmt, held, posted)
-
-    def _simple(self, stmt: ast.stmt, held, posted) -> None:
-        self._exprs(stmt, held, posted)
-        if isinstance(stmt, ast.Assign):
-            base = _alias_base(stmt.value)
-            for target in stmt.targets:
-                self._target(target, stmt, base, held, posted)
-        elif isinstance(stmt, ast.AugAssign):
-            self._target(stmt.target, stmt, None, held, posted, aug=True)
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                self._target(target, stmt, None, held, posted)
-
-    def _target(self, target, stmt, base, held, posted,
-                aug: bool = False) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._target(elt, stmt, None, held, posted, aug)
-        elif isinstance(target, (ast.Subscript, ast.Attribute)):
-            tb = _alias_base(target.value)
-            if tb is not None:
-                self._mutation(stmt, tb, held, posted)
-        elif isinstance(target, ast.Name):
-            if aug:
-                self._mutation(stmt, target.id, held, posted)
-            elif base is not None:
-                held[target.id] = _buffers(held, base)
-            else:
-                held[target.id] = frozenset(
-                    (f"{target.id}#{next(self._fresh)}",))
-
-    def _exprs(self, root: ast.AST, held, posted) -> None:
-        for node in _own_walk(root):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            receiver = func.value.id if isinstance(func.value, ast.Name) \
-                else None
-            # `put` is an ndarray method and a numpy function: on the
-            # numpy module it writes into its first argument instead
-            if func.attr in _MUTATOR_METHODS and receiver is not None \
-                    and receiver not in self.numpy_names:
-                self._mutation(node, receiver, held, posted)
-            elif func.attr in _MUTATOR_FUNCS \
-                    and node.args and isinstance(node.args[0], ast.Name):
-                self._mutation(node, node.args[0].id, held, posted)
-            elif func.attr in SEND_METHODS \
-                    and _is_comm_receiver(_receiver_name(func)):
-                payload = node.args[0] if node.args else None
-                if payload is None:
-                    for kw in node.keywords:
-                        if kw.arg == "obj":
-                            payload = kw.value
-                base = None if payload is None else _alias_base(payload)
-                if base is None:
-                    continue
-                direct = payload.id if isinstance(payload, ast.Name) else None
-                for buf in _buffers(held, base):
-                    posted[buf] = (node.lineno, func.attr, direct)
-
-    def _mutation(self, node: ast.AST, name: str, held, posted) -> None:
-        if not posted:
-            return
-        line, col = getattr(node, "lineno", 1), getattr(node, "col_offset", 0) + 1
-        for buf in sorted(_buffers(held, name)):
-            entry = posted.get(buf)
-            if entry is None:
-                continue
-            sent_line, op, direct = entry
-            if direct == name:
-                self.add(self.path, line, col, "SP104",
-                         f"'{name}' mutated after being posted to '{op}' on "
-                         f"line {sent_line} — the receiver aliases this "
-                         "memory; send `obj.copy()`")
-                continue
-            self.add(self.path, line, col, "SP111",
-                     f"'{name}' aliases the payload posted to '{op}' on line "
-                     f"{sent_line} — mutating it before the phase boundary "
-                     "corrupts the message; send `obj.copy()`")
-            del posted[buf]
-
-
-def _alias_unit(unit: LintUnit, add) -> None:
-    numpy_names = frozenset(
-        alias.asname or alias.name for node in ast.walk(unit.tree)
-        if isinstance(node, ast.Import)
-        for alias in node.names if alias.name == "numpy")
-    for node in ast.walk(unit.tree):
-        if isinstance(node, _FUNC_NODES):
-            _AliasScan(unit.path, add, numpy_names).run(node)
 
 
 # ----------------------------------------------------------------------
@@ -1151,7 +796,6 @@ def check_units(units: Sequence[LintUnit]) -> List[Finding]:
         if id(fi) not in checker._envs and _is_generator(fi.node):
             checker.check_root(fi)
     for unit in units:
-        _alias_unit(unit, add)
         _sp112_unit(unit, add)
     return findings
 
@@ -1197,16 +841,3 @@ def check_registry() -> Tuple[List[Finding], List[str]]:
         checker.check_root(fi)
     return findings, names
 
-
-def program_ops(source: str, func: str,
-                path: str = "<proto>") -> List[Tuple[str, str, object, bool]]:
-    """Communication summary of one function in ``source`` —
-    ``(op, kind, tag, conditional)`` per flattened op.  Test/debug aid."""
-    unit = LintUnit.parse(source, path)
-    index = ProgramIndex([unit])
-    fi = index.find_function(path, func)
-    if fi is None:
-        raise ValueError(f"no function {func!r} in source")
-    checker = _ProtoChecker(index, lambda *a: None)
-    return [(o.op, o.kind, o.tag, o.conditional)
-            for o in checker.summarize(fi)]

@@ -172,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint",
         help="static SPMD-correctness checks (syntactic rules SP101, "
              "SP103, SP106 plus the whole-program dataflow rules SP102, "
-             "SP104, SP105, SP107-SP112) over Python sources",
+             "SP105, SP108, SP112) over Python sources",
     )
     lint.add_argument("paths", nargs="*",
                       help="files or directories to lint")
@@ -182,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "for GitHub code scanning)")
     lint.add_argument("--select", metavar="CODES",
                       help="comma-separated rule codes to enable "
-                           "(default: all)")
+                           "(default: all; an unknown code exits 2)")
     lint.add_argument("--ignore", metavar="CODES",
                       help="comma-separated rule codes to disable")
     lint.add_argument("--registry", action="store_true",

@@ -273,7 +273,6 @@ class _Engine:
         self.max_sim_seconds = max_sim_seconds
         self.steps = 0
         self.op_counts = [0] * nranks if faults is not None else None
-        self.fault_events: List[FaultEvent] = []
         self.dead: Dict[int, FaultEvent] = {}
         self.nranks = nranks
         self.clocks = np.zeros(nranks)
@@ -362,9 +361,9 @@ def run_spmd(
     identical results with and without it.
 
     ``faults`` is a deterministic :class:`~repro.parallel.faults.
-    FaultPlan` the scheduler consults to kill ranks; injected kills are
-    recorded on ``SpmdResult.faults`` and surviving ranks that depend on
-    a dead rank raise :class:`~repro.errors.RankFailure`.  ``max_steps``
+    FaultPlan` the scheduler consults to kill ranks; a run with a killed
+    rank never returns: the surviving ranks that depend on it, or the
+    end of the run, raise :class:`~repro.errors.RankFailure`.  ``max_steps``
     / ``max_sim_seconds`` bound the run (communication ops posted /
     simulated clock) and convert runaway programs into a typed
     :class:`~repro.errors.BudgetExceededError` instead of a hang.  With
@@ -465,7 +464,6 @@ def run_spmd(
         comm_time=eng.comm_time,
         phases=phases,
         comm_stats=comm_stats,
-        faults=list(eng.fault_events),
         **comm_stats.run_totals(),
     )
 
@@ -514,13 +512,13 @@ def _sanitize_collective(eng: _Engine, kind: str, parked: List[_RankState]) -> N
 
 
 def _kill_rank(eng: _Engine, st: _RankState, op_index: int) -> None:
-    """Inject a rank death: close the generator, record the event."""
+    """Inject a rank death: close the generator, record the event the
+    surviving ranks' :class:`~repro.errors.RankFailure` reports."""
     ev = FaultEvent(
         kind="kill", time=float(eng.clocks[st.grank]), rank=st.grank,
         op_index=op_index, phase=eng.phase[st.grank],
         detail=f"rank {st.grank} killed posting op {op_index}",
     )
-    eng.fault_events.append(ev)
     eng.dead[st.grank] = ev
     try:
         st.gen.close()

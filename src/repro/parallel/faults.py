@@ -22,9 +22,9 @@ Design constraints
   attempt) or an explicit attempt tuple is given; random faults are
   re-drawn per attempt.  The recovery ladder advances the plan's
   ``attempt`` epoch via :meth:`FaultPlan.for_attempt`.
-* **Observable.**  Every injected fault becomes a :class:`FaultEvent`
-  on the run's :class:`~repro.parallel.trace.SpmdResult` and a
-  ``{"record": "fault"}`` line in the JSONL trace.
+* **Observable.**  A killed rank never lets the run return: the
+  :class:`~repro.errors.RankFailure` that ends it names the dead rank
+  and the phase it died in, read from the kill's :class:`FaultEvent`.
 
 Fault kind
 ----------
@@ -40,7 +40,7 @@ land on.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -78,17 +78,6 @@ class FaultEvent:
     op_index: int = -1   #: rank-local op ordinal the rank died posting
     phase: str = ""      #: phase of the killed rank at injection
     detail: str = ""     #: human-readable description
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form (used by the JSONL trace)."""
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "rank": self.rank,
-            "op_index": self.op_index,
-            "phase": self.phase,
-            "detail": self.detail,
-        }
 
 
 # ----------------------------------------------------------------------

@@ -35,10 +35,7 @@ worker with ``os._exit`` and the parent surfaces a typed
 :class:`~repro.errors.RankFailure`.  The kill draws hash the same
 ``(seed, attempt, rank, op)`` sites as on the simulator; ``max_kills``
 caps random kills per *worker* rather than per run (no worker can
-observe another's death).  A killed worker's
-:class:`~repro.parallel.faults.FaultEvent` dies with it, so
-``SpmdResult.faults`` is empty on this backend and the kill is
-reported by the :class:`~repro.errors.RankFailure` instead.
+observe another's death).
 
 Two layers of supervision bound a stalled run.  Per op: a blocked
 operation polls its inbox with exponential backoff and raises

@@ -320,10 +320,6 @@ class SpmdResult:
         total 8-byte words moved by point-to-point messages (always 0).
     comm_stats:
         full per-rank, per-phase communication ledger (:class:`CommStats`).
-    faults:
-        injected :class:`~repro.parallel.faults.FaultEvent` records, in
-        injection order (empty when the run had no fault plan, and on
-        ``backend="procs"``, where a killed worker's event dies with it).
     backend:
         which executor produced the result: ``"sim"`` (clocks are
         Hockney-model estimates) or ``"procs"`` (clocks are measured
@@ -342,7 +338,6 @@ class SpmdResult:
     collectives: int = 0
     words_sent: float = 0.0
     comm_stats: Optional[CommStats] = None
-    faults: List[Any] = field(default_factory=list)
     backend: str = "sim"
     pids: Optional[List[int]] = None
 
@@ -406,8 +401,7 @@ def trace_records(result: SpmdResult) -> Iterator[Dict[str, Any]]:
     """Serialise a run as a stream of JSON-able records.
 
     The stream starts with one ``run`` record (per-rank clock accounts
-    and run-level communication totals), followed by one ``fault``
-    record per injected fault (in injection order), then one ``phase``
+    and run-level communication totals), followed by one ``phase``
     record per phase label in sorted order, each combining the phase's
     time breakdown with its communication counters.
     """
@@ -426,13 +420,9 @@ def trace_records(result: SpmdResult) -> Iterator[Dict[str, Any]]:
     }
     if result.pids is not None:
         run["pids"] = list(result.pids)
-    if result.faults:
-        run["faults_injected"] = len(result.faults)
     if stats is not None:
         run["comm"] = stats.to_dict()
     yield run
-    for ev in result.faults:
-        yield {"record": "fault", **ev.to_dict()}
     for name in sorted(result.phases):
         ph = result.phases[name]
         rec: Dict[str, Any] = {

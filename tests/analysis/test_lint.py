@@ -2,7 +2,7 @@
 
 Each rule gets a bad fixture it must fire on and a good fixture it
 must stay silent on, plus suppression, selection, JSON, and CLI
-round-trips.
+round-trips.  The fixtures post only the six ops a ``Comm`` offers.
 """
 
 import json
@@ -18,6 +18,7 @@ from repro.analysis import (
     lint_source,
 )
 from repro.cli import main as cli_main
+from repro.errors import ConfigError
 
 
 def lint(src):
@@ -32,7 +33,7 @@ class TestSP101Undriven:
     def test_fires_on_missing_yield_from(self):
         fs = lint("""
             def prog(comm):
-                comm.send(1, dest=0)
+                comm.bcast(1)
                 yield from comm.barrier()
         """)
         assert [f.code for f in fs] == ["SP101"]
@@ -49,8 +50,8 @@ class TestSP101Undriven:
     def test_silent_when_driven(self):
         assert codes("""
             def prog(comm):
-                yield from comm.send(1, dest=0)
-                got = yield from comm.recv(source=0)
+                yield from comm.bcast(1)
+                got = yield from comm.gather(comm.rank)
                 return got
         """) == []
 
@@ -145,7 +146,7 @@ class TestSP102RankDependentCollective:
         assert codes("""
             def prog(comm):
                 if comm.rank % 2 == 0:
-                    yield from comm.allgather(1)
+                    yield from comm.gather(1)
         """) == ["SP102"]
 
 
@@ -191,93 +192,13 @@ class TestSP103GlobalRNG:
         """) == []
 
 
-class TestSP104MutateAfterSend:
-    def test_fires_on_mutation_after_send(self):
-        fs = lint("""
-            import numpy as np
-
-            def prog(comm):
-                buf = np.zeros(4)
-                yield from comm.send(buf, dest=1)
-                buf[0] = 1.0
-                yield from comm.barrier()
-        """)
-        assert [f.code for f in fs] == ["SP104"]
-        assert "buf" in fs[0].message
-
-    def test_fires_on_mutator_method(self):
-        assert codes("""
-            def prog(comm, buf):
-                yield from comm.isend(buf, dest=1)
-                buf.fill(0)
-                yield from comm.barrier()
-        """) == ["SP104"]
-
-    def test_fires_on_numpy_put_function(self):
-        # `put` is also an ndarray method: the call must be read as the
-        # numpy function writing into `buf`, not as a mutation of `np`
-        fs = lint("""
-            import numpy as np
-
-            def prog(comm, buf):
-                yield from comm.send(buf, dest=1)
-                np.put(buf, [0], [1.0])
-                np.copyto(buf, 0.0)
-        """)
-        assert [(f.code, f.line) for f in fs] == [("SP104", 6), ("SP104", 7)]
-
-    def test_silent_when_mutation_in_other_branch(self):
-        # only one arm executes: send-then-mutate never happens
-        assert codes("""
-            def prog(comm, buf):
-                if comm.rank == 0:
-                    yield from comm.send(buf, dest=1)
-                else:
-                    buf[0] = 1.0
-                    got = yield from comm.recv(source=0)
-                    return got
-        """) == []
-
-    def test_fires_across_loop_iterations(self):
-        assert codes("""
-            def prog(comm, buf):
-                for _ in range(3):
-                    yield from comm.send(buf, dest=1)
-                    buf[0] = 1.0
-        """) == ["SP104"]
-
-    def test_silent_on_list_method_after_send(self):
-        # lists are rebuilt when the message is posted, so appending to
-        # the sender's list cannot reach the receiver
-        assert codes("""
-            def prog(comm):
-                lst = [1, 2]
-                yield from comm.send(lst, dest=1)
-                lst.append(3)
-                yield from comm.barrier()
-        """) == []
-
-    def test_silent_after_rebind(self):
-        # rebinding the name breaks the alias: the sent object is safe
-        assert codes("""
-            import numpy as np
-
-            def prog(comm):
-                buf = np.zeros(4)
-                yield from comm.send(buf, dest=1)
-                buf = np.ones(4)
-                buf[0] = 2.0
-                yield from comm.barrier()
-        """) == []
-
-
 class TestSP105SetOrderPayload:
     def test_fires_on_set_iteration_in_comm_function(self):
         fs = lint("""
             def prog(comm, nbrs):
                 nbrs = set(nbrs)
                 for b in nbrs:
-                    yield from comm.send(b, dest=b)
+                    yield from comm.bcast(b)
         """)
         assert "SP105" in [f.code for f in fs]
 
@@ -287,7 +208,7 @@ class TestSP105SetOrderPayload:
             def prog(comm, nbrs):
                 s = set(nbrs)
                 for b in list(s):
-                    yield from comm.send(b, dest=b)
+                    yield from comm.bcast(b)
         """)
 
     def test_silent_on_sorted_set(self):
@@ -295,7 +216,7 @@ class TestSP105SetOrderPayload:
             def prog(comm, nbrs):
                 nbrs = set(nbrs)
                 for b in sorted(nbrs):
-                    yield from comm.send(b, dest=b)
+                    yield from comm.bcast(b)
         """) == []
 
     def test_silent_outside_comm_functions(self):
@@ -396,7 +317,7 @@ class TestSuppressions:
     def test_trailing_comment_suppresses(self):
         assert codes("""
             def prog(comm):
-                comm.send(1, dest=0)  # repro: lint-ok[SP101]
+                comm.bcast(1)  # repro: lint-ok[SP101]
                 yield from comm.barrier()
         """) == []
 
@@ -404,14 +325,14 @@ class TestSuppressions:
         assert codes("""
             def prog(comm):
                 # repro: lint-ok[SP101]
-                comm.send(1, dest=0)
+                comm.bcast(1)
                 yield from comm.barrier()
         """) == []
 
     def test_bare_lint_ok_suppresses_all_codes(self):
         assert codes("""
             def prog(comm):
-                comm.send(1, dest=0)  # repro: lint-ok
+                comm.bcast(1)  # repro: lint-ok
                 yield from comm.barrier()
         """) == []
 
@@ -420,16 +341,26 @@ class TestSuppressions:
         # itself reported stale (SP099)
         assert codes("""
             def prog(comm):
-                comm.send(1, dest=0)  # repro: lint-ok[SP103]
+                comm.bcast(1)  # repro: lint-ok[SP103]
                 yield from comm.barrier()
         """) == ["SP101", "SP099"]
+
+    def test_code_naming_no_rule_is_reported(self):
+        # a typo, or a code whose rule was deleted, can never silence
+        # anything, whichever rules the run checks
+        fs = lint("""
+            def prog(comm):
+                yield from comm.barrier()  # repro: lint-ok[SP777]
+        """)
+        assert [(f.code, f.line) for f in fs] == [("SP099", 3)]
+        assert "SP777" in fs[0].message and "names no rule" in fs[0].message
 
 
 class TestApi:
     def test_every_rule_has_a_hint(self):
         assert set(RULES) == {
-            "SP000", "SP099", "SP101", "SP102", "SP103", "SP104", "SP105",
-            "SP106", "SP107", "SP108", "SP109", "SP110", "SP111", "SP112",
+            "SP000", "SP099", "SP101", "SP102", "SP103", "SP105", "SP106",
+            "SP108", "SP112",
         }
         for rule in RULES.values():
             assert rule.hint
@@ -462,7 +393,7 @@ class TestApi:
             import random
 
             def prog(comm):
-                comm.send(random.random(), dest=0)
+                comm.bcast(random.random())
                 yield from comm.barrier()
         """))
         all_codes = {f.code for f in lint_paths([str(bad)])}
@@ -471,6 +402,17 @@ class TestApi:
         assert {f.code for f in only101} == {"SP101"}
         no103 = lint_paths([str(bad)], ignore={"SP103"})
         assert {f.code for f in no103} == {"SP101"}
+
+    @pytest.mark.parametrize("kwargs", [
+        {"select": {"SP10l"}},
+        {"ignore": {"SP101", "SP104"}},
+    ], ids=["select", "ignore"])
+    def test_unknown_code_raises(self, tmp_path, kwargs):
+        # a code no rule has would otherwise check (or skip) nothing
+        good = tmp_path / "good.py"
+        good.write_text("def f():\n    return 1\n")
+        with pytest.raises(ConfigError, match="unknown lint rule code"):
+            lint_paths([str(good)], **kwargs)
 
     def test_syntax_error_is_reported_not_raised(self, tmp_path):
         broken = tmp_path / "broken.py"
@@ -518,3 +460,8 @@ class TestCli:
     def test_ignore_flag(self, tmp_path):
         bad = self._write_bad(tmp_path)
         assert cli_main(["lint", str(bad), "--ignore", "SP101"]) == 0
+
+    def test_unknown_select_code_exits_two(self, tmp_path, capsys):
+        bad = self._write_bad(tmp_path)
+        assert cli_main(["lint", str(bad), "--select", "SP10l"]) == 2
+        assert "unknown lint rule code(s): SP10L" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Differential test: SP102/SP104/SP105 from the whole-program pass
+"""Differential test: SP102/SP105 from the whole-program pass
 against their former per-function implementation (tests/oracles/lint.py).
 
 Both run over every ``.py`` file of the repository and over every
@@ -18,19 +18,15 @@ from repro.analysis.protocol import check_units
 from tests.oracles.lint import oracle_findings
 
 REPO = Path(__file__).resolve().parents[2]
-CODES = {"SP102", "SP104", "SP105"}
+CODES = {"SP102", "SP105"}
 
 #: fixtures (module::Class.test) on which the oracle is known wrong.
 #: The reverse case, where the whole-program pass was wrong and the
 #: oracle right, needs no entry: its fixture must agree with the oracle.
-#: ``TestSP104MutateAfterSend.test_fires_on_numpy_put_function`` is one
-#: (the pass read ``np.put(buf, ...)`` as a mutation of ``np``).
 ORACLE_WRONG = {
     # SP102 on a branch over an allreduce result every rank agrees on
     "test_lint.py::TestSP102RankDependentCollective."
     "test_silent_on_symmetric_collective_result",
-    # SP104 on list.append: lists are rebuilt when the message is posted
-    "test_lint.py::TestSP104MutateAfterSend.test_silent_on_list_method_after_send",
     # no SP105 on `for b in list(s)`
     "test_lint.py::TestSP105SetOrderPayload.test_fires_on_list_built_from_set",
 }

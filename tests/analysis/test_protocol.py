@@ -1,25 +1,21 @@
-"""Fixture tests for the whole-program protocol checker (SP107-SP112).
+"""Fixture tests for the whole-program protocol checker (SP108, SP112).
 
 Each rule gets at least one fixture it must fire on and one it must
 stay silent on.  The firing fixtures are miniature versions of real
-bugs the checker exists to catch: unmatched point-to-point traffic,
-rank-divergent collective schedules (including the hole SP102's
-guarded-split exemption leaves open), tags drawn from unordered
-iteration, recv-before-send deadlock shapes, alias-mediated payload
-mutation, and scatter-add / allocation slips in the hot kernels.
+bugs the checker exists to catch: rank-divergent collective counts
+(including the hole SP102's guarded-split exemption leaves open) and
+scatter-add / allocation slips in the hot kernels.
 """
 
 import json
 import textwrap
 
-import pytest
-
 from repro.analysis import (
     HOT_KERNELS,
+    RULES,
     check_registry,
     findings_to_sarif,
     lint_source,
-    program_ops,
 )
 from repro.cli import main as cli_main
 
@@ -33,26 +29,12 @@ def codes(src):
 
 
 class TestSP107UnmatchedP2P:
-    def test_fires_on_recv_nobody_sends(self):
-        fs = lint("""
-            def prog(comm):
-                got = yield from comm.recv(source=1, tag=7)
-                return got
-        """)
-        assert [f.code for f in fs] == ["SP107"]
-        assert "recv" in fs[0].message
+    """SP107 (unmatched send/recv) went with Comm's point-to-point ops.
 
-    def test_fires_on_tag_mismatch(self):
-        # send and recv exist but can never pair: tags differ
-        fs = lint("""
-            def prog(comm):
-                if comm.rank == 0:
-                    yield from comm.send(1, dest=1, tag=3)
-                else:
-                    got = yield from comm.recv(source=0, tag=4)
-                    return got
-        """)
-        assert "SP107" in [f.code for f in fs]
+    Its self-recursion fixture outlives it: root-program detection is
+    shared by every whole-program rule, so a self-recursive rank
+    program must still be analysed as a root.
+    """
 
     def test_fires_in_self_recursive_program(self):
         # a program that recurses on a subcommunicator is still a root
@@ -61,43 +43,13 @@ class TestSP107UnmatchedP2P:
             def rec(comm, d):
                 if d == 0:
                     return
-                got = yield from comm.recv(source=0, tag=9)
+                total = yield from comm.allreduce(d)
                 sub = yield from comm.split(comm.rank % 2)
                 if comm.rank == 0:
                     yield from comm.barrier()
                 yield from rec(sub, d - 1)
         """)
-        assert [(f.line, f.code) for f in fs] == [(5, "SP107"), (8, "SP102")]
-
-    def test_silent_on_matched_pair(self):
-        assert codes("""
-            def prog(comm):
-                if comm.rank == 0:
-                    yield from comm.send(1, dest=1, tag=3)
-                else:
-                    got = yield from comm.recv(source=0, tag=3)
-                    return got
-        """) == []
-
-    def test_silent_on_sendrecv(self):
-        assert codes("""
-            def prog(comm):
-                got = yield from comm.sendrecv(
-                    comm.rank, dest=(comm.rank + 1) % comm.size,
-                    source=(comm.rank - 1) % comm.size)
-                return got
-        """) == []
-
-    def test_nonconstant_tag_is_wildcard(self):
-        # a computed tag could be anything, so it matches any recv tag
-        assert codes("""
-            def prog(comm, t):
-                if comm.rank == 0:
-                    yield from comm.send(1, dest=1, tag=t)
-                else:
-                    got = yield from comm.recv(source=0, tag=9)
-                    return got
-        """) == []
+        assert [(f.line, f.code) for f in fs] == [(8, "SP102")]
 
 
 class TestSP108CollectiveDivergence:
@@ -176,147 +128,6 @@ class TestSP108CollectiveDivergence:
         """) == []
 
 
-class TestSP109UnorderedTagPeer:
-    def test_fires_on_peer_from_set_iteration(self):
-        fs = lint("""
-            def prog(comm, nbrs):
-                for b in set(nbrs):
-                    yield from comm.send(1, dest=b, tag=0)
-        """)
-        assert "SP109" in [f.code for f in fs]
-
-    def test_fires_on_tag_from_set_iteration(self):
-        # dicts iterate in insertion order (deterministic), sets do not
-        fs = lint("""
-            def prog(comm, tags):
-                for t in set(tags):
-                    got = yield from comm.recv(source=0, tag=t)
-        """)
-        assert "SP109" in [f.code for f in fs]
-
-    def test_silent_on_sorted_iteration(self):
-        fs = lint("""
-            def prog(comm, nbrs):
-                for b in sorted(set(nbrs)):
-                    yield from comm.send(1, dest=b, tag=0)
-        """)
-        assert "SP109" not in [f.code for f in fs]
-
-
-class TestSP110RecvBeforeSend:
-    def test_fires_on_recv_first_ring(self):
-        # every rank parks in recv before anyone has sent: the static
-        # twin of the runtime DeadlockError
-        fs = lint("""
-            def prog(comm):
-                got = yield from comm.recv(
-                    source=(comm.rank + 1) % comm.size, tag=3)
-                yield from comm.send(got, dest=(comm.rank - 1) % comm.size,
-                                     tag=3)
-                return got
-        """)
-        assert "SP110" in [f.code for f in fs]
-
-    def test_silent_on_send_first(self):
-        assert codes("""
-            def prog(comm):
-                yield from comm.send(comm.rank,
-                                     dest=(comm.rank - 1) % comm.size, tag=3)
-                got = yield from comm.recv(
-                    source=(comm.rank + 1) % comm.size, tag=3)
-                return got
-        """) == []
-
-    def test_silent_when_recv_is_branch_conditional(self):
-        # only some ranks recv first; the others send, so progress is
-        # possible and the runtime pairing rules decide
-        fs = lint("""
-            def prog(comm):
-                if comm.rank == 0:
-                    got = yield from comm.recv(source=1, tag=3)
-                    return got
-                else:
-                    yield from comm.send(1, dest=0, tag=3)
-        """)
-        assert "SP110" not in [f.code for f in fs]
-
-
-class TestSP111AliasedPayloadMutation:
-    def test_fires_on_base_mutation_after_view_send(self):
-        fs = lint("""
-            import numpy as np
-
-            def prog(comm):
-                buf = np.zeros(8)
-                view = buf[2:6]
-                yield from comm.send(view, dest=1)
-                buf[0] = 1.0
-                yield from comm.barrier()
-        """)
-        assert "SP111" in [f.code for f in fs]
-        assert "buf" in [f for f in fs if f.code == "SP111"][0].message
-
-    def test_fires_on_alias_mutation_after_send(self):
-        fs = lint("""
-            def prog(comm, buf):
-                alias = buf
-                yield from comm.send(buf, dest=1)
-                alias.fill(0)
-                yield from comm.barrier()
-        """)
-        assert "SP111" in [f.code for f in fs]
-
-    def test_fires_across_phase_boundary(self):
-        # set_phase only labels the cost ledger: the receiver still
-        # aliases buf, so the mutation corrupts the message
-        fs = lint("""
-            import numpy as np
-
-            def prog(comm):
-                buf = np.zeros(8)
-                view = buf[2:6]
-                yield from comm.send(view, dest=1)
-                comm.set_phase("next")
-                buf[0] = 1.0
-                yield from comm.barrier()
-        """)
-        assert "SP111" in [f.code for f in fs]
-
-    def test_fires_on_set_mutation_through_alias(self):
-        # sets are delivered as the sender's own object
-        fs = lint("""
-            def prog(comm):
-                s = {1, 2}
-                al = s
-                yield from comm.send(s, dest=1)
-                al.add(3)
-                yield from comm.barrier()
-        """)
-        assert [f.code for f in fs] == ["SP111"]
-
-    def test_direct_name_mutation_stays_sp104(self):
-        # mutating the *sent* name is SP104's finding, not SP111's
-        fs = lint("""
-            def prog(comm, buf):
-                yield from comm.send(buf, dest=1)
-                buf[0] = 1.0
-                yield from comm.barrier()
-        """)
-        got = [f.code for f in fs]
-        assert "SP104" in got and "SP111" not in got
-
-    def test_silent_on_scalar_index_copy(self):
-        # buf[i] is a scalar read, not an aliasing view
-        fs = lint("""
-            def prog(comm, buf):
-                x = buf[0]
-                yield from comm.send(x, dest=1)
-                buf[0] = 1.0
-                yield from comm.barrier()
-        """)
-        assert "SP111" not in [f.code for f in fs]
-
-
 class TestSP112HotKernelSlips:
     def test_fires_on_add_at_in_hot_kernel(self):
         fs = lint("""
@@ -366,62 +177,24 @@ class TestSP112HotKernelSlips:
         assert "kway_geometric_assign" in HOT_KERNELS
 
 
-class TestProtocolToggle:
-    BAD = """
-        def prog(comm):
-            got = yield from comm.recv(source=1, tag=7)
-            return got
-    """
+#: a collective count that depends on comm.rank: SP108 on line 4
+BAD = """
+    def prog(comm):
+        for _ in range(comm.rank):
+            yield from comm.barrier()
+"""
 
+
+class TestProtocolToggle:
     def test_protocol_on_by_default(self):
-        assert codes(self.BAD) == ["SP107"]
+        assert codes(BAD) == ["SP108"]
 
     def test_suppression_works_on_protocol_findings(self):
         assert codes("""
             def prog(comm):
-                got = yield from comm.recv(source=1, tag=7)  # repro: lint-ok[SP107]
-                return got
+                for _ in range(comm.rank):
+                    yield from comm.barrier()  # repro: lint-ok[SP108]
         """) == []
-
-
-class TestProgramOps:
-    def test_summary_is_execution_ordered(self):
-        ops = program_ops(textwrap.dedent("""
-            def prog(comm):
-                yield from comm.send(1, dest=1, tag=2)
-                got = yield from comm.recv(source=1, tag=2)
-                total = yield from comm.allreduce(got)
-                return total
-        """), "prog")
-        assert [(op, kind) for op, kind, _, _ in ops] == [
-            ("send", "send"), ("recv", "recv"),
-            ("allreduce", "collective")]
-        assert ops[0][2] == 2  # constant-folded tag
-
-    def test_inlined_helper_ops_appear(self):
-        ops = program_ops(textwrap.dedent("""
-            def helper(comm):
-                yield from comm.barrier()
-
-            def prog(comm):
-                yield from helper(comm)
-                yield from comm.barrier()
-        """), "prog")
-        assert [op for op, _, _, _ in ops] == ["barrier", "barrier"]
-
-    def test_branch_ops_marked_conditional(self):
-        ops = program_ops(textwrap.dedent("""
-            def prog(comm):
-                if comm.rank == 0:
-                    yield from comm.send(1, dest=1)
-                else:
-                    got = yield from comm.recv(source=0)
-        """), "prog")
-        assert all(cond for _, _, _, cond in ops)
-
-    def test_unknown_function_raises(self):
-        with pytest.raises(ValueError, match="no function"):
-            program_ops("def f():\n    pass\n", "g")
 
 
 class TestRegistryGate:
@@ -437,20 +210,18 @@ class TestSarif:
         return json.loads(findings_to_sarif(lint(src)))
 
     def test_sarif_shape_and_rule_metadata(self):
-        doc = self._sarif("""
-            def prog(comm):
-                got = yield from comm.recv(source=1, tag=7)
-                return got
-        """)
+        doc = self._sarif(BAD)
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
-        rules = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "SP107" in rules and "SP099" in rules
+        rules = [r["id"] for r in run["tool"]["driver"]["rules"]]
+        assert rules == sorted(RULES) == [
+            "SP000", "SP099", "SP101", "SP102", "SP103", "SP105", "SP106",
+            "SP108", "SP112"]
         (res,) = run["results"]
-        assert res["ruleId"] == "SP107"
+        assert res["ruleId"] == "SP108"
         assert res["level"] == "error"
         loc = res["locations"][0]["physicalLocation"]
-        assert loc["region"]["startLine"] == 3
+        assert loc["region"]["startLine"] == 4
 
     def test_sp099_is_note_level(self):
         doc = self._sarif("""
@@ -472,25 +243,19 @@ class TestCliProtocol:
         f.write_text(textwrap.dedent(body))
         return f
 
-    BAD = """
-        def prog(comm):
-            got = yield from comm.recv(source=1, tag=7)
-            return got
-    """
-
     def test_protocol_finding_fails_lint(self, tmp_path, capsys):
-        f = self._write(tmp_path, self.BAD)
+        f = self._write(tmp_path, BAD)
         assert cli_main(["lint", str(f)]) == 1
-        assert "SP107" in capsys.readouterr().out
+        assert "SP108" in capsys.readouterr().out
 
     def test_sarif_format(self, tmp_path, capsys):
-        f = self._write(tmp_path, self.BAD)
+        f = self._write(tmp_path, BAD)
         assert cli_main(["lint", str(f), "--format", "sarif"]) == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["runs"][0]["results"][0]["ruleId"] == "SP107"
+        assert doc["runs"][0]["results"][0]["ruleId"] == "SP108"
 
     def test_json_format_is_byte_stable(self, tmp_path, capsys):
-        f = self._write(tmp_path, self.BAD)
+        f = self._write(tmp_path, BAD)
         cli_main(["lint", str(f), "--format", "json"])
         first = capsys.readouterr().out
         cli_main(["lint", str(f), "--format", "json"])

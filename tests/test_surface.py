@@ -13,6 +13,7 @@ import inspect
 import pytest
 
 import repro.parallel.checkpoint as checkpoint
+from repro.analysis.lint import COMM_METHODS
 from repro.core.config import ScalaPartConfig
 from repro.core.methods import MethodSpec
 from repro.core.parallel import RetryPolicy, run_parallel
@@ -97,6 +98,8 @@ def test_checkpoint_takes_a_path_or_store_only():
 
 def test_comm_offers_six_ops():
     assert sorted(COLLECTIVE_KINDS) == COMM_OPS
+    # the static lint models exactly the ops the communicator has
+    assert COMM_METHODS == set(COLLECTIVE_KINDS)
     assert sorted(n for n in dir(Comm) if not n.startswith("_")) == COMM_SURFACE
 
 
