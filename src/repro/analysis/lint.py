@@ -324,10 +324,14 @@ def _receiver_name(func: ast.Attribute) -> Optional[str]:
 
 
 def _is_comm_receiver(name: Optional[str]) -> bool:
+    """A communicator by name: one of :data:`_COMM_NAMES`, or a name
+    with ``comm`` as a whole ``_``-separated part (``sub_comm``,
+    ``comm2``), never as a substring (``common``, ``communities``)."""
     if name is None:
         return False
     low = name.lower()
-    return low in _COMM_NAMES or "comm" in low
+    return low in _COMM_NAMES or any(
+        part.rstrip("0123456789") == "comm" for part in low.split("_"))
 
 
 def _comm_call_op(call: ast.Call) -> Optional[str]:

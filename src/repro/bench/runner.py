@@ -4,8 +4,10 @@ Every table and figure of the paper draws from the same grid of runs —
 ``method × graph × P``.  :func:`run_method` executes one cell and
 caches the (small, JSON-serialisable) outcome both in memory and on
 disk under ``.bench_cache/``, so regenerating all tables and figures
-costs one sweep, and re-runs are instant.  Delete the cache directory
-(or change scale/seed, which key the cache) to force recomputation.
+costs one sweep, and re-runs are instant.  The key covers the scale,
+the seed and a digest of the ``repro`` sources, so a cache kept across
+a code change never serves cells the current code would not compute;
+delete the cache directory to force recomputation.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List
 
@@ -67,13 +70,33 @@ METHODS: Dict[str, bool] = {
 }
 
 
+def _source_digest(root: Path) -> str:
+    """SHA-1 over every ``*.py`` file under ``root`` (relative path and
+    bytes, in sorted path order)."""
+    h = hashlib.sha1()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode())
+        h.update(b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+@lru_cache(maxsize=1)
+def _code_fingerprint() -> str:
+    """Digest of the installed ``repro`` package's sources."""
+    return _source_digest(Path(__file__).resolve().parents[1])
+
+
 def _cache_key(method: str, graph: str, p: int, backend: str = "sim",
                parts: int = 2, cost_model: str = "unit") -> str:
     # v7: records gained parts/cost_model fields (k-way sweep cells) —
     # the bump invalidates v6 records, whose JSON lacks the new keys.
     # Default bisection cells keep a stable key shape; k-way and
-    # non-unit-cost cells get their own suffixed cells.
-    raw = f"{method}|{graph}|{p}|{BENCH_SCALE}|{BENCH_SEED}|v7"
+    # non-unit-cost cells get their own suffixed cells.  The source
+    # digest retires every cell whenever the code changes.
+    raw = (f"{method}|{graph}|{p}|{BENCH_SCALE}|{BENCH_SEED}|v7"
+           f"|{_code_fingerprint()}")
     if backend != "sim":
         raw += f"|{backend}"
     if parts != 2:

@@ -4,12 +4,15 @@ ScalaPart coarsens "in the same manner as in ParMetis" with the graph
 distributed over P ranks.  The distributed matching here is the
 *mutual-proposal* (locally dominant edge) algorithm used by parallel
 matchers: each round every rank computes, for its owned unmatched
-vertices, the heaviest unmatched neighbour; proposals are exchanged and
-an edge whose endpoints propose each other becomes matched.  Two to
+vertices, the best-rated unmatched neighbour; proposals are exchanged
+and an edge whose endpoints propose each other becomes matched.  Two to
 three rounds capture most of the matching weight; remaining vertices
-stay unmatched for this level (standard in ParMetis).  The proposal is
-a segmented argmax over the block's CSR slots (no sort); on a tie the
-last slot wins, unlike ``hem-vec``, where the first does.
+stay unmatched for this level (standard in ParMetis).  The rating and
+the tie rule are ``hem-vec``'s (:mod:`repro.coarsen.matching`):
+expansion*² ``(w + t)² / (c(u)·c(v))``, the first CSR slot attaining a
+vertex's best rating wins, and a best rating of -inf or NaN proposes
+nothing.  The proposal is a segmented argmax over the block's CSR slots
+(no sort).
 
 Folding: with ``keep_every_other=True`` two matchings fuse per retained
 level and the active rank set shrinks to a quarter (``P^i ≈ P^{i-1}/4``,
@@ -41,7 +44,7 @@ from ..parallel.engine import Comm
 from ..parallel.patterns import allgather_words, share_from_root
 from .hierarchy import _STALL_RATIO
 from .contract import contract
-from .matching import _edge_tiebreak, _segment_max_slots
+from .matching import _edge_rating, _segment_argmax
 
 __all__ = ["dist_matching_round", "dist_match", "dist_build_hierarchy"]
 
@@ -50,40 +53,39 @@ _ROUNDS = 3
 
 
 def _block_slots(graph: CSRGraph, lo: int, hi: int, salt: int):
-    """Owned adjacency of block [lo, hi) as ``(src_pos, src, dst, w)``
-    with the tie-break already added to ``w``.
+    """Owned adjacency of block [lo, hi) as ``(src_pos, src, dst, r)``
+    with ``r`` the slot's expansion*² rating (:func:`_edge_rating`).
 
-    Symmetric pseudo-random tie-break: without it, unweighted regular
-    graphs make every vertex propose in the same direction and almost
-    no proposal is mutual.  It is a pure function of the endpoint pair,
-    so both owners of an edge perturb it identically.  The salt is fixed
-    for one :func:`dist_match`, so this is computed once, not per round.
+    The rating's symmetric pseudo-random tie-break keeps unweighted
+    regular graphs from making every vertex propose in the same
+    direction (then almost no proposal is mutual).  It is a pure
+    function of the endpoint pair, so both owners of an edge rate it
+    identically.  The salt is fixed for one :func:`dist_match`, so this
+    is computed once, not per round.
     """
     src_pos, src, dst, w = block_adjacency_slots(graph, lo, hi)
-    return src_pos, src, dst, w + _edge_tiebreak(src, dst, np.uint64(salt))
+    return src_pos, src, dst, _edge_rating(src, dst, w, graph.vwgt,
+                                           np.uint64(salt))
 
 
 def _local_proposals(slots, owned: int, matched: np.ndarray) -> np.ndarray:
-    """Heaviest-unmatched-neighbour proposal for the ``owned`` vertices
-    of a block (``slots`` from :func:`_block_slots`); -1 where no
-    proposal is possible.
+    """Best-rated-unmatched-neighbour proposal for the ``owned``
+    vertices of a block (``slots`` from :func:`_block_slots`); -1 where
+    no proposal is possible.
 
     Slots arrive grouped by source in CSR order, so the argmax is one
-    segmented ``np.maximum.reduceat`` with no sort.  Tie rule: the
-    *last* slot attaining the maximum wins and NaN counts as largest
-    (the order of a stable ascending sort by source, then weight).
+    segmented ``np.maximum.reduceat`` with no sort
+    (:func:`_segment_argmax`: first slot wins, -inf/NaN propose
+    nothing).
     """
-    src_pos, src, dst, w = slots
+    src_pos, src, dst, r = slots
     prop = np.full(owned, -1, dtype=np.int64)
     valid = ~matched[dst] & ~matched[src]
     if not valid.any():
         return prop
-    sp, d = src_pos[valid], dst[valid]
-    idx = _segment_max_slots(sp, w[valid])
-    hs = sp[idx]
-    last = np.ones(hs.shape[0], dtype=bool)
-    last[:-1] = hs[1:] != hs[:-1]
-    prop[hs[last]] = d[idx[last]]
+    sp = src_pos[valid]
+    idx = _segment_argmax(sp, r[valid])
+    prop[sp[idx]] = dst[valid][idx]
     return prop
 
 
@@ -124,7 +126,7 @@ def dist_matching_round(comm: Comm, graph: CSRGraph, slots,
 
 def dist_match(comm: Comm, graph: CSRGraph, rounds: int = _ROUNDS,
                salt: int = 0):
-    """Distributed heavy-edge matching (mutual proposals, few rounds).
+    """Distributed expansion*² matching (mutual proposals, few rounds).
 
     ``salt`` perturbs the tie-break hash: passing the processor count
     (as the hierarchy driver does) makes the matching — and hence the

@@ -18,6 +18,7 @@ from .lattice import (
 )
 from .multilevel import (
     EmbeddingResult,
+    coarsest_layout,
     hu_layout,
     lattice_side_for,
     multilevel_embedding,
@@ -50,6 +51,7 @@ __all__ = [
     "lattice_stats",
     "repulsive_forces_lattice",
     "EmbeddingResult",
+    "coarsest_layout",
     "hu_layout",
     "lattice_side_for",
     "multilevel_embedding",

@@ -96,7 +96,9 @@ def force_directed_layout(
     in here).  Returns new positions; ``pos0`` is not mutated.
     """
     n = graph.num_vertices
-    pos = np.array(pos0, dtype=np.float64, copy=True)
+    # C order whatever the start's layout (an SSDE start is a
+    # transposed solve), so every kernel sees the same memory layout
+    pos = np.array(pos0, dtype=np.float64, order="C", copy=True)
     if pos.shape != (n, 2):
         raise EmbeddingError(f"pos0 must be ({n}, 2), got {pos.shape}")
     if max_iters < 0:

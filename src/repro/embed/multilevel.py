@@ -7,7 +7,8 @@ Smoothing"):
 1. coarsen with heavy-edge matching, retaining every other graph so
    sizes drop ~4× per level;
 2. embed the coarsest graph (a few hundred vertices) with the exact
-   force-directed scheme from random initial coordinates;
+   force-directed scheme, started from its sampled spectral distance
+   embedding (:func:`coarsest_layout`);
 3. walking back up, every fine vertex inherits its super-vertex's
    coordinates *scaled by 2 per axis* (the bounding box quadruples in
    area as the vertex count quadruples) plus a small random translation,
@@ -32,11 +33,18 @@ from ..errors import EmbeddingError
 from ..graph.csr import CSRGraph
 from ..rng import SeedLike, as_generator, derive_seed
 from .box import Box
-from .fdl import LayoutResult, force_directed_layout, random_positions
+from .fdl import LayoutResult, force_directed_layout
 from .lattice import LatticeWorkspace, repulsive_forces_lattice
 from .quadtree import repulsive_forces_bh
+from .ssde import ssde_embedding
 
-__all__ = ["EmbeddingResult", "multilevel_embedding", "hu_layout", "lattice_side_for"]
+__all__ = [
+    "EmbeddingResult",
+    "coarsest_layout",
+    "multilevel_embedding",
+    "hu_layout",
+    "lattice_side_for",
+]
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,35 @@ def lattice_side_for(n: int) -> int:
     return int(min(LATTICE_MAX_SIDE, max(2, s)))
 
 
+def coarsest_layout(
+    graph: CSRGraph, seed: SeedLike = None, *, max_iters: int = 150
+) -> LayoutResult:
+    """Lay out a hierarchy's coarsest graph (both ScalaPart drivers).
+
+    Starts Hu's force-directed layout from the graph's sampled spectral
+    distance embedding (:func:`~repro.embed.ssde.ssde_embedding`, the
+    extension the paper names as future work) scaled into a ``√n × √n``
+    box, so the layout begins from the graph's global shape instead of
+    from random points.  A ``JITTER`` normal perturbation separates
+    vertices that SSDE places on one point (every vertex of a component
+    without a landmark gets the same hop distances).  The layout uses
+    ``repulsion="auto"``: exact forces at the coarsest sizes a 4×-per-
+    level hierarchy reaches.
+    """
+    n = graph.num_vertices
+    rng = as_generator(seed)
+    pos = ssde_embedding(graph, seed=rng)
+    if n:
+        pos -= pos.min(axis=0)
+        extent = float(pos.max())
+        if extent > 0:
+            pos *= max(1.0, float(np.sqrt(n))) / extent
+        pos += rng.normal(scale=JITTER, size=pos.shape)
+    return force_directed_layout(
+        graph, pos, masses=graph.vwgt, max_iters=max_iters, repulsion="auto"
+    )
+
+
 def multilevel_embedding(
     graph: CSRGraph,
     *,
@@ -111,15 +148,9 @@ def multilevel_embedding(
         matcher=matcher,
     )
 
-    # -- coarsest level: exact forces from random coordinates ----------
-    coarsest = h.coarsest
-    pos = random_positions(coarsest.num_vertices, rng)
-    coarse_res = force_directed_layout(
-        coarsest,
-        pos,
-        masses=coarsest.vwgt,
-        max_iters=coarsest_iters,
-        repulsion="auto",
+    # -- coarsest level: force-directed layout from an SSDE start -----
+    coarse_res = coarsest_layout(
+        h.coarsest, derive_seed(seed, 0xC0A4), max_iters=coarsest_iters
     )
     pos = coarse_res.pos
     level_iters = [coarse_res.iterations]

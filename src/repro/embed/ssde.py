@@ -9,11 +9,12 @@ by classical multidimensional scaling of their mutual distances, and
 (4) placing every other vertex by least-squares triangulation against
 the landmark frame.
 
-Here it serves two roles: a fast alternative initialiser for the
-multilevel smoother (``scalapart`` with ``embedder="ssde"`` hybrids the
-future-work idea), and an ablation subject
-(``benchmarks/bench_ablation_ssde.py``) quantifying the paper's
-conjecture on our suite.
+Here it serves two roles: the start of the coarsest-graph layout in
+both ScalaPart drivers (:func:`repro.embed.multilevel.coarsest_layout`
+scales it into a ``√n`` box and smooths it with Hu's layout, so the
+multilevel scheme begins from the graph's global shape), and an
+ablation subject (``benchmarks/bench_ablation_ssde.py``) quantifying
+the paper's conjecture on our suite.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def ssde_embedding(
     random positions near the centroid.
     """
     n = graph.num_vertices
-    if n == 0:
-        return np.zeros((0, dim))
+    if n <= 1:
+        return np.zeros((n, dim))
     rng = as_generator(seed)
     k = int(min(max(dim + 1, landmarks), n))
 

@@ -161,7 +161,7 @@ def _parse_header(line: str):
 
 
 def read_metis(
-    path_or_file: Union[PathLike, TextIO], *, chunk_lines: int = 65536
+    path_or_file: Union[PathLike, TextIO], *, chunk_lines: int = 8192
 ) -> CSRGraph:
     """Read a graph in METIS format, streaming ``chunk_lines`` vertex
     lines at a time.
@@ -169,7 +169,10 @@ def read_metis(
     Only one chunk of text is resident at once — the reader never
     materialises the file in a Python list — so million-vertex graphs
     load in memory proportional to the edge arrays, not ~2× the text
-    size (DESIGN §11).  A blank line among the ``n`` vertex lines is a
+    size (DESIGN §11).  A chunk's lines and tokens are small Python
+    objects; 8,192 lines keep them near 2 MB, where 65,536 lines took
+    ~20 MB that a process reading graphs repeatedly could not return
+    to the system.  A blank line among the ``n`` vertex lines is a
     vertex with no neighbours, as in METIS; blank lines before the
     header or after the ``n``-th vertex line, and ``%`` comments
     anywhere, are skipped.

@@ -64,6 +64,25 @@ class TestSP101Undriven:
                 return parts
         """) == []
 
+    @pytest.mark.parametrize("line", [
+        "parts = common.split(line)",
+        "names = communities.split(',')",
+    ])
+    def test_silent_on_comm_substring_receiver(self, line):
+        # "comm" inside a longer name does not make a communicator
+        assert codes(f"""
+            def prog(comm, line, common, communities):
+                {line}
+                yield from comm.barrier()
+        """) == []
+
+    def test_fires_on_comm_name_part(self):
+        assert codes("""
+            def prog(comm, sub_comm):
+                sub_comm.barrier()
+                yield from comm.barrier()
+        """) == ["SP101"]
+
 
 class TestSP102RankDependentCollective:
     def test_fires_on_direct_rank_branch(self):

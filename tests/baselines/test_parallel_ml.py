@@ -7,7 +7,8 @@ from repro.baselines.parallel_ml import (
     dist_multilevel_bisection,
     dist_rcb_bisect,
 )
-from repro.graph import Bisection
+from repro.core import run_parallel
+from repro.graph import Bisection, suite
 from repro.graph.generators import grid2d, random_delaunay
 from repro.parallel import QDR_CLUSTER, ZERO_COST, run_spmd
 
@@ -75,3 +76,11 @@ class TestDistMultilevelKnobs:
             side, _ = self.run_ml(g, p, seed=9, max_imbalance=0.05).values[0]
             bis = Bisection(g, np.asarray(side, dtype=np.int8))
             assert bis.imbalance <= 0.12
+
+
+def test_parmetis_like_balanced_on_suite_delaunay():
+    # the plain heavy-edge rating left one coarsest vertex with most of
+    # the weight here, and no bisection of it met the 0.15 bound
+    g = suite.build("delaunay_n20", 0.35).graph
+    res = run_parallel("ParMetis-like", g, 16, seed=1)
+    assert res.imbalance <= 0.15

@@ -70,3 +70,26 @@ class TestRegistryView:
         k = runner._cache_key("RCB", "ecology1", 4)
         assert len(k) == 20
         assert k != runner._cache_key("RCB", "ecology1", 8)
+
+    def test_cache_key_covers_the_sources(self, tmp_path, monkeypatch):
+        # a cache kept across a code change must miss: one edited byte
+        # anywhere in the package changes the digest, and the digest
+        # changes the key
+        import shutil
+        from pathlib import Path
+
+        pkg = tmp_path / "repro"
+        shutil.copytree(Path(runner.__file__).resolve().parents[1], pkg,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        before = runner._source_digest(pkg)
+        assert runner._source_digest(pkg) == before
+        target = pkg / "coarsen" / "matching.py"
+        data = bytearray(target.read_bytes())
+        data[-1] ^= 1
+        target.write_bytes(bytes(data))
+        after = runner._source_digest(pkg)
+        assert after != before
+
+        key = runner._cache_key("RCB", "ecology1", 4)
+        monkeypatch.setattr(runner, "_code_fingerprint", lambda: after)
+        assert runner._cache_key("RCB", "ecology1", 4) != key

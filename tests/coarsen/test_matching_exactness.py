@@ -1,12 +1,12 @@
 """Byte-identity of the coarsening matchers with their oracles.
 
-The pre-optimisation bodies live in :mod:`tests.oracles.coarsen`.  The
-segmented-argmax proposals must pick the same neighbour as the sorted
-ones (last slot wins ties, NaN counts as largest); the mutual step run
-once at root must give every rank the same matching and the same
+The reference bodies live in :mod:`tests.oracles.coarsen`; both
+matchers rate slots by expansion*² and share one tie rule (first slot
+wins, -inf and NaN make no proposal).  The segmented-argmax proposals
+must pick the same neighbour as the per-vertex rule; the mutual step
+run once at root must give every rank the same matching and the same
 ledger as every rank deriving it; ``hem-vec`` on live slots only must
-match the full-adjacency rounds (first slot wins, -inf and NaN make no
-proposal).  Weights cover ties, all-equal, ±inf and NaN (the last two
+match the full-adjacency rounds.  Weights cover ties, all-equal, ±inf and NaN (the last two
 only on ``validate=False`` graphs, which is how they can reach a
 matcher).
 """
@@ -92,20 +92,34 @@ class TestLocalProposals:
                             par._block_slots(g, lo, hi, salt), hi - lo, matched)
                         assert new.tobytes() == ref.tobytes(), (p, rank, salt, frac)
 
-    def test_last_slot_wins_ties_and_nan_is_largest(self):
+    def test_first_slot_wins_and_nan_is_skipped(self):
         # vertex 0 has four equal-weight slots; every tie-break perturbs
         # them differently, so force an exact tie by using weights far
-        # above the perturbation's resolution
+        # above the perturbation's resolution.  A NaN among a vertex's
+        # candidates means no proposal at all.
         indptr = np.array([0, 4, 5, 6, 7, 8])
         indices = np.array([1, 2, 3, 4, 0, 0, 0, 0])
-        for w0 in ([2.0**60] * 4, [1.0, np.nan, 3.0, np.nan]):
+        for w0, want in (([2.0**60] * 4, 1), ([1.0, np.nan, 3.0, np.nan], -1)):
             ewgt = np.concatenate([w0, w0])
             g = CSRGraph(indptr, indices, ewgt, validate=False)
             matched = np.zeros(5, dtype=bool)
             new = par._local_proposals(par._block_slots(g, 0, 5, 0), 5, matched)
             ref = local_proposals_reference(g, 0, 5, matched, 0)
             assert new.tobytes() == ref.tobytes()
-            assert new[0] == 4
+            assert new[0] == want
+
+    def test_rating_divides_by_vertex_weights(self):
+        # a heavy edge to a heavy super-vertex loses to a lighter edge
+        # to a light one: 4² / (1·8) = 2 < 2² / (1·1) = 4
+        g = CSRGraph.from_edges(3, np.array([[0, 1], [0, 2]]),
+                                np.array([4.0, 2.0]),
+                                np.array([1.0, 8.0, 1.0]))
+        matched = np.zeros(3, dtype=bool)
+        new = par._local_proposals(par._block_slots(g, 0, 3, 0), 3, matched)
+        assert new.tobytes() == local_proposals_reference(
+            g, 0, 3, matched, 0).tobytes()
+        assert new[0] == 2
+        assert heavy_edge_matching_vec(g, seed=1)[0] == 2
 
 
 class TestHemVec:

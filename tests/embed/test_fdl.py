@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.coarsen import heavy_edge_matching_vec
 from repro.embed import (
+    coarsest_layout,
     force_directed_layout,
     hu_layout,
     lattice_side_for,
@@ -138,3 +140,47 @@ class TestMultilevel:
         mean, _ = edge_length_stats(g, res.pos)
         diam = np.linalg.norm(res.pos.max(axis=0) - res.pos.min(axis=0))
         assert mean < diam / 4
+
+
+class TestCoarsestLayout:
+    def test_tiny_graphs(self):
+        for g in (CSRGraph.empty(0), CSRGraph.empty(1), path_graph(2).graph):
+            res = coarsest_layout(g, seed=1, max_iters=20)
+            assert res.pos.shape == (g.num_vertices, 2)
+            assert np.isfinite(res.pos).all()
+
+    def test_deterministic_given_seed(self):
+        g = random_delaunay(150, seed=3).graph
+        a = coarsest_layout(g, seed=4).pos
+        assert a.tobytes() == coarsest_layout(g, seed=4).pos.tobytes()
+        assert a.tobytes() != coarsest_layout(g, seed=5).pos.tobytes()
+
+    def test_spectral_start_unfolds_a_path(self):
+        # the SSDE start already lies along the path, so the layout
+        # keeps the two ends far apart instead of folding it
+        g = path_graph(120).graph
+        pos = coarsest_layout(g, seed=2).pos
+        ends = np.linalg.norm(pos[0] - pos[-1])
+        diam = np.linalg.norm(pos.max(axis=0) - pos.min(axis=0))
+        assert ends > 0.8 * diam
+
+    def test_isolated_vertices_do_not_coincide(self):
+        # SSDE gives every landmark-free component the same distances;
+        # the jitter separates them so repulsion can act
+        edges = np.array([[i, i + 1] for i in range(9)])
+        g = CSRGraph.from_edges(40, edges)
+        pos = coarsest_layout(g, seed=1).pos
+        d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+        assert d[np.triu_indices(40, 1)].min() > 0
+
+    def test_no_barnes_hut_on_a_four_x_hierarchy(self, monkeypatch):
+        from repro.embed import fdl
+
+        def boom(*args, **kwargs):
+            raise AssertionError("Barnes-Hut ran")
+
+        monkeypatch.setattr(fdl, "repulsive_forces_bh", boom)
+        res = multilevel_embedding(grid2d(100, 100).graph, seed=1,
+                                   smooth_iters=2,
+                                   matcher=heavy_edge_matching_vec)
+        assert res.hierarchy.coarsest.num_vertices <= 600

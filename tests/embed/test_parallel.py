@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core import run_parallel
 from repro.embed.parallel import dist_multilevel_embedding
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid2d, random_delaunay
-from repro.parallel import QDR_CLUSTER, ZERO_COST, run_spmd
+from repro.parallel import QDR_CLUSTER, ZERO_COST, procs_available, run_spmd
 
 
 def run_embed(graph, p, machine=ZERO_COST, seed=1, **kw):
@@ -79,3 +81,32 @@ class TestDistEmbedding:
         t1 = run_embed(g, 1, machine=QDR_CLUSTER, smooth_iters=8).elapsed
         t64 = run_embed(g, 64, machine=QDR_CLUSTER, smooth_iters=8).elapsed
         assert t64 < t1
+
+
+def _grid_plus_isolated() -> CSRGraph:
+    """A 20×20 grid followed by 400 isolated vertices: under the RCB
+    ownership map some ranks own no adjacency slot at all."""
+    grid = grid2d(20, 20).graph
+    src = grid.edge_sources()
+    keep = src < grid.indices
+    edges = np.stack([src[keep], grid.indices[keep]], axis=1)
+    return CSRGraph.from_edges(800, edges)
+
+
+class TestRanksWithoutEdges:
+    """A rank whose owned block has no adjacency slot still smooths
+    (``np.bincount`` of an empty input is int64, the forces float64)."""
+
+    def test_sim_p16(self):
+        res = run_parallel("ScalaPart", _grid_plus_isolated(), 16, seed=1)
+        assert res.parts.shape == (800,)
+        assert res.imbalance <= 0.15
+
+    def test_procs_p4(self):
+        if not procs_available():
+            pytest.skip("procs backend unavailable (no fork)")
+        g = _grid_plus_isolated()
+        res = run_parallel("ScalaPart", g, 4, seed=1, backend="procs")
+        sim = run_parallel("ScalaPart", g, 4, seed=1)
+        assert res.parts.tobytes() == sim.parts.tobytes()
+        assert res.imbalance <= 0.15

@@ -1,15 +1,22 @@
 """Oracles for the coarsening matchers.
 
-``local_proposals_reference`` is the sort-based proposal kernel (a
-two-key ``np.lexsort`` of the owned slots, last slot of each source
-wins) that the segmented argmax replaced.  ``dist_matching_round_
-reference`` is the round in which every rank derives the mutual matches
-from the allgathered proposals itself, updating ``matched``/``match``
-in place; ``dist_match_reference`` drives it with the production
-signature, so a test installs it with ``monkeypatch.setattr`` on
-:mod:`repro.coarsen.parallel` and compares whole hierarchies and
-ledgers.  ``heavy_edge_matching_vec_reference`` is the vectorised
-sequential matcher that re-hashed and reduced all 2m slots every round.
+Both matchers rate a slot ``u → v`` by expansion*²,
+``(w + t)·|w + t| / (c(u)·c(v))`` with ``t`` the symmetric tie-break
+hash and ``c`` the vertex weight (a zero weight product counts as the
+smallest positive float), and share one tie rule: the first CSR slot
+attaining a vertex's best rating wins, and a vertex whose candidate
+ratings include NaN, or whose best rating is -inf, proposes nothing.
+
+``local_proposals_reference`` applies that rule one vertex at a time
+(the production kernel is one segmented argmax over the block).
+``dist_matching_round_reference`` is the round in which every rank
+derives the mutual matches from the allgathered proposals itself,
+updating ``matched``/``match`` in place; ``dist_match_reference``
+drives it with the production signature, so a test installs it with
+``monkeypatch.setattr`` on :mod:`repro.coarsen.parallel` and compares
+whole hierarchies and ledgers.  ``heavy_edge_matching_vec_reference``
+is the vectorised sequential matcher that re-hashed and reduced all 2m
+slots every round.
 """
 
 from __future__ import annotations
@@ -18,39 +25,40 @@ import numpy as np
 
 from repro.coarsen.parallel import _ROUNDS
 from repro.graph.csr import CSRGraph
-from repro.graph.distributed import block_adjacency_slots, block_of, block_starts
+from repro.graph.distributed import block_of, block_starts
 from repro.parallel.engine import Comm
 from repro.parallel.patterns import allgather_concat
 from repro.rng import SeedLike, as_generator
 
 
+def _rating(src, dst, w, vwgt, salt):
+    w = w + _edge_tiebreak(src, dst, np.uint64(salt))
+    c = np.maximum(vwgt[src] * vwgt[dst], np.finfo(np.float64).tiny)
+    return w * np.abs(w) / c
+
+
 def local_proposals_reference(
     graph: CSRGraph, lo: int, hi: int, matched: np.ndarray, salt: int = 0
 ) -> np.ndarray:
-    """Heaviest-unmatched-neighbour proposal for owned vertices
-    [lo, hi); -1 where no proposal is possible."""
+    """Best-rated unmatched neighbour for owned vertices [lo, hi); -1
+    where no proposal is possible."""
     prop = np.full(hi - lo, -1, dtype=np.int64)
-    if hi <= lo:
-        return prop
-    src_pos, src, dst, w = block_adjacency_slots(graph, lo, hi)
-    valid = ~matched[dst] & ~matched[src]
-    if not valid.any():
-        return prop
-    sp, d, ww = src_pos[valid], dst[valid], w[valid]
-    s = src[valid]
-    elo = np.minimum(s, d).astype(np.uint64)
-    ehi = np.maximum(s, d).astype(np.uint64)
-    h = (
-        elo * np.uint64(2654435761)
-        + ehi * np.uint64(40503)
-        + np.uint64((salt + 1) * 2246822519)
-    ) & np.uint64(0xFFFFFFFF)
-    ww = ww + h.astype(np.float64) / float(2**32) * 0.5
-    order = np.lexsort((ww, sp))  # ascending weight within each source
-    sp_s, d_s = sp[order], d[order]
-    last = np.ones(sp_s.shape[0], dtype=bool)
-    last[:-1] = sp_s[1:] != sp_s[:-1]
-    prop[sp_s[last]] = d_s[last]  # heaviest (last) proposal per source
+    indptr, indices = graph.indptr, graph.indices
+    for v in range(lo, hi):
+        if matched[v]:
+            continue
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        free = ~matched[nbrs]
+        if not free.any():
+            continue
+        d = nbrs[free]
+        r = _rating(np.full(d.shape[0], v), d,
+                    graph.ewgt[indptr[v]:indptr[v + 1]][free], graph.vwgt, salt)
+        if np.isnan(r).any():
+            continue
+        j = int(np.argmax(r))  # first slot attaining the maximum
+        if r[j] > -np.inf:
+            prop[v - lo] = d[j]
     return prop
 
 
@@ -126,8 +134,7 @@ def heavy_edge_matching_vec_reference(
             break
         w_eff = np.where(
             valid,
-            ewgt + _edge_tiebreak(src, indices,
-                                  np.uint64(base_salt + round_no)),
+            _rating(src, indices, ewgt, graph.vwgt, base_salt + round_no),
             -np.inf,
         )
         seg_best = np.maximum.reduceat(w_eff, starts)
