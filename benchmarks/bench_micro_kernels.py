@@ -3,12 +3,11 @@
 Times the library's hot paths — matching (sequential and distributed),
 contraction, k-way assignment and refinement, engine payload delivery,
 one embed smoothing iteration, the β field at the production lattice
-side, Barnes–Hut at 100k points and at the production ~1k-point
-clustered shape, the exact repulsion on a 188-point coarsest layout,
-the Radon reduction of a 1,000-point centerpoint sample, the
+side, Barnes–Hut at 100k points and on ~1k clustered points (the shape
+of ``hu_layout``'s levels), the exact repulsion on a 188-point coarsest
+layout, the Radon reduction of a 1,000-point centerpoint sample, the
 distributed circle selection and the strip-restricted FM of ScalaPart's
-partition phase — on
-generated graphs, reports per-kernel medians, and
+partition phase — on generated graphs, reports per-kernel medians, and
 persists them (plus the sequential ÷ vectorised matching speedup) to
 ``BENCH_kernels.json``.
 
@@ -242,8 +241,8 @@ def run_benchmarks(quick: bool = False, repeats: int = 5,
            lambda: kway_geometric_assign(g, mesh.coords, 8, seed=7))
 
     # ---- k-way refinement (greedy sweeps + pairwise FM) ---------------
-    # the refinement kway-geometric runs on rank 0, fed the labels of
-    # the assignment row above
+    # sequential kway_refine, whose pair waves kway-geometric spreads
+    # over its ranks, fed the labels of the assignment row above
     kway_parts, _ = kway_geometric_assign(g, mesh.coords, 8, seed=7)
     kway_input = KWayPartition(g, kway_parts, 8)
     record("refine/kway-refine", lambda: kway_refine(kway_input))
@@ -327,9 +326,11 @@ def run_benchmarks(quick: bool = False, repeats: int = 5,
     # ---- Barnes-Hut evaluation (build + traversal) --------------------
     record("embed/bh-build", lambda: repulsive_forces_bh(pos0, g.vwgt))
 
-    # at the production shape: the coarsest level of every multilevel
-    # embedding above 600 vertices calls it ~150 times on ~1k clustered
-    # points; one sample is ten calls (~50 ms), well above timer noise
+    # on ~1k clustered points, the shape of hu_layout's levels above the
+    # 600-vertex repulsion="auto" switch and of the repulsion="bh"
+    # ablations (the multilevel embeddings' coarsest layouts, ~130
+    # vertices, take the exact kernel); one sample is ten calls
+    # (~50 ms), well above timer noise
     pos_c, mass_c = clustered_layout()
 
     def bh_coarse():

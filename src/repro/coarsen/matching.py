@@ -113,13 +113,19 @@ def _edge_rating(
     to them, and most vertices are never matched again.  The square is
     signed, ``w·|w|``, so a negative weight still rates below a positive
     one and -inf and NaN weights stay -inf and NaN; a zero weight
-    product counts as the smallest positive float.  Symmetric in the
-    endpoints, so both stored directions of an edge rate identically.
+    product counts as the smallest positive float, so an edge at a
+    zero-weight vertex rates ``w·|w|/tiny`` — +inf once ``w·|w| > 4``,
+    where the division overflows on purpose, without a warning.  The
+    division is in place: one temporary fewer of the slot count.  Symmetric in the endpoints, so both stored
+    directions of an edge rate identically.
     """
     w = ewgt + _edge_tiebreak(src, dst, salt)
     c = vwgt[src] * vwgt[dst]
     np.maximum(c, np.finfo(np.float64).tiny, out=c)
-    return w * np.abs(w) / c
+    r = w * np.abs(w)
+    with np.errstate(over="ignore"):
+        r /= c
+    return r
 
 
 def _segment_argmax(seg: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -20,10 +20,15 @@ The distributed rank program follows the SP-PG7-NL recipe: one sample
 allgather fixes a shared normalisation and shared seed centroids, each
 Lloyd/bias iteration is one small ``(k)``-sized allreduce of per-part
 sums, and every rank applies identical updates — so sim and procs
-backends produce bit-identical partitions.  The final greedy k-way
-refinement gathers the labelling to the subtree root (boundary work is
-proportional to the separator, not the graph) and broadcasts the
-result, like the strip refinement.
+backends produce bit-identical partitions.  The k-way refinement
+allgathers the labelling; the root runs the greedy sweeps (boundary
+work is proportional to the separator, not the graph) and shares the
+swept labels.  The pairwise FM phase then runs on every rank: each wave
+of part-disjoint pairs (:class:`repro.refine.kway.PairRounds`) is
+dealt out round-robin, one gather plus a share carries the results,
+and every rank commits them in round order — the labels of the
+sequential :func:`repro.refine.kway.kway_refine`, for every P.  The
+root sweeps once more and broadcasts the result.
 """
 
 from __future__ import annotations
@@ -37,9 +42,16 @@ from ..errors import GeometryError
 from ..graph.csr import CSRGraph
 from ..graph.distributed import block_of, block_starts
 from ..graph.partition import KWayPartition
-from ..parallel.engine import Comm
+from ..parallel.engine import Comm, payload_words
 from ..parallel.patterns import allgather_concat, share_from_root
-from ..refine.kway import REFINE_PASSES, kway_refine
+from ..refine.kway import (
+    PAIRWISE_ROUNDS,
+    REFINE_PASSES,
+    KWayRefinement,
+    PairRounds,
+    part_limit,
+    subgraph_rows,
+)
 from ..rng import SeedLike, as_generator, derive_seed
 from .centerpoint import CENTERPOINT_SAMPLE
 from .gmt import normalize_coords
@@ -108,6 +120,22 @@ def _updated_centroids(tot: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
+def _affinities(u: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``u @ centroids.T`` for ``(n, 3)`` points and ``(k, 3)``
+    centroids, as a sum of three scaled columns.
+
+    With an inner dimension of 3 a BLAS call gains nothing, and in a
+    rank process its thread pool contends with the other ranks for the
+    cores, which made it several times slower than this sum.  The sum
+    is a fixed ``(x·cx + y·cy) + z·cz`` per entry, where a BLAS kernel
+    may fuse multiply-adds differently per machine.
+    """
+    out = u[:, 0, None] * centroids[:, 0]
+    out += u[:, 1, None] * centroids[:, 1]
+    out += u[:, 2, None] * centroids[:, 2]
+    return out
+
+
 def _part_sums(
     u: np.ndarray, costs: np.ndarray, parts: np.ndarray, k: int
 ) -> np.ndarray:
@@ -153,10 +181,10 @@ def kway_geometric_assign(
         target = n / k
 
     for _ in range(lloyd_iters):
-        parts = np.argmax(u @ centroids.T, axis=1)
+        parts = np.argmax(_affinities(u, centroids), axis=1)
         centroids = _updated_centroids(_part_sums(u, c, parts, k), centroids)
 
-    aff = u @ centroids.T
+    aff = _affinities(u, centroids)
     bias = np.zeros(k)
     best_key = (np.inf, np.inf)
     best_parts = None
@@ -247,7 +275,7 @@ def dist_kway_geometric(
     # ---- Lloyd iterations: one (k, 4) allreduce each ------------------
     comm.set_phase("partition/centroids")
     for _ in range(LLOYD_ITERS):
-        parts_own = np.argmax(own_u @ centroids.T, axis=1)
+        parts_own = np.argmax(_affinities(own_u, centroids), axis=1)
         comm.charge(float(hi - lo) * (3 * k + 4))
         tot = yield from comm.allreduce(
             _part_sums(own_u, own_costs, parts_own, k), words=4 * k
@@ -256,7 +284,7 @@ def dist_kway_geometric(
 
     # ---- bias balancing: one (k,) allreduce each ----------------------
     comm.set_phase("partition/assign")
-    aff = own_u @ centroids.T
+    aff = _affinities(own_u, centroids)
     comm.charge(float(hi - lo) * 3 * k)
     bias = np.zeros(k)
     best_key = (np.inf, np.inf)
@@ -277,7 +305,7 @@ def dist_kway_geometric(
             break
         bias += _bias_lr(it) * (pc / target - 1.0)
 
-    # ---- root-side greedy refinement, like the strip stage ------------
+    # ---- k-way refinement: sweeps on the root, pair FM on every rank --
     comm.set_phase("partition/kway-refine")
     parts_full = yield from allgather_concat(
         comm, best_parts.astype(np.int64)
@@ -288,10 +316,49 @@ def dist_kway_geometric(
         "assign_iters": iters,
         "lloyd_iters": LLOYD_ITERS,
     }
+    kp = KWayPartition(graph, parts_full, k, costs=costs)
+    ref, swept, words = None, None, 0.0
+    if comm.rank == 0:
+        ref = KWayRefinement(kp, bound)
+        ref.sweeps()
+        rows = subgraph_rows(graph)
+        # boundary work is proportional to the separator, not the graph;
+        # the order check of subgraph_rows reads every slot
+        comm.charge(float(k) * math.sqrt(max(n, 1.0)) * REFINE_PASSES
+                    + float(graph.indices.shape[0]))
+        # the pair graphs' source goes by reference, only when it is
+        # not the graph itself
+        rows = None if rows is graph else rows
+        swept = (ref.parts.copy(), ref.part_cost.copy(), rows)
+        words = float(n + k) + (0.0 if rows is None else payload_words(
+            (rows.indptr, rows.indices, rows.ewgt, rows.vwgt)))
+    labels, part_cost, rows = yield from share_from_root(comm, swept,
+                                                         words=words)
+    pcosts = kp.balance_costs
+    pairs = PairRounds(graph, labels.copy(), pcosts, part_cost.copy(), k,
+                       part_limit(pcosts, k, bound), PAIRWISE_ROUNDS,
+                       rows=graph if rows is None else rows)
+    wave = pairs.next_wave()
+    while wave:
+        # wave pairs are part-disjoint, so any rank may evaluate any of
+        # them; every rank commits all results in round order
+        mine = range(comm.rank, len(wave), p)
+        comm.charge(float(sum(pairs.pair_slots(*wave[i]) for i in mine)))
+        found = [pairs.evaluate(*wave[i]) for i in mine]
+        per_rank = yield from comm.gather(found, root=0)
+        results = None
+        if comm.rank == 0:
+            results = [per_rank[i % p][i // p] for i in range(len(wave))]
+        results = yield from share_from_root(comm, results,
+                                             words=payload_words(results))
+        pairs.commit(wave, results)
+        wave = pairs.next_wave()
+
     result = None
     if comm.rank == 0:
-        kp = KWayPartition(graph, parts_full, k, costs=costs)
-        refined = kway_refine(kp, max_imbalance=bound)
+        ref.parts, ref.part_cost = pairs.parts, pairs.part_cost
+        ref.add_pair_moves(pairs.moves)
+        refined = ref.result()
         result = (
             np.asarray(refined.partition.parts),
             {
@@ -301,9 +368,6 @@ def dist_kway_geometric(
                 "refine_moves": refined.moves,
             },
         )
-    # boundary work is proportional to the separator, not the graph
-    boundary_guess = float(k) * math.sqrt(max(n, 1.0))
-    comm.charge(boundary_guess * REFINE_PASSES / p)
     parts_final, final_info = (yield from share_from_root(
         comm, result,
         words=float(n) / max(1.0, math.log2(p) if p > 1 else 1.0),

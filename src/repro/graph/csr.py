@@ -275,12 +275,7 @@ class CSRGraph:
             raise GraphError("subgraph vertex id out of range")
         inv = np.full(self.num_vertices, -1, dtype=np.int64)
         inv[vertices] = np.arange(nb)
-        # gather the selected rows' slots
-        starts = self.indptr[vertices]
-        counts = self.indptr[vertices + 1] - starts
-        ends = np.cumsum(counts)
-        slots = np.arange(int(ends[-1]) if nb else 0, dtype=np.int64)
-        slots += np.repeat(starts - (ends - counts), counts)
+        slots, counts, _ = self._row_slots(vertices)
         row = np.repeat(np.arange(nb, dtype=np.int64), counts)
         col = inv[self.indices[slots]]
         keep = row < col  # drops unselected neighbours (col = -1) too
@@ -293,6 +288,82 @@ class CSRGraph:
                        np.concatenate([w, w])[order], self.vwgt[vertices],
                        validate=False)
         return sub, vertices
+
+    def _row_slots(self, rows: np.ndarray):
+        """Adjacency slots of ``rows`` in row order, with the per-row
+        slot counts and their running ends."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        ends = np.cumsum(counts)
+        slots = np.arange(int(ends[-1]) if rows.size else 0, dtype=np.int64)
+        slots += np.repeat(starts - (ends - counts), counts)
+        return slots, counts, ends
+
+    def in_subgraph_order(self) -> bool:
+        """Whether every row is already in :meth:`subgraph` slot order,
+        i.e. ``self.subgraph(np.arange(n))[0]`` is this graph byte for
+        byte.
+
+        :meth:`subgraph` lists a row's ``row < neighbour`` slots first, in
+        CSR order, then the other neighbours by ascending id, each with
+        the weight of its mirrored slot.  This checks exactly that (no
+        self loop, no repeated neighbour) with linear scans and one sort
+        of the mirrored keys: about a third of the time of building the
+        subgraph, and no copy.
+        Graphs :meth:`from_edges` builds with ``dedupe=True`` pass, and so
+        do :func:`read_metis` and :func:`~repro.coarsen.contract` graphs.
+        """
+        dst = self.indices
+        if dst.size == 0:
+            return True
+        src = self.edge_sources()
+        if np.any(src == dst):
+            return False
+        up = dst > src
+        # inside a row: no upper slot after a lower one, and the lower
+        # slots strictly ascend
+        low_then = (src[1:] == src[:-1]) & ~up[:-1]
+        if np.any(low_then & up[1:]) or np.any(low_then & (dst[1:] <= dst[:-1])):
+            return False
+        # so the lower keys ascend strictly; sorted, the mirrored upper
+        # keys must equal them, weight for weight
+        n = np.int64(max(self.num_vertices, 1))
+        low = ~up
+        lkey = (src * n + dst)[low]
+        ukey = (dst * n + src)[up]
+        if lkey.size != ukey.size:
+            return False
+        order = np.argsort(ukey)  # keys are distinct if they pass
+        if not np.array_equal(ukey[order], lkey):
+            return False
+        return np.array_equal(self.ewgt[up][order].view(np.uint64),
+                              self.ewgt[low].view(np.uint64))
+
+    def filter_rows(
+        self, vertices: np.ndarray, vwgt: Optional[np.ndarray] = None
+    ) -> "CSRGraph":
+        """Induced subgraph on sorted, distinct ``vertices`` by filtering
+        their rows: each keeps its selected neighbours in place,
+        relabelled.  ``vwgt`` replaces ``self.vwgt[vertices]``.
+
+        On a graph :meth:`in_subgraph_order` this is
+        ``self.subgraph(vertices)[0]`` byte for byte without its sort:
+        the relabelling is monotone, so both halves of every row stay
+        in order.
+        """
+        nb = vertices.shape[0]
+        inv = np.full(self.num_vertices, -1, dtype=np.int64)
+        inv[vertices] = np.arange(nb)
+        slots, _, ends = self._row_slots(vertices)
+        col = inv[self.indices[slots]]
+        keep = col >= 0
+        kept = np.zeros(slots.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        indptr = np.zeros(nb + 1, dtype=np.int64)
+        indptr[1:] = kept[ends]
+        return CSRGraph(indptr, col[keep], self.ewgt[slots[keep]],
+                        self.vwgt[vertices] if vwgt is None else vwgt,
+                        validate=False)
 
     def permute(self, perm: np.ndarray) -> "CSRGraph":
         """Relabel vertices: new id of old vertex ``v`` is ``perm[v]``."""

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
@@ -53,13 +54,24 @@ __all__ = ["FMResult", "fm_refine"]
 
 @dataclass(frozen=True)
 class FMResult:
-    """Outcome of :func:`fm_refine`."""
+    """Outcome of :func:`fm_refine`.
+
+    The cuts are computed on first read: a k-way pair refinement reads
+    only the sides, and each cut is a scan of every adjacency slot.
+    """
 
     bisection: Bisection
-    initial_cut: float
-    final_cut: float
+    start: Bisection
     passes: int
     moves: int
+
+    @cached_property
+    def initial_cut(self) -> float:
+        return self.start.cut_weight
+
+    @cached_property
+    def final_cut(self) -> float:
+        return self.bisection.cut_weight
 
     @property
     def improvement(self) -> float:
@@ -116,8 +128,6 @@ def fm_refine(
     total_w = g.total_vertex_weight
     w_limit = (1.0 + max_imbalance) * total_w / 2.0
 
-    cut = bisection.cut_weight
-    initial_cut = cut
     total_moves = 0
     passes = 0
 
@@ -131,11 +141,9 @@ def fm_refine(
         if improved[0] <= 1e-12:
             break
 
-    result = Bisection(g, side)
     return FMResult(
-        bisection=result,
-        initial_cut=initial_cut,
-        final_cut=result.cut_weight,
+        bisection=Bisection(g, side),
+        start=bisection,
         passes=passes,
         moves=total_moves,
     )

@@ -6,11 +6,14 @@
 ``pairwise_fm_reference`` is the pairwise phase without the
 unchanged-pair skip, building every pair with the edge-list
 :func:`~tests.oracles.subgraph.subgraph_reference`.
+``kway_pass_reference`` is the array-backed greedy boundary sweep
+(``np.add.at`` ordering connectivity, a ``bincount`` row and numpy
+feasibility masks per vertex) that the list-backed sweep replaced.
 
-Both keep the production signatures, so a test installs them with
+All keep the production signatures, so a test installs them with
 ``monkeypatch.setattr`` on :mod:`repro.refine.fm` (``_fm_pass``) and
-:mod:`repro.refine.kway` (``_pairwise_fm``) and compares whole
-``fm_refine`` / ``kway_refine`` results byte for byte.
+:mod:`repro.refine.kway` (``_pairwise_fm``, ``_kway_pass``) and
+compares whole ``fm_refine`` / ``kway_refine`` results byte for byte.
 """
 
 from __future__ import annotations
@@ -182,3 +185,60 @@ def pairwise_fm_reference(g, parts, costs, part_cost, k, limit, rounds,
         if not improved:
             break
     return moves
+
+
+def kway_pass_reference(g, parts, costs, part_cost, k, limit) -> int:
+    """One boundary sweep; mutates ``parts``/``part_cost`` in place."""
+    indptr, indices, ewgt = g.indptr, g.indices, g.ewgt
+    src = g.edge_sources()
+    crossing = parts[src] != parts[indices]
+    boundary = np.unique(src[crossing])
+    if boundary.size == 0:
+        return 0
+
+    # initial connectivity of the boundary, used only to order the sweep
+    pos = np.full(g.num_vertices, -1, dtype=np.int64)
+    pos[boundary] = np.arange(boundary.size)
+    mask = pos[src] >= 0
+    conn = np.zeros((boundary.size, k))
+    np.add.at(conn, (pos[src[mask]], parts[indices[mask]]), ewgt[mask])
+    own = parts[boundary]
+    rows = np.arange(boundary.size)
+    own_conn = conn[rows, own].copy()
+    conn[rows, own] = -np.inf
+    best_gain = conn.max(axis=1) - own_conn
+    order = np.lexsort((boundary, -best_gain))  # gain desc, id asc
+
+    accepted = 0
+    for i in order:
+        v = int(boundary[i])
+        a = int(parts[v])
+        cv = float(costs[v])
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        if nbrs.size == 0:
+            continue
+        # live connectivity row (earlier moves in this pass count)
+        row = np.bincount(parts[nbrs], weights=ewgt[indptr[v]:indptr[v + 1]],
+                          minlength=k)
+        gains = row - row[a]
+        over = part_cost[a] > limit
+        feasible = part_cost + cv <= limit
+        if over:
+            # rebalancing: also allow targets that strictly shrink the
+            # heavier side of the exchange (monotone, so no ping-pong)
+            feasible |= part_cost + cv < part_cost[a]
+        feasible[a] = False
+        if not feasible.any():
+            continue
+        cand_gain = np.where(feasible, gains, -np.inf)
+        best = cand_gain.max()
+        if not (best > 1e-12 or over):
+            continue
+        # deterministic target: best gain, then lightest part, then id
+        tied = np.flatnonzero(cand_gain >= best - 1e-12)
+        b = int(tied[np.lexsort((tied, part_cost[tied]))[0]])
+        parts[v] = b
+        part_cost[a] -= cv
+        part_cost[b] += cv
+        accepted += 1
+    return accepted
